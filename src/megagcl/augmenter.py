@@ -11,8 +11,6 @@ losses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -23,14 +21,6 @@ from .gnn import MlpParams
 
 class AugmenterParams(MlpParams):
     """Edge-scoring perceptron: 2F -> hidden -> 1."""
-
-
-@dataclass
-class GraphView:
-    """A batch topology paired with an aligned edge-weight column."""
-
-    batch: GraphBatch
-    weights: ad.Tensor
 
 
 def lga_edge_weights(batch: GraphBatch, sigma: AugmenterParams):
@@ -63,18 +53,3 @@ def unit_edge_weights(batch: GraphBatch):
     """The original view's weights: all ones, off the tape."""
     return ad.constant(np.ones((batch.n_edges, 1)))
 
-
-def augment(batch: GraphBatch, weights) -> GraphView:
-    if weights.shape != (batch.n_edges, 1):
-        raise ShapeError("augment", [weights.shape],
-                         f"expected ({batch.n_edges}, 1) edge weights")
-    return GraphView(batch, weights)
-
-
-def original_view(batch: GraphBatch) -> GraphView:
-    return GraphView(batch, unit_edge_weights(batch))
-
-
-def detach_view(view: GraphView) -> GraphView:
-    """Same weights numerically, removed from the tape (stop-gradient)."""
-    return GraphView(view.batch, ad.detach(view.weights))

@@ -85,26 +85,20 @@ def _as_tensor(x):
 class _Node:
     """One recorded primitive application (or a leaf root)."""
 
-    __slots__ = ("kind", "inputs", "out", "extras", "from_backward")
+    __slots__ = ("kind", "inputs", "out", "extras")
 
-    def __init__(self, kind, inputs, out, extras, from_backward):
+    def __init__(self, kind, inputs, out, extras):
         self.kind = kind
         self.inputs = inputs
         self.out = out
         self.extras = extras
-        self.from_backward = from_backward
 
 
 class Tape:
-    """Append-only record of primitive applications, in topological order.
-
-    ``recording_backward`` is raised while a create_graph backward pass is
-    appending its own nodes; it marks those nodes as second-generation.
-    """
+    """Append-only record of primitive applications, in topological order."""
 
     def __init__(self):
         self.nodes = []
-        self.recording_backward = False
         self._pause_depth = 0
 
     @property
@@ -121,14 +115,13 @@ class Tape:
 
     def adopt(self, t: Tensor) -> Tensor:
         """Register ``t`` as a leaf root of this tape (in place)."""
-        self.nodes.append(_Node(LEAF, (), t, None, self.recording_backward))
+        self.nodes.append(_Node(LEAF, (), t, None))
         t.node_id = len(self.nodes) - 1
         return t
 
     def reset(self):
         """Drop all nodes. Node ids handed out before this become invalid."""
         self.nodes.clear()
-        self.recording_backward = False
 
 
 _tls = threading.local()
@@ -297,15 +290,6 @@ def _f_transpose(inputs, extras):
     return inputs[0].data.T.copy()
 
 
-def _f_row_softmax(inputs, extras):
-    _arity("row-softmax", inputs, 1)
-    _require_2d("row-softmax", inputs[0])
-    x = inputs[0].data
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _f_l2_normalize_rows(inputs, extras):
     _arity("l2-normalize-rows", inputs, 1)
     _require_2d("l2-normalize-rows", inputs[0])
@@ -442,13 +426,6 @@ def _v_transpose(node, g):
     return [transpose(g)]
 
 
-def _v_row_softmax(node, g):
-    s = node.out
-    m = s.shape[1]
-    dot = matmul(mul(g, s), constant(np.ones((m, 1))))
-    return [mul(s, sub(g, dot))]
-
-
 def _v_l2_normalize_rows(node, g):
     (x,) = node.inputs
     out = node.out
@@ -488,7 +465,6 @@ _PRIMITIVES = {
     "sqrt": (_f_sqrt, _v_sqrt),
     "reciprocal": (_f_reciprocal, _v_reciprocal),
     "transpose": (_f_transpose, _v_transpose),
-    "row-softmax": (_f_row_softmax, _v_row_softmax),
     "l2-normalize-rows": (_f_l2_normalize_rows, _v_l2_normalize_rows),
     "gather-rows": (_f_gather_rows, _v_gather_rows),
     "scatter-add-rows": (_f_scatter_add_rows, _v_scatter_add_rows),
@@ -511,8 +487,7 @@ def primitive_forward(kind, inputs, **extras) -> Tensor:
     tape = active_tape()
     if (tape is not None and tape.recording
             and any(t.node_id is not None for t in inputs)):
-        tape.nodes.append(_Node(kind, tuple(inputs), out, extras or None,
-                                tape.recording_backward))
+        tape.nodes.append(_Node(kind, tuple(inputs), out, extras or None))
         out.node_id = len(tape.nodes) - 1
     return out
 
@@ -575,10 +550,6 @@ def reciprocal(x):
 
 def transpose(x):
     return primitive_forward("transpose", [x])
-
-
-def row_softmax(x):
-    return primitive_forward("row-softmax", [x])
 
 
 def l2_normalize_rows(x):
@@ -659,26 +630,20 @@ def backward(loss: Tensor, params, create_graph=False) -> GradientMap:
                 stack.append(nid)
 
     grads = {loss.node_id: constant(np.ones(loss.shape))}
-    was_backward = tape.recording_backward
-    if create_graph:
-        tape.recording_backward = True
-    try:
-        with (nullcontext() if create_graph else tape.paused()):
-            for nid in sorted(seen, reverse=True):
-                node = nodes[nid]
-                if node.kind == LEAF:
+    with (nullcontext() if create_graph else tape.paused()):
+        for nid in sorted(seen, reverse=True):
+            node = nodes[nid]
+            if node.kind == LEAF:
+                continue
+            g = grads.pop(nid, None)
+            if g is None:
+                continue
+            _, vjp = _PRIMITIVES[node.kind]
+            for t, ig in zip(node.inputs, vjp(node, g)):
+                if ig is None or t.node_id is None:
                     continue
-                g = grads.pop(nid, None)
-                if g is None:
-                    continue
-                _, vjp = _PRIMITIVES[node.kind]
-                for t, ig in zip(node.inputs, vjp(node, g)):
-                    if ig is None or t.node_id is None:
-                        continue
-                    cur = grads.get(t.node_id)
-                    grads[t.node_id] = ig if cur is None else add(cur, ig)
-    finally:
-        tape.recording_backward = was_backward
+                cur = grads.get(t.node_id)
+                grads[t.node_id] = ig if cur is None else add(cur, ig)
 
     by_id = {}
     for p in params:
@@ -790,6 +755,3 @@ def max_relative_error(got: Tensor, want: Tensor) -> float:
     num = float(np.max(np.abs(got.data - want.data))) if got.data.size else 0.0
     den = max(1.0, float(np.max(np.abs(want.data))) if want.data.size else 0.0)
     return num / den
-
-
-PRIMITIVE_KINDS = tuple(k for k in _PRIMITIVES if k != LEAF)

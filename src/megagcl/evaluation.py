@@ -8,7 +8,10 @@ ten-run protocol reports mean and population standard deviation.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -17,7 +20,6 @@ from . import gnn
 from . import training as tr
 from .errors import DataError
 from .graphdata import Dataset, SplitResult, batch_graphs, split_dataset
-from .storage import atomic_write_bytes
 
 PROBE_STEPS = 500
 PROBE_LR = 0.1
@@ -73,8 +75,12 @@ def linear_probe(table: EmbeddingTable, split: SplitResult, seed=0) -> float:
     Standardization uses train-split statistics only. Returns the test
     accuracy at the step with the best validation accuracy (earliest on
     ties). Zero init makes the outcome seed-independent; the seed parameter
-    stays for interface stability.
+    stays for interface stability. An empty validation or test split has no
+    accuracy to select or report by, so it raises.
     """
+    for part in ("val", "test"):
+        if not getattr(split, part):
+            raise DataError(f"the {part} split is empty")
     labels = table.labels
     classes = np.unique(labels)
     n_classes = len(classes)
@@ -105,10 +111,10 @@ def linear_probe(table: EmbeddingTable, split: SplitResult, seed=0) -> float:
         w -= PROBE_LR * (x_tr.T @ grad_logits + 2.0 * PROBE_L2 * w)
         b -= PROBE_LR * grad_logits.sum(axis=0)
 
-        val_acc = _accuracy(x_va @ w + b, y_va) if len(y_va) else 1.0
+        val_acc = _accuracy(x_va @ w + b, y_va)
         if val_acc > best_val:
             best_val = val_acc
-            best_test = _accuracy(x_te @ w + b, y_te) if len(y_te) else 0.0
+            best_test = _accuracy(x_te @ w + b, y_te)
     return best_test
 
 
@@ -169,7 +175,9 @@ def export_feature_heatmap(table: EmbeddingTable, path):
 
     Rows are graphs sorted by class label, columns are embedding dimensions;
     values are min-max normalized over the whole table and mapped through
-    the fixed color ramp. A constant table renders as a single color.
+    the fixed color ramp. A constant table renders as a single color. The
+    file is written to a temporary name in the target directory and renamed
+    into place, so a reader never sees a partial image.
     """
     order = np.lexsort((np.arange(len(table.labels)), table.labels))
     values = table.vectors[order]
@@ -183,4 +191,12 @@ def export_feature_heatmap(table: EmbeddingTable, path):
     ramp = np.asarray(COLOR_RAMP, dtype=np.uint8)
     pixels = ramp[idx]  # (h, w, 3)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + pixels.tobytes())
+    path = Path(path)
+    tmp = tempfile.NamedTemporaryFile(dir=path.parent, delete=False)
+    try:
+        with tmp:
+            tmp.write(header + pixels.tobytes())
+        os.replace(tmp.name, path)
+    finally:
+        if os.path.exists(tmp.name):
+            os.unlink(tmp.name)

@@ -37,9 +37,6 @@ class MlpParams:
         return cls(*ts)
 
 
-GinLayerParams = MlpParams
-
-
 @dataclass
 class EncoderParams:
     layers: list

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,15 +23,22 @@ from .errors import ConfigError, DataError
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GraphTopology:
     """Undirected topology stored as directed pairs, both directions present.
 
-    Self-loops are implicit (one per node, materialized at batch time).
+    ``edges`` is an (E, 2) ``intp`` array of (u, v) rows with u != v, coerced
+    at construction from any sequence of pairs (``()`` gives shape (0, 2)).
+    Arrays do not compare with ``==``, so neither do topologies; compare
+    ``edges`` with ``np.array_equal``. Self-loops are implicit (one per node,
+    materialized at batch time).
     """
 
     n_nodes: int
-    edges: tuple  # of (u, v) int pairs, u != v
+    edges: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", _edge_array(self.edges))
 
 
 @dataclass
@@ -96,20 +104,26 @@ class SplitResult:
     stratified: bool
 
 
+def _edge_array(pairs):
+    return np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+
+
 def undirected_closure(edges, n_nodes):
     """Deduplicate directed pairs, drop self-loops, add missing reverses.
 
-    Order-preserving, so parsing is deterministic; idempotent.
+    Returns an (E, 2) array: the first occurrence of each pair in input
+    order, then the missing reverses in the order of their pairs. Order-
+    preserving, so parsing is deterministic; idempotent.
     """
-    seen = dict.fromkeys((int(u), int(v)) for u, v in edges
-                         if int(u) != int(v))
-    for u, v in list(seen):
-        if (v, u) not in seen:
-            seen[(v, u)] = None
-    for u, v in seen:
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise DataError(f"edge ({u}, {v}) outside node range 0..{n_nodes - 1}")
-    return tuple(seen)
+    e = _edge_array(edges)
+    e = e[e[:, 0] != e[:, 1]]
+    outside = np.flatnonzero(((e < 0) | (e >= n_nodes)).any(axis=1))
+    if outside.size:
+        u, v = e[outside[0]]
+        raise DataError(f"edge ({u}, {v}) outside node range 0..{n_nodes - 1}")
+    both = np.concatenate([e, e[:, ::-1]])
+    _, first = np.unique(both[:, 0] * n_nodes + both[:, 1], return_index=True)
+    return both[np.sort(first)]
 
 
 def _find_dataset_dir(root_dir, name):
@@ -122,7 +136,8 @@ def _find_dataset_dir(root_dir, name):
 
 
 def _read_lines(path):
-    return path.read_text().splitlines()
+    with path.open() as f:
+        yield from f
 
 
 def _int_lines(path, what):
@@ -136,6 +151,30 @@ def _int_lines(path, what):
         except ValueError:
             raise DataError(f"{path.name}:{i}: non-numeric {what} line: {line!r}")
     return out
+
+
+def _edge_lines(path, n_nodes):
+    """The (E, 2) 1-indexed pairs of an edge file, each within 1..n_nodes,
+    plus each pair's line number."""
+    # flat machine-int buffers: per-pair Python objects would set the
+    # parser's peak memory
+    flat, linenos = array("q"), array("q")
+    for i, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            u, v = (int(p) for p in line.replace(",", " ").split())
+        except ValueError:
+            raise DataError(f"{path.name}:{i}: non-numeric edge line: {line!r}")
+        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
+            raise DataError(
+                f"{path.name}:{i}: node index exceeds indicator length "
+                f"({n_nodes} nodes): {line!r}")
+        flat.append(u)
+        flat.append(v)
+        linenos.append(i)
+    return _edge_array(flat), linenos
 
 
 def parse_tu_dataset(root_dir, name) -> Dataset:
@@ -163,7 +202,7 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     if len(raw_labels) != n_graphs:
         raise DataError(
             f"{lab_path.name}: {len(raw_labels)} labels for {n_graphs} graphs")
-    label_map = {raw: i for i, raw in enumerate(sorted(set(raw_labels)))}
+    classes, labels = np.unique(raw_labels, return_inverse=True)
 
     node_labels = None
     nl_path = folder / f"{name}_node_labels.txt"
@@ -175,48 +214,42 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     if (folder / f"{name}_edge_labels.txt").exists():
         warnings.warn(f"{name}: edge labels present but unsupported; ignored")
 
-    # global -> (graph, local) index bookkeeping
-    graph_of = [g - 1 for g in indicator]
+    # global -> (graph, local) index: a node's rank among its graph's nodes
+    graph_of = np.asarray(indicator, dtype=np.intp) - 1
+    counts = np.bincount(graph_of, minlength=n_graphs)
+    starts = np.cumsum(counts) - counts
     local_index = np.empty(n_total, dtype=np.intp)
-    counts = [0] * n_graphs
-    for i, g in enumerate(graph_of):
-        local_index[i] = counts[g]
-        counts[g] += 1
+    local_index[np.argsort(graph_of, kind="stable")] = (
+        np.arange(n_total) - np.repeat(starts, counts))
 
-    per_graph_edges = [[] for _ in range(n_graphs)]
-    for lineno, line in enumerate(_read_lines(a_path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        try:
-            u, v = (int(p) for p in parts)
-        except ValueError:
-            raise DataError(f"{a_path.name}:{lineno}: non-numeric edge line: {line!r}")
-        if not (1 <= u <= n_total and 1 <= v <= n_total):
-            raise DataError(
-                f"{a_path.name}:{lineno}: node index exceeds indicator length "
-                f"({n_total} nodes): {line!r}")
-        gu, gv = graph_of[u - 1], graph_of[v - 1]
-        if gu != gv:
-            raise DataError(
-                f"{a_path.name}:{lineno}: edge ({u}, {v}) crosses graphs "
-                f"{gu + 1} and {gv + 1}")
-        per_graph_edges[gu].append((int(local_index[u - 1]),
-                                    int(local_index[v - 1])))
+    pairs, linenos = _edge_lines(a_path, n_total)
+    graph_uv = graph_of[pairs - 1]
+    crossing = np.flatnonzero(graph_uv[:, 0] != graph_uv[:, 1])
+    if crossing.size:
+        k = crossing[0]
+        (u, v), (gu, gv) = pairs[k], graph_uv[k]
+        raise DataError(
+            f"{a_path.name}:{linenos[k]}: edge ({u}, {v}) crosses graphs "
+            f"{gu + 1} and {gv + 1}")
+
+    # one closure over global ids, then a stable sort by graph, gives each
+    # graph its own closure order: its forward pairs, then its reverses
+    edges = undirected_closure(pairs - 1, n_total)
+    graph_of_edge = graph_of[edges[:, 0]]
+    per_graph = np.split(
+        local_index[edges[np.argsort(graph_of_edge, kind="stable")]],
+        np.cumsum(np.bincount(graph_of_edge, minlength=n_graphs))[:-1])
 
     records = []
-    node_cursor = 0
     for g in range(n_graphs):
-        n = counts[g]
-        topo = GraphTopology(n, undirected_closure(per_graph_edges[g], n))
+        n, start = int(counts[g]), int(starts[g])
         labels_g = None
         if node_labels is not None:
-            labels_g = node_labels[node_cursor:node_cursor + n]
-        node_cursor += n
-        records.append(GraphRecord(topo, label_map[raw_labels[g]], labels_g))
+            labels_g = node_labels[start:start + n]
+        records.append(GraphRecord(GraphTopology(n, per_graph[g]),
+                                   int(labels[g]), labels_g))
 
-    return Dataset(name=name, records=records, n_classes=len(label_map))
+    return Dataset(name=name, records=records, n_classes=len(classes))
 
 
 def serialize_tu_dataset(dataset: Dataset, root_dir):
@@ -224,29 +257,25 @@ def serialize_tu_dataset(dataset: Dataset, root_dir):
     folder = Path(root_dir)
     folder.mkdir(parents=True, exist_ok=True)
     name = dataset.name
-    a_lines, ind_lines, node_lines = [], [], []
-    offset = 0
-    for gi, rec in enumerate(dataset.records, start=1):
-        for u, v in rec.topology.edges:
-            a_lines.append(f"{offset + u + 1}, {offset + v + 1}")
-        ind_lines.extend([str(gi)] * rec.n_nodes)
-        if rec.node_labels is not None:
-            node_lines.extend(str(l) for l in rec.node_labels)
-        offset += rec.n_nodes
-    (folder / f"{name}_A.txt").write_text("\n".join(a_lines) + "\n")
-    (folder / f"{name}_graph_indicator.txt").write_text("\n".join(ind_lines) + "\n")
-    (folder / f"{name}_graph_labels.txt").write_text(
-        "\n".join(str(r.label) for r in dataset.records) + "\n")
-    if node_lines:
-        (folder / f"{name}_node_labels.txt").write_text("\n".join(node_lines) + "\n")
+    records = dataset.records
+    sizes = np.array([r.n_nodes for r in records], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    edges = np.concatenate([_edge_array(())] + [
+        r.topology.edges + off + 1 for r, off in zip(records, offsets)])
+    np.savetxt(folder / f"{name}_A.txt", edges, fmt="%d, %d")
+    np.savetxt(folder / f"{name}_graph_indicator.txt",
+               np.repeat(np.arange(1, len(records) + 1), sizes), fmt="%d")
+    np.savetxt(folder / f"{name}_graph_labels.txt",
+               [r.label for r in records], fmt="%d")
+    node_labels = [r.node_labels for r in records if r.node_labels is not None]
+    if node_labels:
+        np.savetxt(folder / f"{name}_node_labels.txt",
+                   np.concatenate(node_labels), fmt="%d")
 
 
 def degree_sequence(topology: GraphTopology):
     """Out-degree per node over the stored directed pairs (self-loops excluded)."""
-    deg = np.zeros(topology.n_nodes, dtype=np.intp)
-    for u, _ in topology.edges:
-        deg[u] += 1
-    return deg
+    return np.bincount(topology.edges[:, 0], minlength=topology.n_nodes)
 
 
 def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
@@ -260,15 +289,13 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
         if any(r.node_labels is None for r in dataset.records):
             raise DataError(
                 f"{dataset.name}: node-label-onehot requires node labels")
-        vocab = sorted({l for r in dataset.records for l in r.node_labels})
-        index = {l: i for i, l in enumerate(vocab)}
+        vocab = np.array(sorted(set().union(*(r.node_labels
+                                              for r in dataset.records))))
         width = len(vocab)
         descr = "node-label-onehot"
 
-        def featurize(rec):
-            x = np.zeros((rec.n_nodes, width))
-            x[np.arange(rec.n_nodes), [index[l] for l in rec.node_labels]] = 1.0
-            return x
+        def column(rec):
+            return np.searchsorted(vocab, rec.node_labels)
 
     elif scheme == "degree-onehot":
         if cap is None or cap < 1:
@@ -276,16 +303,14 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
         width = cap + 1
         descr = f"degree-onehot(cap={cap})"
 
-        def featurize(rec):
-            deg = np.minimum(degree_sequence(rec.topology), cap)
-            x = np.zeros((rec.n_nodes, width))
-            x[np.arange(rec.n_nodes), deg] = 1.0
-            return x
+        def column(rec):
+            return np.minimum(degree_sequence(rec.topology), cap)
 
     else:
         raise ConfigError(f"unknown feature scheme: {scheme!r}")
 
-    records = [replace(r, features=featurize(r)) for r in dataset.records]
+    onehot = np.eye(width)
+    records = [replace(r, features=onehot[column(r)]) for r in dataset.records]
     return replace(dataset, records=records, feature_scheme=descr)
 
 
@@ -302,32 +327,21 @@ def batch_graphs(records) -> GraphBatch:
     if None in widths or len(widths) != 1:
         raise DataError(f"feature width mismatch across batch: {widths}")
 
-    offsets = np.zeros(len(records), dtype=np.intp)
-    total = 0
-    for i, rec in enumerate(records):
-        offsets[i] = total
-        total += rec.n_nodes
-
-    graph_of_node = np.empty(total, dtype=np.intp)
-    src, dst = [], []
-    for i, rec in enumerate(records):
-        off = offsets[i]
-        graph_of_node[off:off + rec.n_nodes] = i
-        for u, v in rec.topology.edges:
-            src.append(off + u)
-            dst.append(off + v)
-    n_nonself = len(src)
-    src.extend(range(total))
-    dst.extend(range(total))
+    sizes = np.array([r.n_nodes for r in records], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    shifted = np.concatenate([r.topology.edges + off
+                              for r, off in zip(records, offsets)])
+    self_loops = np.arange(total, dtype=np.intp)
 
     return GraphBatch(
         n_graphs=len(records),
         n_nodes=total,
         offsets=offsets,
-        graph_of_node=graph_of_node,
-        edge_src=np.asarray(src, dtype=np.intp),
-        edge_dst=np.asarray(dst, dtype=np.intp),
-        n_nonself=n_nonself,
+        graph_of_node=np.repeat(np.arange(len(records), dtype=np.intp), sizes),
+        edge_src=np.concatenate([shifted[:, 0], self_loops]),
+        edge_dst=np.concatenate([shifted[:, 1], self_loops]),
+        n_nonself=len(shifted),
         features=np.concatenate([r.features for r in records], axis=0),
     )
 

@@ -96,20 +96,25 @@ def feature_corr(z, z_aug):
                      ad.transpose(ad.l2_normalize_rows(ad.transpose(z_aug))))
 
 
+def feature_term(feat):
+    """tr(elementwise (1-D)^2) + de(elementwise D^2): zero exactly when the
+    feature correlation D is the identity."""
+    eye = ad.constant(np.eye(feat.shape[0]))
+    return ad.add(trace_sum(ad.square(ad.sub(eye, feat))),
+                  offdiag_sum(ad.square(feat)))
+
+
 def mega_loss(inst, feat, lam):
     """Combined objective over the two correlation matrices.
 
     Minimizing the instance term tr(C) - de(C) pushes positives apart and
     distinct instances together: the hard-example direction. The feature
-    term tr(elementwise (1-D)^2) + de(elementwise D^2) is zero exactly when
-    D is the identity. ``lam`` balances the two.
+    term (see ``feature_term``) pulls D toward the identity. ``lam``
+    balances the two.
     """
     if lam < 0:
         raise ConfigError(f"lambda must be nonnegative, got {lam}")
     _require_square("mega-loss", inst)
     _require_square("mega-loss", feat)
     instance_term = ad.sub(trace_sum(inst), offdiag_sum(inst))
-    eye = ad.constant(np.eye(feat.shape[0]))
-    feature_term = ad.add(trace_sum(ad.square(ad.sub(eye, feat))),
-                          offdiag_sum(ad.square(feat)))
-    return ad.add(instance_term, ad.scalar_scale(feature_term, lam))
+    return ad.add(instance_term, ad.scalar_scale(feature_term(feat), lam))

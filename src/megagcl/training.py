@@ -9,6 +9,7 @@ One iteration is one batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,6 +36,9 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("tau", "lam", "inner_lr", "encoder_lr", "augmenter_lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         for name in ("tau", "encoder_lr", "augmenter_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -122,16 +126,10 @@ def contrast_step(state: TrainState, batch, hp: Hyperparams,
             "l_contrast": loss.item(),
             "tr_c": losses.trace_sum(c).item(),
             "de_c": losses.offdiag_sum(c).item(),
-            "feature_term": _feature_term_value(d),
+            "feature_term": losses.feature_term(d).item(),
         }
         record["l_mega"] = losses.mega_loss(c, d, hp.lam).item()
     return record
-
-
-def _feature_term_value(d):
-    eye = ad.constant(np.eye(d.shape[0]))
-    return ad.add(losses.trace_sum(ad.square(ad.sub(eye, d))),
-                  losses.offdiag_sum(ad.square(d))).item()
 
 
 def meta_gradients(phi, psi, sigma, batch, hp: Hyperparams, iteration=0):
@@ -176,7 +174,7 @@ def meta_gradients(phi, psi, sigma, batch, hp: Hyperparams, iteration=0):
         "l_mega": l_mega.item(),
         "tr_c": losses.trace_sum(c).item(),
         "de_c": losses.offdiag_sum(c).item(),
-        "feature_term": _feature_term_value(ad.detach(d)),
+        "feature_term": losses.feature_term(ad.detach(d)).item(),
     }
     return grads, record
 

@@ -124,7 +124,6 @@ UNARY_CASES = [
     ("sqrt", ad.sqrt, (4, 3), "positive"),
     ("reciprocal", ad.reciprocal, (4, 3), "positive"),
     ("transpose", ad.transpose, (3, 4), None),
-    ("row-softmax", ad.row_softmax, (3, 5), None),
     ("l2-normalize-rows", ad.l2_normalize_rows, (3, 4), None),
     ("sum", ad.reduce_sum, (4, 3), None),
     ("mean", ad.reduce_mean, (4, 3), None),

@@ -1,0 +1,63 @@
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import megagcl
+from megagcl import evaluation as ev
+from megagcl import gnn
+from megagcl import graphdata as gd
+from megagcl.errors import DataError
+
+from conftest import synthetic_dataset
+
+
+def test_every_module_imports():
+    names = [m.name for m in pkgutil.iter_modules(megagcl.__path__,
+                                                  "megagcl.")]
+    assert "megagcl.evaluation" in names
+    for name in names:
+        importlib.import_module(name)
+
+
+def test_batched_embeddings_equal_one_graph_at_a_time():
+    ds = synthetic_dataset()
+    phi, _, _ = gnn.init_params(gnn.ModelDims(feature_dim=ds.feature_width),
+                                seed=0)
+    batched = ev.embed_dataset(phi, ds)
+    alone = ev.embed_dataset(phi, ds, batch_size=1)
+    assert batched.vectors.shape == (len(ds), phi.out_dim)
+    np.testing.assert_allclose(batched.vectors, alone.vectors, rtol=0,
+                               atol=1e-9)
+    np.testing.assert_array_equal(batched.labels, ds.labels)
+
+
+def _table(n=20, dim=3, seed=0):
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    return ev.EmbeddingTable(rng.standard_normal((n, dim)) + labels[:, None],
+                             labels)
+
+
+def test_linear_probe_rejects_empty_test_split():
+    split = gd.SplitResult(list(range(16)), [16, 17], [], stratified=False)
+    with pytest.raises(DataError, match="test split is empty"):
+        ev.linear_probe(_table(), split)
+
+
+def test_linear_probe_rejects_empty_val_split():
+    split = gd.SplitResult(list(range(16)), [], [16, 17], stratified=False)
+    with pytest.raises(DataError, match="val split is empty"):
+        ev.linear_probe(_table(), split)
+
+
+def test_heatmap_is_binary_ppm_of_table_size(tmp_path):
+    table = _table(n=5, dim=4)
+    path = tmp_path / "heat.ppm"
+    ev.export_feature_heatmap(table, path)
+    header = b"P6\n4 5\n255\n"
+    data = path.read_bytes()
+    assert data.startswith(header)
+    assert len(data) == len(header) + 3 * 4 * 5
+    assert [p.name for p in tmp_path.iterdir()] == ["heat.ppm"]

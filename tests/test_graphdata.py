@@ -73,6 +73,13 @@ def test_node_index_exceeding_indicator(tmp_path):
     with pytest.raises(DataError) as exc:
         gd.parse_tu_dataset(folder, "OOB")
     assert "exceeds indicator length" in str(exc.value)
+    # an index too large for a machine integer is the same error
+    folder = write_tu_fixture(tmp_path / "big", "OOB",
+                              a_lines=["1, 2", "1, 99999999999999999999"],
+                              indicator=[1, 1],
+                              graph_labels=[1])
+    with pytest.raises(DataError, match="OOB_A.txt:2: node index exceeds"):
+        gd.parse_tu_dataset(folder, "OOB")
 
 
 def test_undirected_closure_added_and_idempotent(tmp_path):
@@ -81,10 +88,33 @@ def test_undirected_closure_added_and_idempotent(tmp_path):
                               indicator=[1, 1, 1],
                               graph_labels=[1])
     ds = gd.parse_tu_dataset(folder, "HALF")
-    edges = set(ds.records[0].topology.edges)
-    assert edges == {(0, 1), (1, 0), (1, 2), (2, 1)}
-    again = gd.undirected_closure(ds.records[0].topology.edges, 3)
-    assert tuple(again) == ds.records[0].topology.edges
+    edges = ds.records[0].topology.edges
+    assert set(map(tuple, edges.tolist())) == {(0, 1), (1, 0), (1, 2), (2, 1)}
+    again = gd.undirected_closure(edges, 3)
+    assert np.array_equal(again, edges)
+
+
+def _closure_reference(edges):
+    """Pair-at-a-time closure: first occurrences, then missing reverses."""
+    seen = dict.fromkeys((u, v) for u, v in edges if u != v)
+    for u, v in list(seen):
+        seen.setdefault((v, u))
+    return [list(pair) for pair in seen]
+
+
+def test_undirected_closure_matches_pairwise_reference():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 30)), 2)).tolist()
+        got = gd.undirected_closure(edges, n)
+        assert got.dtype == np.intp and got.shape[1] == 2
+        assert got.tolist() == _closure_reference(edges)
+
+
+def test_undirected_closure_names_first_edge_out_of_range():
+    with pytest.raises(DataError, match=r"edge \(2, 5\) outside node range 0\.\.2"):
+        gd.undirected_closure([(0, 1), (4, 4), (2, 5), (-1, 0)], 3)
 
 
 def test_round_trip_serialization(tmp_path):
@@ -96,7 +126,8 @@ def test_round_trip_serialization(tmp_path):
     assert len(ds) == len(ds2)
     assert ds.n_classes == ds2.n_classes
     for a, b in zip(ds.records, ds2.records):
-        assert a.topology == b.topology
+        assert a.topology.n_nodes == b.topology.n_nodes
+        assert np.array_equal(a.topology.edges, b.topology.edges)
         assert a.label == b.label
         assert a.node_labels == b.node_labels
 

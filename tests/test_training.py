@@ -276,6 +276,14 @@ def test_train_rejects_bad_inputs():
         tr.train(bare, hp())
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["tau", "lam", "inner_lr", "encoder_lr",
+                                  "augmenter_lr"])
+def test_hyperparams_reject_non_finite(name, value):
+    with pytest.raises(ConfigError, match=name):
+        tr.Hyperparams(**{name: value})
+
+
 def test_mega_il_forces_lambda_zero():
     ds = synthetic_dataset(n_per_class=4, seed=4)
     _, log = tr.train(ds, hp(epochs=2, batch_size=8, lam=0.7), mode="mega-il")
