@@ -18,6 +18,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import NumericError, ShapeError, TapeError
 
@@ -312,20 +313,25 @@ def _f_gather_rows(inputs, extras):
     return inputs[0].data[idx]
 
 
-def _f_scatter_add_rows(inputs, extras):
-    _arity("scatter-add-rows", inputs, 1)
-    _require_2d("scatter-add-rows", inputs[0])
-    targets = extras["targets"]
-    n_out = extras["n_out"]
-    if targets.shape[0] != inputs[0].shape[0]:
-        raise ShapeError("scatter-add-rows", [inputs[0].shape],
-                         f"{targets.shape[0]} targets for {inputs[0].shape[0]} rows")
-    if targets.size and (targets.min() < 0 or targets.max() >= n_out):
-        raise ShapeError("scatter-add-rows", [inputs[0].shape],
+def _f_weighted_aggregate(inputs, extras):
+    _arity("weighted-aggregate", inputs, 2)
+    x, w = inputs
+    _require_2d("weighted-aggregate", x)
+    src, dst, n_out = extras["src"], extras["dst"], extras["n_out"]
+    if src.shape != dst.shape or w.shape != (src.shape[0], 1):
+        raise ShapeError("weighted-aggregate", [x.shape, w.shape],
+                         f"expected ({src.shape[0]}, 1) weights for "
+                         f"{src.shape[0]} sources and {dst.shape[0]} targets")
+    n_in = x.shape[0]
+    if src.size and (src.min() < 0 or src.max() >= n_in):
+        raise ShapeError("weighted-aggregate", [x.shape, w.shape],
+                         f"source out of range for {n_in} input rows")
+    if dst.size and (dst.min() < 0 or dst.max() >= n_out):
+        raise ShapeError("weighted-aggregate", [x.shape, w.shape],
                          f"target out of range for {n_out} output rows")
-    out = np.zeros((n_out, inputs[0].shape[1]))
-    np.add.at(out, targets, inputs[0].data)
-    return out
+    a = scipy.sparse.csr_matrix((w.data[:, 0], (dst, src)),
+                                shape=(n_out, n_in))
+    return a @ x.data
 
 
 def _f_scalar_scale(inputs, extras):
@@ -438,11 +444,24 @@ def _v_l2_normalize_rows(node, g):
 
 def _v_gather_rows(node, g):
     (x,) = node.inputs
-    return [scatter_add_rows(g, node.extras["indices"], x.shape[0])]
+    n = g.shape[0]
+    return [weighted_aggregate(g, constant(np.ones((n, 1))), np.arange(n),
+                               node.extras["indices"], x.shape[0])]
 
 
-def _v_scatter_add_rows(node, g):
-    return [gather_rows(g, node.extras["targets"])]
+def _v_weighted_aggregate(node, g):
+    # each gradient is built only for an input on the tape: the encoder's
+    # first layer reads constant features, and contrast steps, readout and
+    # embedding use constant weights
+    x, w = node.inputs
+    src, dst = node.extras["src"], node.extras["dst"]
+    gx = gw = None
+    if x.node_id is not None:
+        gx = weighted_aggregate(g, w, dst, src, x.shape[0])
+    if w.node_id is not None:
+        gw = matmul(mul(gather_rows(g, dst), gather_rows(x, src)),
+                    constant(np.ones((x.shape[1], 1))))
+    return [gx, gw]
 
 
 def _v_scalar_scale(node, g):
@@ -467,7 +486,7 @@ _PRIMITIVES = {
     "transpose": (_f_transpose, _v_transpose),
     "l2-normalize-rows": (_f_l2_normalize_rows, _v_l2_normalize_rows),
     "gather-rows": (_f_gather_rows, _v_gather_rows),
-    "scatter-add-rows": (_f_scatter_add_rows, _v_scatter_add_rows),
+    "weighted-aggregate": (_f_weighted_aggregate, _v_weighted_aggregate),
     "scalar-scale": (_f_scalar_scale, _v_scalar_scale),
 }
 
@@ -561,10 +580,16 @@ def gather_rows(x, indices):
     return primitive_forward("gather-rows", [x], indices=idx)
 
 
-def scatter_add_rows(x, targets, n_out):
-    tgt = np.asarray(targets, dtype=np.intp)
-    return primitive_forward("scatter-add-rows", [x], targets=tgt,
-                             n_out=int(n_out))
+def weighted_aggregate(x, w, src, dst, n_out):
+    """Row ``t`` of the (n_out, F) result is the sum of ``w[e] * x[src[e]]``
+    over the edges ``e`` with ``dst[e] == t``: A_w @ x for the sparse
+    matrix A_w with entries ``w[e]`` at (dst[e], src[e]).
+
+    ``w`` is an (E, 1) column aligned with ``src`` and ``dst``.
+    """
+    return primitive_forward(
+        "weighted-aggregate", [x, w], src=np.asarray(src, dtype=np.intp),
+        dst=np.asarray(dst, dtype=np.intp), n_out=int(n_out))
 
 
 def scalar_scale(x, factor):

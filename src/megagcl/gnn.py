@@ -2,9 +2,10 @@
 
 Each layer computes, for node v, MLP((1+eps) * H_v + sum_{u->v} w_uv * H_u)
 with eps fixed at 0. Self-loop entries of the weight vector are pinned to 1,
-so a single weighted scatter over the full edge list realizes the self term
-and the neighbor sum in one pass. Readout is a per-graph sum; the projection
-head is a two-layer perceptron with a relu in between.
+so one sparse weighted aggregation (A_w @ H) over the full edge list realizes
+the self term and the neighbor sum in one pass. Readout is a per-graph sum,
+the same aggregation with unit weights from nodes to their graphs; the
+projection head is a two-layer perceptron with a relu in between.
 """
 
 from __future__ import annotations
@@ -81,15 +82,11 @@ def gin_layer_forward(batch: GraphBatch, h, weights, layer: MlpParams):
     ``weights`` is an (n_edges, 1) column aligned with the batch edge list;
     its trailing self-loop entries must be 1.
     """
-    if weights.shape != (batch.n_edges, 1):
-        raise ShapeError("gin-layer", [weights.shape],
-                         f"expected ({batch.n_edges}, 1) edge weights")
     if h.shape[0] != batch.n_nodes:
         raise ShapeError("gin-layer", [h.shape],
                          f"expected {batch.n_nodes} node rows")
-    msgs = ad.gather_rows(h, batch.edge_src)
-    agg = ad.scatter_add_rows(ad.mul(msgs, weights), batch.edge_dst,
-                              batch.n_nodes)
+    agg = ad.weighted_aggregate(h, weights, batch.edge_src, batch.edge_dst,
+                                batch.n_nodes)
     return mlp_forward(agg, layer)
 
 
@@ -103,7 +100,10 @@ def encode(batch: GraphBatch, weights, phi: EncoderParams):
 
 def readout(batch: GraphBatch, h):
     """Sum-pool node rows into one row per graph."""
-    return ad.scatter_add_rows(h, batch.graph_of_node, batch.n_graphs)
+    n = batch.n_nodes
+    return ad.weighted_aggregate(h, ad.constant(np.ones((n, 1))),
+                                 np.arange(n), batch.graph_of_node,
+                                 batch.n_graphs)
 
 
 def project(h, psi: ProjectionParams):

@@ -218,9 +218,11 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     graph_of = np.asarray(indicator, dtype=np.intp) - 1
     counts = np.bincount(graph_of, minlength=n_graphs)
     starts = np.cumsum(counts) - counts
+    by_graph = np.argsort(graph_of, kind="stable")
     local_index = np.empty(n_total, dtype=np.intp)
-    local_index[np.argsort(graph_of, kind="stable")] = (
-        np.arange(n_total) - np.repeat(starts, counts))
+    local_index[by_graph] = np.arange(n_total) - np.repeat(starts, counts)
+    if node_labels is not None:
+        node_labels = np.asarray(node_labels)[by_graph].tolist()
 
     pairs, linenos = _edge_lines(a_path, n_total)
     graph_uv = graph_of[pairs - 1]
@@ -361,13 +363,17 @@ def split_dataset(dataset: Dataset, seed, fractions=SPLIT_FRACTIONS) -> SplitRes
     """Label-stratified, disjoint, exhaustive split, deterministic per seed.
 
     Classes with fewer than 3 graphs force an unstratified split, flagged on
-    the result.
+    the result. A dataset too small to give every split a graph raises.
     """
     if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigError(f"fractions must be positive and sum to 1: {fractions}")
     n = len(dataset)
     rng = np.random.default_rng(seed)
     targets = _largest_remainder(n, fractions)
+    for part, size in zip(("train", "val", "test"), targets):
+        if size == 0:
+            raise DataError(f"{dataset.name}: {n} graphs leave the {part} "
+                            f"split empty at fractions {fractions}")
 
     by_class = {}
     for i, rec in enumerate(dataset.records):

@@ -33,11 +33,91 @@ def test_sigmoid_at_zero(tape):
     np.testing.assert_allclose(out.data, [0.5])
 
 
-def test_scatter_add_rows_hand_summed(tape):
-    # targets [0,0,1] over rows [[1],[2],[3]] -> [[3],[3]]
+def test_weighted_aggregate_hand_summed(tape):
+    # unit weights, targets [0,0,1] over rows [[1],[2],[3]] -> [[3],[3]]
     rows = ad.constant([[1.0], [2.0], [3.0]])
-    out = ad.scatter_add_rows(rows, [0, 0, 1], 2)
+    out = ad.weighted_aggregate(rows, np.ones((3, 1)), [0, 1, 2], [0, 0, 1], 2)
     np.testing.assert_allclose(out.data, [[3.0], [3.0]])
+
+
+def _aggregate_case(seed=0, n_in=6, n_out=5, n_edges=14, width=3):
+    """Random edges with repeats, a self-referencing pair and an output row
+    that no edge reaches."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n_in, n_edges)
+    dst = rng.integers(0, n_out - 1, n_edges)
+    src[:2], dst[:2] = 2, 1  # one edge listed twice
+    x = rng.standard_normal((n_in, width))
+    w = rng.standard_normal((n_edges, 1))
+    return x, w, src, dst, n_out
+
+
+def test_weighted_aggregate_matches_add_at_oracle(tape):
+    for seed in range(3):
+        x, w, src, dst, n_out = _aggregate_case(seed)
+        want = np.zeros((n_out, x.shape[1]))
+        np.add.at(want, dst, w * x[src])
+        out = ad.weighted_aggregate(ad.constant(x), ad.constant(w), src, dst,
+                                    n_out)
+        assert out.shape == (n_out, x.shape[1])
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(out.data[n_out - 1], 0.0)
+
+
+def test_weighted_aggregate_gradients_match_finite_differences(tape):
+    x0, w0, src, dst, n_out = _aggregate_case(1)
+    c = ad.constant(np.random.default_rng(2).standard_normal((n_out, 3)))
+    x, w = ad.variable(x0), ad.variable(w0)
+
+    def loss_of(tx, tw):
+        agg = ad.weighted_aggregate(tx, tw, src, dst, n_out)
+        return ad.reduce_sum(ad.mul(ad.square(agg), c))
+
+    grads = ad.backward(loss_of(x, w), [x, w])
+    fd_x = ad.finite_diff_gradient(lambda t: loss_of(t, w).item(), x)
+    fd_w = ad.finite_diff_gradient(lambda t: loss_of(x, t).item(), w)
+    assert ad.max_relative_error(grads[x], fd_x) < 1e-6
+    assert ad.max_relative_error(grads[w], fd_w) < 1e-6
+
+
+def test_weighted_aggregate_second_order_through_create_graph(tape):
+    # d/dw of <c, d/dx sum(sigmoid(A_w x))>, the shape of the meta step's
+    # gradient through the encoder's gradient
+    x0, w0, src, dst, n_out = _aggregate_case(3)
+    c = np.random.default_rng(4).standard_normal(x0.shape)
+
+    def outer_of(tx, tw):
+        inner = ad.reduce_sum(ad.sigmoid(
+            ad.weighted_aggregate(tx, tw, src, dst, n_out)))
+        gx = ad.backward(inner, [tx], create_graph=True)[tx]
+        return ad.reduce_sum(ad.mul(gx, ad.constant(c)))
+
+    x, w = ad.variable(x0), ad.variable(w0)
+    outer = outer_of(x, w)
+    gw = ad.backward(outer, [w])[w]
+
+    def pipeline(tw):
+        probe = ad.Tape()
+        with ad.use_tape(probe):
+            return outer_of(probe.adopt(ad.Tensor(x0.copy())),
+                            ad.constant(tw.data)).item()
+
+    fd = ad.finite_diff_gradient(pipeline, w)
+    assert float(np.max(np.abs(fd.data))) > 1e-3
+    assert ad.max_relative_error(gw, fd) < 1e-6
+
+
+def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
+    x = ad.constant(np.ones((3, 2)))
+    src, dst = [0, 1, 2], [1, 1, 0]
+    for w in (np.ones(3), np.ones((2, 1)), np.ones((3, 2))):
+        with pytest.raises(ShapeError, match="weighted-aggregate"):
+            ad.weighted_aggregate(x, w, src, dst, 2)
+    w = np.ones((3, 1))
+    for bad_src, bad_dst in (([0, 1, 3], dst), ([0, -1, 2], dst),
+                             (src, [1, 2, 0]), (src, [1, -1, 0])):
+        with pytest.raises(ShapeError, match="out of range"):
+            ad.weighted_aggregate(x, w, bad_src, bad_dst, 2)
 
 
 def test_shape_mismatch_names_kind_and_shapes(tape):
@@ -182,7 +262,7 @@ def test_binary_gradients_match_finite_differences(tape):
         assert ad.max_relative_error(grads[b], fd_b) < 1e-4, name
 
 
-def test_gather_scatter_concat_gradients(tape):
+def test_gather_aggregate_concat_gradients(tape):
     rng = np.random.default_rng(11)
     x = ad.variable(rng.standard_normal((4, 3)))
     y = ad.variable(rng.standard_normal((2, 3)))
@@ -193,7 +273,8 @@ def test_gather_scatter_concat_gradients(tape):
 
     def loss_of(tx, ty):
         gathered = ad.gather_rows(tx, idx)
-        pooled = ad.scatter_add_rows(gathered, tgt, 2)
+        pooled = ad.weighted_aggregate(gathered, np.ones((5, 1)), range(5),
+                                       tgt, 2)
         stacked = ad.concat_rows([pooled, ty])
         return ad.reduce_sum(ad.add(ad.mul(pooled, w1),
                                     ad.reduce_sum(ad.mul(stacked, w2))))

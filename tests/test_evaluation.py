@@ -8,6 +8,7 @@ import megagcl
 from megagcl import evaluation as ev
 from megagcl import gnn
 from megagcl import graphdata as gd
+from megagcl import training as tr
 from megagcl.errors import DataError
 
 from conftest import synthetic_dataset
@@ -31,6 +32,16 @@ def test_batched_embeddings_equal_one_graph_at_a_time():
     np.testing.assert_allclose(batched.vectors, alone.vectors, rtol=0,
                                atol=1e-9)
     np.testing.assert_array_equal(batched.labels, ds.labels)
+
+
+@pytest.mark.parametrize("mode", ["mega", "ccl", "gin-riu"])
+def test_run_protocol_gives_one_accuracy_per_run(mode):
+    hp = tr.Hyperparams(epochs=2, batch_size=8)
+    result = ev.run_protocol(synthetic_dataset(), hp, mode=mode, n_runs=2)
+    assert len(result.accuracies) == 2
+    for acc in result.accuracies:
+        assert np.isfinite(acc) and 0.0 <= acc <= 1.0
+    assert result.mean == pytest.approx(np.mean(result.accuracies))
 
 
 def _table(n=20, dim=3, seed=0):

@@ -172,6 +172,27 @@ def test_batch_independence_of_embeddings(tape):
         np.testing.assert_allclose(row.data[0], pooled.data[i], atol=1e-10)
 
 
+def test_readout_of_zero_node_graph_mid_batch_is_zero_row(tape):
+    ds = synthetic_dataset(n_per_class=1, seed=2)
+    empty = gd.GraphRecord(gd.GraphTopology(0, ()), 0,
+                           features=np.zeros((0, ds.feature_width)))
+    recs = [ds.records[0], empty, ds.records[1]]
+    dims = gnn.ModelDims(feature_dim=ds.feature_width, hidden=8, layers=3)
+    phi, _, _ = adopted_params(tape, dims, seed=11)
+
+    def pooled(records):
+        batch = gd.batch_graphs(records)
+        return gnn.readout(batch, gnn.encode(batch, unit_edge_weights(batch),
+                                             phi)).data
+
+    rows = pooled(recs)
+    assert rows.shape == (3, 8)
+    np.testing.assert_array_equal(rows[1], np.zeros(8))
+    for i in (0, 2):
+        np.testing.assert_allclose(rows[i], pooled([recs[i]])[0], rtol=0,
+                                   atol=1e-12)
+
+
 def test_project_zero_weights_zero_output(tape):
     psi = gnn.MlpParams(ad.constant(np.zeros((3, 4))),
                         ad.constant(np.zeros((1, 4))),

@@ -37,6 +37,18 @@ def test_label_remap_preserves_sorted_order(tmp_path):
     assert [r.label for r in ds.records] == [1, 0]
 
 
+def test_unsorted_indicator_keeps_node_labels_with_their_nodes(tmp_path):
+    # nodes 1 and 3 form graph 1, node 2 is graph 2
+    folder = write_tu_fixture(tmp_path, "UNS", a_lines=["1, 3"],
+                              indicator=[1, 2, 1], graph_labels=[1, 2],
+                              node_labels=[7, 8, 7])
+    ds = gd.parse_tu_dataset(folder, "UNS")
+    assert [r.node_labels for r in ds.records] == [[7, 7], [8]]
+    assert [r.n_nodes for r in ds.records] == [2, 1]
+    np.testing.assert_array_equal(ds.records[0].topology.edges,
+                                  [[0, 1], [1, 0]])
+
+
 def test_cross_graph_edge_rejected(tmp_path):
     folder = write_tu_fixture(tmp_path, "BAD",
                               a_lines=["1, 2", "2, 1", "1, 4"],
@@ -296,6 +308,14 @@ def test_split_rejects_bad_fractions():
         gd.split_dataset(_toy_dataset(10), 0, fractions=(0.5, 0.5, 0.2))
     with pytest.raises(ConfigError):
         gd.split_dataset(_toy_dataset(10), 0, fractions=(1.0, 0.0, 0.0))
+
+
+def test_split_rejects_dataset_leaving_a_split_empty():
+    # 5 graphs at 80/10/10 round to 4/1/0
+    with pytest.raises(DataError, match="test split empty"):
+        gd.split_dataset(_toy_dataset(5), seed=0)
+    with pytest.raises(DataError, match="val split empty"):
+        gd.split_dataset(_toy_dataset(10), 0, fractions=(0.9, 0.04, 0.06))
 
 
 def test_mutag_split_sizes(mutag):
