@@ -195,6 +195,54 @@ def _arity(kind, inputs, n):
                          f"expected {n} inputs, got {len(inputs)}")
 
 
+class SparsePattern:
+    """The fixed structure of a weighted aggregation over ``E`` edges: an
+    (n_out, n_in) sparse matrix with one entry at (dst[e], src[e]) per edge.
+
+    The indices are range-checked once, here. ``order`` lists the edges by
+    target, then source (``np.lexsort((src, dst))``): the CSR entry order of
+    ``csr``, whose data ``weighted_aggregate`` fills with the weights in that
+    order on every call. Without repeated (dst, src) pairs this is the order
+    in which scipy sorts a COO matrix on conversion to CSR, so products
+    match a per-call ``csr_matrix((w, (dst, src)))`` bit for bit.
+    """
+
+    __slots__ = ("src", "dst", "n_out", "n_in", "order", "csr", "_t")
+
+    def __init__(self, src, dst, n_out, n_in):
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        n_out, n_in = int(n_out), int(n_in)
+        if src.ndim != 1 or src.shape != dst.shape:
+            raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
+                             "sources and targets must be equal 1-D shapes")
+        if src.size and (src.min() < 0 or src.max() >= n_in):
+            raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
+                             f"source out of range for {n_in} input rows")
+        if dst.size and (dst.min() < 0 or dst.max() >= n_out):
+            raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
+                             f"target out of range for {n_out} output rows")
+        self.src, self.dst, self.n_out, self.n_in = src, dst, n_out, n_in
+        self.order = np.lexsort((src, dst))
+        indptr = np.zeros(n_out + 1, dtype=np.intp)
+        np.cumsum(np.bincount(dst, minlength=n_out), out=indptr[1:])
+        self.csr = scipy.sparse.csr_matrix(
+            (np.zeros(src.size), src[self.order], indptr),
+            shape=(n_out, n_in))
+        self._t = None
+
+    @property
+    def T(self):
+        """The transposed pattern (edges reversed), built on first use.
+
+        It holds no reference back to this pattern, so a batch's patterns
+        are freed by reference counting, without waiting for a GC cycle.
+        """
+        if self._t is None:
+            self._t = SparsePattern(self.dst, self.src, self.n_in, self.n_out)
+        return self._t
+
+
 def _f_add(inputs, extras):
     _arity("add", inputs, 2)
     _broadcast_shape("add", *inputs)
@@ -317,21 +365,16 @@ def _f_weighted_aggregate(inputs, extras):
     _arity("weighted-aggregate", inputs, 2)
     x, w = inputs
     _require_2d("weighted-aggregate", x)
-    src, dst, n_out = extras["src"], extras["dst"], extras["n_out"]
-    if src.shape != dst.shape or w.shape != (src.shape[0], 1):
+    pattern = extras["pattern"]
+    n_edges = pattern.src.shape[0]
+    if w.shape != (n_edges, 1) or x.shape[0] != pattern.n_in:
         raise ShapeError("weighted-aggregate", [x.shape, w.shape],
-                         f"expected ({src.shape[0]}, 1) weights for "
-                         f"{src.shape[0]} sources and {dst.shape[0]} targets")
-    n_in = x.shape[0]
-    if src.size and (src.min() < 0 or src.max() >= n_in):
-        raise ShapeError("weighted-aggregate", [x.shape, w.shape],
-                         f"source out of range for {n_in} input rows")
-    if dst.size and (dst.min() < 0 or dst.max() >= n_out):
-        raise ShapeError("weighted-aggregate", [x.shape, w.shape],
-                         f"target out of range for {n_out} output rows")
-    a = scipy.sparse.csr_matrix((w.data[:, 0], (dst, src)),
-                                shape=(n_out, n_in))
-    return a @ x.data
+                         f"expected ({n_edges}, 1) weights and "
+                         f"{pattern.n_in} input rows")
+    # the matrix is shared by every call on the pattern and only its data is
+    # swapped; the tape is single-threaded, so no call sees another's weights
+    pattern.csr.data = w.data[pattern.order, 0]
+    return pattern.csr @ x.data
 
 
 def _f_scalar_scale(inputs, extras):
@@ -445,8 +488,9 @@ def _v_l2_normalize_rows(node, g):
 def _v_gather_rows(node, g):
     (x,) = node.inputs
     n = g.shape[0]
-    return [weighted_aggregate(g, constant(np.ones((n, 1))), np.arange(n),
-                               node.extras["indices"], x.shape[0])]
+    pattern = SparsePattern(np.arange(n), node.extras["indices"],
+                            x.shape[0], n)
+    return [weighted_aggregate(g, constant(np.ones((n, 1))), pattern)]
 
 
 def _v_weighted_aggregate(node, g):
@@ -454,12 +498,13 @@ def _v_weighted_aggregate(node, g):
     # first layer reads constant features, and contrast steps, readout and
     # embedding use constant weights
     x, w = node.inputs
-    src, dst = node.extras["src"], node.extras["dst"]
+    pattern = node.extras["pattern"]
     gx = gw = None
     if x.node_id is not None:
-        gx = weighted_aggregate(g, w, dst, src, x.shape[0])
+        gx = weighted_aggregate(g, w, pattern.T)
     if w.node_id is not None:
-        gw = matmul(mul(gather_rows(g, dst), gather_rows(x, src)),
+        gw = matmul(mul(gather_rows(g, pattern.dst),
+                        gather_rows(x, pattern.src)),
                     constant(np.ones((x.shape[1], 1))))
     return [gx, gw]
 
@@ -580,16 +625,17 @@ def gather_rows(x, indices):
     return primitive_forward("gather-rows", [x], indices=idx)
 
 
-def weighted_aggregate(x, w, src, dst, n_out):
+def weighted_aggregate(x, w, pattern):
     """Row ``t`` of the (n_out, F) result is the sum of ``w[e] * x[src[e]]``
     over the edges ``e`` with ``dst[e] == t``: A_w @ x for the sparse
     matrix A_w with entries ``w[e]`` at (dst[e], src[e]).
 
-    ``w`` is an (E, 1) column aligned with ``src`` and ``dst``.
+    ``pattern`` is the ``SparsePattern`` of ``src``, ``dst``, ``n_out`` and
+    ``n_in`` (the row count of ``x``); ``w`` is an (E, 1) column aligned with
+    its edges. Build the pattern once and reuse it for every call over the
+    same edges: each call then costs one sparse product, not a rebuild.
     """
-    return primitive_forward(
-        "weighted-aggregate", [x, w], src=np.asarray(src, dtype=np.intp),
-        dst=np.asarray(dst, dtype=np.intp), n_out=int(n_out))
+    return primitive_forward("weighted-aggregate", [x, w], pattern=pattern)
 
 
 def scalar_scale(x, factor):

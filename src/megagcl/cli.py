@@ -1,0 +1,60 @@
+"""Command line: ``megagcl train`` and ``megagcl eval``.
+
+Both read a TU-format dataset (``FOLDER`` holding ``NAME_A.txt`` and its
+companions, directly or in a ``NAME`` subdirectory) with one-hot node-label
+features. ``train`` runs the alternating schedule and prints the run summary
+as JSON; ``eval`` runs the seeded linear-probe protocol and prints the mean
+and population standard deviation of the test accuracy as JSON. Misuse
+raises ``ConfigError`` instead of exiting.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+
+from . import evaluation, graphdata, training
+from .errors import ConfigError
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _parser():
+    parser = _Parser(prog="megagcl")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, modes, text in (
+            ("train", training.TRAINING_MODES,
+             "train and print the run summary"),
+            ("eval", training.TRAINING_MODES + ("gin-riu",),
+             "run the linear-probe protocol and print its accuracy")):
+        cmd = commands.add_parser(name, help=text)
+        cmd.add_argument("folder", help="directory holding the TU files")
+        cmd.add_argument("name", help="dataset name, NAME in NAME_A.txt")
+        cmd.add_argument("--mode", choices=modes, default="mega")
+        cmd.add_argument("--epochs", type=int,
+                         default=training.Hyperparams.epochs)
+        cmd.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
+    hp = training.Hyperparams(epochs=args.epochs, seed=args.seed)
+    dataset = graphdata.build_node_features(
+        graphdata.parse_tu_dataset(args.folder, args.name),
+        "node-label-onehot")
+    if args.command == "train":
+        _, log = training.train(dataset, hp, mode=args.mode)
+        print(json.dumps(log.summary))
+    else:
+        result = evaluation.run_protocol(dataset, hp, mode=args.mode)
+        print(json.dumps({"mode": args.mode, "mean": result.mean,
+                          "std": result.std}))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

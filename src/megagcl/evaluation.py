@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import gnn
 from . import training as tr
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .graphdata import Dataset, SplitResult, batch_graphs, split_dataset
 
 PROBE_STEPS = 500
@@ -47,6 +47,8 @@ class ProbeResult:
 def embed_dataset(phi: gnn.EncoderParams, dataset: Dataset,
                   batch_size=64) -> EmbeddingTable:
     """Pooled encoder outputs for every graph, in dataset order."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     rows = []
     records = dataset.records
     for start in range(0, len(records), batch_size):
@@ -126,8 +128,11 @@ def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
 
     ``gin-riu`` skips training and probes a freshly initialized encoder.
     With ``pretrained_phi`` the given frozen encoder is probed under each
-    run's split instead of retraining.
+    run's split instead of retraining. Fewer than one run has no accuracy
+    to report, so it raises.
     """
+    if n_runs < 1:
+        raise ConfigError(f"n_runs must be at least 1, got {n_runs}")
     dims = dims or gnn.ModelDims(feature_dim=dataset.feature_width)
     accuracies = []
     fixed_table = None

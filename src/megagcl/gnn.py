@@ -4,8 +4,11 @@ Each layer computes, for node v, MLP((1+eps) * H_v + sum_{u->v} w_uv * H_u)
 with eps fixed at 0. Self-loop entries of the weight vector are pinned to 1,
 so one sparse weighted aggregation (A_w @ H) over the full edge list realizes
 the self term and the neighbor sum in one pass. Readout is a per-graph sum,
-the same aggregation with unit weights from nodes to their graphs; the
-projection head is a two-layer perceptron with a relu in between.
+the same aggregation with unit weights from nodes to their graphs. Both
+aggregate over sparse patterns the batch builds once and caches
+(``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so every layer, view
+and backward pass over one batch reuses them and only swaps in its weights.
+The projection head is a two-layer perceptron with a relu in between.
 """
 
 from __future__ import annotations
@@ -85,8 +88,7 @@ def gin_layer_forward(batch: GraphBatch, h, weights, layer: MlpParams):
     if h.shape[0] != batch.n_nodes:
         raise ShapeError("gin-layer", [h.shape],
                          f"expected {batch.n_nodes} node rows")
-    agg = ad.weighted_aggregate(h, weights, batch.edge_src, batch.edge_dst,
-                                batch.n_nodes)
+    agg = ad.weighted_aggregate(h, weights, batch.adjacency)
     return mlp_forward(agg, layer)
 
 
@@ -100,10 +102,8 @@ def encode(batch: GraphBatch, weights, phi: EncoderParams):
 
 def readout(batch: GraphBatch, h):
     """Sum-pool node rows into one row per graph."""
-    n = batch.n_nodes
-    return ad.weighted_aggregate(h, ad.constant(np.ones((n, 1))),
-                                 np.arange(n), batch.graph_of_node,
-                                 batch.n_graphs)
+    return ad.weighted_aggregate(h, ad.constant(np.ones((batch.n_nodes, 1))),
+                                 batch.pooling)
 
 
 def project(h, psi: ProjectionParams):

@@ -14,10 +14,12 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from .autodiff import SparsePattern
 from .errors import ConfigError, DataError
 
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
@@ -94,6 +96,20 @@ class GraphBatch:
     @property
     def n_edges(self):
         return self.edge_src.shape[0]
+
+    @cached_property
+    def adjacency(self):
+        """The edge list as an aggregation pattern from nodes to nodes,
+        built on first use and kept for the life of the batch."""
+        return SparsePattern(self.edge_src, self.edge_dst, self.n_nodes,
+                             self.n_nodes)
+
+    @cached_property
+    def pooling(self):
+        """The aggregation pattern from each node to its graph (readout),
+        built on first use and kept for the life of the batch."""
+        return SparsePattern(np.arange(self.n_nodes), self.graph_of_node,
+                             self.n_graphs, self.n_nodes)
 
 
 @dataclass

@@ -96,6 +96,12 @@ def feature_corr(z, z_aug):
                      ad.transpose(ad.l2_normalize_rows(ad.transpose(z_aug))))
 
 
+def instance_term(inst):
+    """tr(C) - de(C): lowest when every positive pair is far apart and every
+    pair of distinct instances is close (the hard-example direction)."""
+    return ad.sub(trace_sum(inst), offdiag_sum(inst))
+
+
 def feature_term(feat):
     """tr(elementwise (1-D)^2) + de(elementwise D^2): zero exactly when the
     feature correlation D is the identity."""
@@ -107,14 +113,13 @@ def feature_term(feat):
 def mega_loss(inst, feat, lam):
     """Combined objective over the two correlation matrices.
 
-    Minimizing the instance term tr(C) - de(C) pushes positives apart and
-    distinct instances together: the hard-example direction. The feature
-    term (see ``feature_term``) pulls D toward the identity. ``lam``
-    balances the two.
+    Minimizing the instance term (see ``instance_term``) pushes positives
+    apart and distinct instances together; the feature term (see
+    ``feature_term``) pulls D toward the identity. ``lam`` balances the two.
     """
     if lam < 0:
         raise ConfigError(f"lambda must be nonnegative, got {lam}")
     _require_square("mega-loss", inst)
     _require_square("mega-loss", feat)
-    instance_term = ad.sub(trace_sum(inst), offdiag_sum(inst))
-    return ad.add(instance_term, ad.scalar_scale(feature_term(feat), lam))
+    return ad.add(instance_term(inst),
+                  ad.scalar_scale(feature_term(feat), lam))

@@ -1,7 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from megagcl import autodiff as ad
+from megagcl import graphdata as gd
 from megagcl.errors import NumericError, ShapeError, TapeError
 
 
@@ -36,7 +40,8 @@ def test_sigmoid_at_zero(tape):
 def test_weighted_aggregate_hand_summed(tape):
     # unit weights, targets [0,0,1] over rows [[1],[2],[3]] -> [[3],[3]]
     rows = ad.constant([[1.0], [2.0], [3.0]])
-    out = ad.weighted_aggregate(rows, np.ones((3, 1)), [0, 1, 2], [0, 0, 1], 2)
+    pattern = ad.SparsePattern([0, 1, 2], [0, 0, 1], 2, 3)
+    out = ad.weighted_aggregate(rows, np.ones((3, 1)), pattern)
     np.testing.assert_allclose(out.data, [[3.0], [3.0]])
 
 
@@ -57,8 +62,8 @@ def test_weighted_aggregate_matches_add_at_oracle(tape):
         x, w, src, dst, n_out = _aggregate_case(seed)
         want = np.zeros((n_out, x.shape[1]))
         np.add.at(want, dst, w * x[src])
-        out = ad.weighted_aggregate(ad.constant(x), ad.constant(w), src, dst,
-                                    n_out)
+        pattern = ad.SparsePattern(src, dst, n_out, len(x))
+        out = ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)
         assert out.shape == (n_out, x.shape[1])
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(out.data[n_out - 1], 0.0)
@@ -68,9 +73,10 @@ def test_weighted_aggregate_gradients_match_finite_differences(tape):
     x0, w0, src, dst, n_out = _aggregate_case(1)
     c = ad.constant(np.random.default_rng(2).standard_normal((n_out, 3)))
     x, w = ad.variable(x0), ad.variable(w0)
+    pattern = ad.SparsePattern(src, dst, n_out, len(x0))
 
     def loss_of(tx, tw):
-        agg = ad.weighted_aggregate(tx, tw, src, dst, n_out)
+        agg = ad.weighted_aggregate(tx, tw, pattern)
         return ad.reduce_sum(ad.mul(ad.square(agg), c))
 
     grads = ad.backward(loss_of(x, w), [x, w])
@@ -85,10 +91,11 @@ def test_weighted_aggregate_second_order_through_create_graph(tape):
     # gradient through the encoder's gradient
     x0, w0, src, dst, n_out = _aggregate_case(3)
     c = np.random.default_rng(4).standard_normal(x0.shape)
+    pattern = ad.SparsePattern(src, dst, n_out, len(x0))
 
     def outer_of(tx, tw):
         inner = ad.reduce_sum(ad.sigmoid(
-            ad.weighted_aggregate(tx, tw, src, dst, n_out)))
+            ad.weighted_aggregate(tx, tw, pattern)))
         gx = ad.backward(inner, [tx], create_graph=True)[tx]
         return ad.reduce_sum(ad.mul(gx, ad.constant(c)))
 
@@ -108,16 +115,80 @@ def test_weighted_aggregate_second_order_through_create_graph(tape):
 
 
 def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
+    # indices are checked once, when the pattern is built; weight and input
+    # shapes on every call
     x = ad.constant(np.ones((3, 2)))
     src, dst = [0, 1, 2], [1, 1, 0]
+    pattern = ad.SparsePattern(src, dst, 2, 3)
     for w in (np.ones(3), np.ones((2, 1)), np.ones((3, 2))):
         with pytest.raises(ShapeError, match="weighted-aggregate"):
-            ad.weighted_aggregate(x, w, src, dst, 2)
+            ad.weighted_aggregate(x, w, pattern)
     w = np.ones((3, 1))
+    for rows in (2, 4):
+        with pytest.raises(ShapeError, match="3 input rows"):
+            ad.weighted_aggregate(ad.constant(np.ones((rows, 2))), w, pattern)
     for bad_src, bad_dst in (([0, 1, 3], dst), ([0, -1, 2], dst),
                              (src, [1, 2, 0]), (src, [1, -1, 0])):
         with pytest.raises(ShapeError, match="out of range"):
-            ad.weighted_aggregate(x, w, bad_src, bad_dst, 2)
+            ad.SparsePattern(bad_src, bad_dst, 2, 3)
+    for bad_src, bad_dst in (([0, 1], dst), (src, [[1, 1, 0]])):
+        with pytest.raises(ShapeError, match="equal 1-D shapes"):
+            ad.SparsePattern(bad_src, bad_dst, 2, 3)
+
+
+def _csr_oracle(x, w, src, dst, n_out):
+    """The per-call construction the pattern replaces."""
+    a = scipy.sparse.csr_matrix((w[:, 0], (dst, src)), shape=(n_out, len(x)))
+    return a @ x
+
+
+def test_sparse_pattern_bitwise_equals_per_call_csr_on_mutag(tape, mutag):
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    batch = gd.batch_graphs(ds.records[:32])
+    assert batch.adjacency is batch.adjacency
+    assert batch.pooling is batch.pooling
+    rng = np.random.default_rng(5)
+    n, src, dst = batch.n_nodes, batch.edge_src, batch.edge_dst
+    x = rng.standard_normal((n, 32))
+    w = rng.standard_normal((batch.n_edges, 1))
+    cases = [(batch.adjacency, src, dst, n, w),
+             (batch.adjacency.T, dst, src, n, w),
+             (batch.pooling, np.arange(n), batch.graph_of_node,
+              batch.n_graphs, np.ones((n, 1)))]
+    for pattern, s, d, n_out, weights in cases:
+        got = ad.weighted_aggregate(ad.constant(x), ad.constant(weights),
+                                    pattern)
+        np.testing.assert_array_equal(got.data,
+                                      _csr_oracle(x, weights, s, d, n_out))
+
+
+def test_sparse_pattern_serves_many_weight_vectors(tape):
+    x, w1, src, dst, n_out = _aggregate_case(6)
+    w2 = np.random.default_rng(7).standard_normal(w1.shape)
+    pattern = ad.SparsePattern(src, dst, n_out, len(x))
+    first = ad.weighted_aggregate(ad.constant(x), ad.constant(w1), pattern)
+    kept = first.data.copy()
+    second = ad.weighted_aggregate(ad.constant(x), ad.constant(w2), pattern)
+    np.testing.assert_array_equal(first.data, kept)
+    for out, w in ((first, w1), (second, w2)):
+        want = _csr_oracle(x, w, src, dst, n_out)
+        np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    assert not np.allclose(first.data, second.data)
+
+
+def test_sparse_pattern_transpose_swaps_edges_once(tape):
+    _, _, src, dst, n_out = _aggregate_case(8)
+    pattern = ad.SparsePattern(src, dst, n_out, 6)
+    t = pattern.T
+    assert t is pattern.T
+    want = ad.SparsePattern(dst, src, 6, n_out)
+    assert (t.n_out, t.n_in) == (6, n_out)
+    for name in ("src", "dst", "order"):
+        np.testing.assert_array_equal(getattr(t, name), getattr(want, name))
+    np.testing.assert_array_equal(t.csr.indptr, want.csr.indptr)
+    np.testing.assert_array_equal(t.csr.indices, want.csr.indices)
+    # no reference back: a batch's patterns are freed without a GC cycle
+    assert not any(r is pattern for r in gc.get_referents(t))
 
 
 def test_shape_mismatch_names_kind_and_shapes(tape):
@@ -273,8 +344,8 @@ def test_gather_aggregate_concat_gradients(tape):
 
     def loss_of(tx, ty):
         gathered = ad.gather_rows(tx, idx)
-        pooled = ad.weighted_aggregate(gathered, np.ones((5, 1)), range(5),
-                                       tgt, 2)
+        pooled = ad.weighted_aggregate(gathered, np.ones((5, 1)),
+                                       ad.SparsePattern(range(5), tgt, 2, 5))
         stacked = ad.concat_rows([pooled, ty])
         return ad.reduce_sum(ad.add(ad.mul(pooled, w1),
                                     ad.reduce_sum(ad.mul(stacked, w2))))

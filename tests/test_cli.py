@@ -1,0 +1,70 @@
+import importlib
+import json
+
+import numpy as np
+import pytest
+
+from megagcl import cli
+from megagcl import evaluation as ev
+from megagcl import graphdata as gd
+from megagcl import training as tr
+from megagcl.errors import ConfigError
+
+from conftest import REPO_ROOT, two_triangles, write_tu_fixture
+
+
+def test_every_console_script_imports_and_is_callable():
+    tomllib = pytest.importorskip("tomllib")  # standard from Python 3.11
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())
+    scripts = project["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, attr = target.split(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+
+
+def _load(folder, name):
+    return gd.build_node_features(gd.parse_tu_dataset(folder, name),
+                                  "node-label-onehot")
+
+
+def test_train_prints_the_run_summary(tmp_path, capsys):
+    folder = two_triangles(tmp_path)
+    assert cli.main(["train", str(folder), "TRI", "--mode", "ccl",
+                     "--epochs", "2", "--seed", "3"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    _, log = tr.train(_load(folder, "TRI"), tr.Hyperparams(epochs=2, seed=3),
+                      mode="ccl")
+    assert printed == log.summary
+    assert printed["iterations"] == 2 and np.isfinite(printed["final_l_mega"])
+
+
+def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
+    # ten triangles and ten three-node paths: every split gets both classes
+    a_lines, indicator, labels = [], [], []
+    for g in range(20):
+        off = 3 * g
+        pairs = [(1, 2), (2, 3)] + ([(1, 3)] if g % 2 == 0 else [])
+        for u, v in pairs:
+            a_lines += [f"{off + u}, {off + v}", f"{off + v}, {off + u}"]
+        indicator += [g + 1] * 3
+        labels.append(g % 2)
+    folder = write_tu_fixture(tmp_path, "TP", a_lines, indicator, labels,
+                              node_labels=[0, 1, 0] * 20)
+    assert cli.main(["eval", str(folder), "TP", "--mode", "gin-riu",
+                     "--seed", "1"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    want = ev.run_protocol(_load(folder, "TP"), tr.Hyperparams(seed=1),
+                           mode="gin-riu")
+    assert printed == {"mode": "gin-riu", "mean": want.mean, "std": want.std}
+
+
+def test_misuse_raises_config_error(tmp_path):
+    folder = str(two_triangles(tmp_path))
+    for argv in ([], ["bench"], ["train"], ["train", folder],
+                 ["train", folder, "TRI", "--mode", "gin-riu"],
+                 ["eval", folder, "TRI", "--mode", "nope"],
+                 ["train", folder, "TRI", "--epochs", "two"],
+                 ["train", folder, "TRI", "--epochs", "0"]):
+        with pytest.raises(ConfigError):
+            cli.main(argv)

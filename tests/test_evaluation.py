@@ -9,7 +9,7 @@ from megagcl import evaluation as ev
 from megagcl import gnn
 from megagcl import graphdata as gd
 from megagcl import training as tr
-from megagcl.errors import DataError
+from megagcl.errors import ConfigError, DataError
 
 from conftest import synthetic_dataset
 
@@ -42,6 +42,21 @@ def test_run_protocol_gives_one_accuracy_per_run(mode):
     for acc in result.accuracies:
         assert np.isfinite(acc) and 0.0 <= acc <= 1.0
     assert result.mean == pytest.approx(np.mean(result.accuracies))
+
+
+@pytest.mark.parametrize("n_runs", [0, -1])
+def test_run_protocol_rejects_fewer_than_one_run(n_runs):
+    with pytest.raises(ConfigError, match="n_runs"):
+        ev.run_protocol(synthetic_dataset(), tr.Hyperparams(epochs=1),
+                        mode="gin-riu", n_runs=n_runs)
+
+
+def test_embed_dataset_rejects_batch_size_below_one():
+    ds = synthetic_dataset()
+    phi, _, _ = gnn.init_params(gnn.ModelDims(feature_dim=ds.feature_width),
+                                seed=0)
+    with pytest.raises(ConfigError, match="batch_size"):
+        ev.embed_dataset(phi, ds, batch_size=0)
 
 
 def _table(n=20, dim=3, seed=0):
