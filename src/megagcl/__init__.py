@@ -6,4 +6,9 @@ augmenter, the contrastive and correlation losses, the alternating bilevel
 training loop, and the linear-probe evaluation protocol.
 """
 
+from .allocator import keep_freed_memory
+
 __version__ = "0.1.0"
+
+# large tape temporaries are reused from the heap, not mapped anew per step
+keep_freed_memory()
