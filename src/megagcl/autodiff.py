@@ -13,7 +13,9 @@ sub and mul broadcast in exactly three cases: scalar against anything,
 
 from __future__ import annotations
 
+import math
 import threading
+import weakref
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -164,7 +166,7 @@ def detach(t: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _is_scalar(shape):
-    return int(np.prod(shape)) == 1
+    return math.prod(shape) == 1
 
 
 def _broadcast_shape(kind, a, b):
@@ -207,7 +209,8 @@ class SparsePattern:
     match a per-call ``csr_matrix((w, (dst, src)))`` bit for bit.
     """
 
-    __slots__ = ("src", "dst", "n_out", "n_in", "order", "csr", "_t")
+    __slots__ = ("src", "dst", "n_out", "n_in", "order", "csr", "_t",
+                 "_parent", "__weakref__")
 
     def __init__(self, src, dst, n_out, n_in):
         src = np.asarray(src, dtype=np.intp)
@@ -230,16 +233,22 @@ class SparsePattern:
             (np.zeros(src.size), src[self.order], indptr),
             shape=(n_out, n_in))
         self._t = None
+        self._parent = None
 
     @property
     def T(self):
         """The transposed pattern (edges reversed), built on first use.
 
-        It holds no reference back to this pattern, so a batch's patterns
-        are freed by reference counting, without waiting for a GC cycle.
+        The transpose of a transpose is the pattern it was built from, while
+        that lives. The transpose refers back to it only weakly, so a batch's
+        patterns are freed by reference counting, without a GC cycle.
         """
+        parent = self._parent() if self._parent is not None else None
+        if parent is not None:
+            return parent
         if self._t is None:
             self._t = SparsePattern(self.dst, self.src, self.n_in, self.n_out)
+            self._t._parent = weakref.ref(self)
         return self._t
 
 
@@ -401,81 +410,91 @@ def _reduce_to(g: Tensor, shape) -> Tensor:
     raise ShapeError("reduce", [g.shape, shape], "cannot reduce gradient")
 
 
-def _v_add(node, g):
+# A VJP rule takes the node, the gradient of its output and ``need``, one
+# flag per input, and returns one gradient per input, None where the flag is
+# off. ``backward`` calls a rule only when some flag is on, so the rules of
+# one-input primitives ignore ``need``.
+
+def _v_add(node, g, need):
     a, b = node.inputs
-    return [_reduce_to(g, a.shape), _reduce_to(g, b.shape)]
+    return [_reduce_to(g, a.shape) if need[0] else None,
+            _reduce_to(g, b.shape) if need[1] else None]
 
 
-def _v_sub(node, g):
+def _v_sub(node, g, need):
     a, b = node.inputs
-    return [_reduce_to(g, a.shape), _reduce_to(scalar_scale(g, -1.0), b.shape)]
+    return [_reduce_to(g, a.shape) if need[0] else None,
+            _reduce_to(scalar_scale(g, -1.0), b.shape) if need[1] else None]
 
 
-def _v_mul(node, g):
+def _v_mul(node, g, need):
     a, b = node.inputs
-    return [_reduce_to(mul(g, b), a.shape), _reduce_to(mul(g, a), b.shape)]
+    return [_reduce_to(mul(g, b), a.shape) if need[0] else None,
+            _reduce_to(mul(g, a), b.shape) if need[1] else None]
 
 
-def _v_matmul(node, g):
+def _v_matmul(node, g, need):
     a, b = node.inputs
-    return [matmul(g, transpose(b)), matmul(transpose(a), g)]
+    return [matmul(g, transpose(b)) if need[0] else None,
+            matmul(transpose(a), g) if need[1] else None]
 
 
-def _v_concat_rows(node, g):
+def _v_concat_rows(node, g, need):
     grads = []
     row = 0
-    for t in node.inputs:
+    for t, wanted in zip(node.inputs, need):
         n = t.shape[0]
-        grads.append(gather_rows(g, np.arange(row, row + n)))
+        grads.append(gather_rows(g, np.arange(row, row + n)) if wanted
+                     else None)
         row += n
     return grads
 
 
-def _v_sum(node, g):
+def _v_sum(node, g, need):
     (x,) = node.inputs
     return [mul(constant(np.ones(x.shape)), g)]
 
 
-def _v_mean(node, g):
+def _v_mean(node, g, need):
     (x,) = node.inputs
     return [mul(constant(np.full(x.shape, 1.0 / x.data.size)), g)]
 
 
-def _v_relu(node, g):
+def _v_relu(node, g, need):
     (x,) = node.inputs
     return [mul(g, constant((x.data > 0).astype(np.float64)))]
 
 
-def _v_sigmoid(node, g):
+def _v_sigmoid(node, g, need):
     s = node.out
     return [mul(g, mul(s, sub(constant(np.ones(s.shape)), s)))]
 
 
-def _v_exp(node, g):
+def _v_exp(node, g, need):
     return [mul(g, node.out)]
 
 
-def _v_log(node, g):
+def _v_log(node, g, need):
     return [mul(g, reciprocal(node.inputs[0]))]
 
 
-def _v_square(node, g):
+def _v_square(node, g, need):
     return [mul(g, scalar_scale(node.inputs[0], 2.0))]
 
 
-def _v_sqrt(node, g):
+def _v_sqrt(node, g, need):
     return [mul(g, scalar_scale(reciprocal(node.out), 0.5))]
 
 
-def _v_reciprocal(node, g):
+def _v_reciprocal(node, g, need):
     return [scalar_scale(mul(g, square(node.out)), -1.0)]
 
 
-def _v_transpose(node, g):
+def _v_transpose(node, g, need):
     return [transpose(g)]
 
 
-def _v_l2_normalize_rows(node, g):
+def _v_l2_normalize_rows(node, g, need):
     (x,) = node.inputs
     out = node.out
     m = x.shape[1]
@@ -485,7 +504,7 @@ def _v_l2_normalize_rows(node, g):
     return [mul(sub(g, mul(out, dot)), reciprocal(norms))]
 
 
-def _v_gather_rows(node, g):
+def _v_gather_rows(node, g, need):
     (x,) = node.inputs
     n = g.shape[0]
     pattern = SparsePattern(np.arange(n), node.extras["indices"],
@@ -493,23 +512,22 @@ def _v_gather_rows(node, g):
     return [weighted_aggregate(g, constant(np.ones((n, 1))), pattern)]
 
 
-def _v_weighted_aggregate(node, g):
-    # each gradient is built only for an input on the tape: the encoder's
-    # first layer reads constant features, and contrast steps, readout and
-    # embedding use constant weights
+def _v_weighted_aggregate(node, g, need):
+    # the w rule gathers two E x F arrays. In training it runs only for the
+    # augmenter's weights in a meta step: contrast steps, readout, embedding
+    # and the unit-weight view aggregate with constant weights
     x, w = node.inputs
     pattern = node.extras["pattern"]
-    gx = gw = None
-    if x.node_id is not None:
-        gx = weighted_aggregate(g, w, pattern.T)
-    if w.node_id is not None:
+    gx = weighted_aggregate(g, w, pattern.T) if need[0] else None
+    gw = None
+    if need[1]:
         gw = matmul(mul(gather_rows(g, pattern.dst),
                         gather_rows(x, pattern.src)),
                     constant(np.ones((x.shape[1], 1))))
     return [gx, gw]
 
 
-def _v_scalar_scale(node, g):
+def _v_scalar_scale(node, g, need):
     return [scalar_scale(g, node.extras["factor"])]
 
 
@@ -677,6 +695,13 @@ def backward(loss: Tensor, params, create_graph=False) -> GradientMap:
     With ``create_graph`` the backward computation itself is recorded on the
     tape, so every returned gradient carries a node id and a later backward
     over a function of the gradients yields second derivatives.
+
+    Only gradients that can reach a requested parameter are built. Before
+    the reverse pass, one ascending pass over the nodes reachable from the
+    loss marks each parameter and every node with a marked input; a rule
+    then builds an input's gradient only if that input is marked, so a
+    constant never gets one. With ``create_graph`` the tape thus records no
+    gradient that the returned gradients do not use.
     """
     tape = active_tape()
     if tape is None:
@@ -700,21 +725,28 @@ def backward(loss: Tensor, params, create_graph=False) -> GradientMap:
                 seen.add(nid)
                 stack.append(nid)
 
+    needed = {p.node_id for p in params}
+    for nid in sorted(seen):
+        if any(t.node_id in needed for t in nodes[nid].inputs):
+            needed.add(nid)
+
     grads = {loss.node_id: constant(np.ones(loss.shape))}
     with (nullcontext() if create_graph else tape.paused()):
-        for nid in sorted(seen, reverse=True):
+        for nid in sorted(needed, reverse=True):
             node = nodes[nid]
             if node.kind == LEAF:
                 continue
             g = grads.pop(nid, None)
             if g is None:
                 continue
+            need = [t.node_id in needed for t in node.inputs]
+            if not any(need):
+                continue
             _, vjp = _PRIMITIVES[node.kind]
-            for t, ig in zip(node.inputs, vjp(node, g)):
-                if ig is None or t.node_id is None:
-                    continue
-                cur = grads.get(t.node_id)
-                grads[t.node_id] = ig if cur is None else add(cur, ig)
+            for t, ig in zip(node.inputs, vjp(node, g, need)):
+                if ig is not None:
+                    cur = grads.get(t.node_id)
+                    grads[t.node_id] = ig if cur is None else add(cur, ig)
 
     by_id = {}
     for p in params:

@@ -44,6 +44,12 @@ class Hyperparams:
                 raise ConfigError(f"{name} must be positive")
         if self.inner_lr < 0 or self.lam < 0:
             raise ConfigError("inner_lr and lam must be nonnegative")
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be at least 1")
 

@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -181,6 +182,7 @@ def test_sparse_pattern_transpose_swaps_edges_once(tape):
     pattern = ad.SparsePattern(src, dst, n_out, 6)
     t = pattern.T
     assert t is pattern.T
+    assert t.T is pattern
     want = ad.SparsePattern(dst, src, 6, n_out)
     assert (t.n_out, t.n_in) == (6, n_out)
     for name in ("src", "dst", "order"):
@@ -189,6 +191,21 @@ def test_sparse_pattern_transpose_swaps_edges_once(tape):
     np.testing.assert_array_equal(t.csr.indices, want.csr.indices)
     # no reference back: a batch's patterns are freed without a GC cycle
     assert not any(r is pattern for r in gc.get_referents(t))
+
+
+def test_deleting_a_batch_frees_its_patterns_without_gc(mutag):
+    gc.disable()
+    try:
+        ds = gd.build_node_features(mutag, "node-label-onehot")
+        batch = gd.batch_graphs(ds.records[:8])
+        adjacency, pooling = batch.adjacency, batch.pooling
+        assert adjacency.T.T is adjacency and pooling.T.T is pooling
+        refs = [weakref.ref(p) for p in (adjacency, adjacency.T,
+                                         pooling, pooling.T)]
+        del batch, adjacency, pooling
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def test_shape_mismatch_names_kind_and_shapes(tape):
@@ -370,6 +387,62 @@ def test_unreachable_param_gets_zero_gradient(tape):
     loss = ad.reduce_sum(ad.square(x))
     grads = ad.backward(loss, [x, y])
     np.testing.assert_allclose(grads[y].data, [0.0])
+
+
+def _w_v_loss(w, v, x):
+    """W and V meet in a product; V also feeds a branch of its own."""
+    h = ad.relu(ad.matmul(ad.matmul(x, w), v))
+    return ad.add(ad.reduce_sum(ad.square(h)),
+                  ad.reduce_mean(ad.exp(ad.scalar_scale(v, 0.5))))
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_gradient_is_bitwise_the_same_whatever_else_is_requested(
+        tape, create_graph):
+    rng = np.random.default_rng(21)
+    w = ad.variable(rng.standard_normal((3, 2)))
+    v = ad.variable(rng.standard_normal((2, 4)))
+    loss = _w_v_loss(w, v, ad.constant(rng.standard_normal((5, 3))))
+    alone = ad.backward(loss, [w], create_graph=create_graph)[w]
+    both = ad.backward(loss, [w, v], create_graph=create_graph)[w]
+    assert (alone.node_id is not None) == create_graph
+    assert alone.data.tobytes() == both.data.tobytes()
+
+
+def test_create_graph_records_nothing_for_an_unrequested_leaf(tape):
+    rng = np.random.default_rng(22)
+    w_data = rng.standard_normal((3, 2))
+    v_data = rng.standard_normal((2, 4))
+    x = ad.constant(rng.standard_normal((5, 3)))
+    added = []
+    for v in (ad.variable(v_data), ad.constant(v_data)):
+        w = ad.variable(w_data)
+        loss = ad.add(ad.reduce_sum(ad.square(ad.matmul(x, w))),
+                      ad.reduce_mean(ad.exp(ad.scalar_scale(v, 0.5))))
+        before = len(tape.nodes)
+        ad.backward(loss, [w], create_graph=True)
+        added.append(len(tape.nodes) - before)
+    assert added[0] == added[1] > 0
+
+
+def test_backward_builds_no_gradient_for_a_constant(tape, monkeypatch):
+    c = ad.constant(np.arange(6.0).reshape(2, 3))
+    w = ad.variable(np.ones((3, 4)))
+    loss = ad.reduce_sum(ad.matmul(c, w))
+    built = []
+    forward = ad.primitive_forward
+
+    def counting(kind, inputs, **extras):
+        built.append((kind, inputs))
+        return forward(kind, inputs, **extras)
+
+    monkeypatch.setattr(ad, "primitive_forward", counting)
+    grads = ad.backward(loss, [w])
+    # sum's rule, then W's gradient transpose(C) @ g; C's would read W
+    assert [kind for kind, _ in built] == ["mul", "transpose", "matmul"]
+    assert not any(t is w for _, inputs in built for t in inputs)
+    np.testing.assert_array_equal(
+        grads[w].data, np.repeat(c.data.sum(axis=0)[:, None], 4, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,7 @@ def test_misuse_raises_config_error(tmp_path):
                  ["train", folder, "TRI", "--mode", "gin-riu"],
                  ["eval", folder, "TRI", "--mode", "nope"],
                  ["train", folder, "TRI", "--epochs", "two"],
-                 ["train", folder, "TRI", "--epochs", "0"]):
+                 ["train", folder, "TRI", "--epochs", "0"],
+                 ["train", folder, "TRI", "--seed", "-1"]):
         with pytest.raises(ConfigError):
             cli.main(argv)

@@ -284,6 +284,15 @@ def test_hyperparams_reject_non_finite(name, value):
         tr.Hyperparams(**{name: value})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("epochs", 1.5), ("epochs", True), ("epochs", "2"),
+    ("batch_size", 8.0), ("batch_size", False),
+    ("seed", 1.5), ("seed", True), ("seed", -1)])
+def test_hyperparams_reject_non_int_counts_and_negative_seed(name, value):
+    with pytest.raises(ConfigError, match=name):
+        tr.Hyperparams(**{name: value})
+
+
 def test_mega_il_forces_lambda_zero():
     ds = synthetic_dataset(n_per_class=4, seed=4)
     _, log = tr.train(ds, hp(epochs=2, batch_size=8, lam=0.7), mode="mega-il")
