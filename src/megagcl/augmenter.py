@@ -29,22 +29,18 @@ def lga_edge_weights(batch: GraphBatch, sigma: AugmenterParams):
     The leading ``batch.n_nonself`` entries are sigmoid scores on the tape
     (whenever sigma is); the trailing self-loop entries are constant 1.
     """
-    width = batch.features.shape[1]
-    if sigma.w1.shape[0] != 2 * width:
+    f, n = batch.features, batch.n_nonself
+    if sigma.w1.shape[0] != 2 * f.shape[1]:
         raise ShapeError("lga-edge-weights", [sigma.w1.shape],
-                         f"augmenter expects 2*{width} input columns")
+                         f"augmenter expects 2*{f.shape[1]} input columns")
     ones_self = ad.constant(np.ones((batch.n_nodes, 1)))
-    if batch.n_nonself == 0:
+    if n == 0:
         return ones_self
-    x = ad.constant(batch.features)
-    src_x = ad.gather_rows(x, batch.edge_src[:batch.n_nonself])
-    dst_x = ad.gather_rows(x, batch.edge_dst[:batch.n_nonself])
-    # [x_u ; x_v] @ w1 without a column concat: split w1 into its top and
-    # bottom halves and sum the two products
-    w_top = ad.gather_rows(sigma.w1, np.arange(width))
-    w_bot = ad.gather_rows(sigma.w1, np.arange(width, 2 * width))
-    pre = ad.add(ad.add(ad.matmul(src_x, w_top), ad.matmul(dst_x, w_bot)),
-                 sigma.b1)
+    xuv = ad.constant(np.concatenate([f[batch.edge_src[:n]],
+                                      f[batch.edge_dst[:n]]], axis=1))
+    # the features are one-hot, so each entry of xuv @ w1 sums exactly two
+    # nonzero products 1.0 * w: every summation order rounds it the same
+    pre = ad.add(ad.matmul(xuv, sigma.w1), sigma.b1)
     logits = ad.add(ad.matmul(ad.relu(pre), sigma.w2), sigma.b2)
     return ad.concat_rows([ad.sigmoid(logits), ones_self])
 

@@ -56,30 +56,6 @@ class Tensor:
         tag = "const" if self.node_id is None else f"node {self.node_id}"
         return f"Tensor(shape={self.shape}, {tag})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def __neg__(self):
-        return scalar_scale(self, -1.0)
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -675,18 +651,6 @@ class GradientMap:
         if nid is None or nid not in self._by_id:
             raise TapeError("no gradient entry for parameter")
         return self._by_id[nid]
-
-    def __contains__(self, param):
-        return param.node_id is not None and param.node_id in self._by_id
-
-    def __len__(self):
-        return len(self._by_id)
-
-    def items(self):
-        return self._by_id.items()
-
-    def values(self):
-        return self._by_id.values()
 
 
 def backward(loss: Tensor, params, create_graph=False) -> GradientMap:

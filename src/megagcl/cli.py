@@ -28,7 +28,7 @@ def _parser():
     for name, modes, text in (
             ("train", training.TRAINING_MODES,
              "train and print the run summary"),
-            ("eval", training.TRAINING_MODES + ("gin-riu",),
+            ("eval", evaluation.PROTOCOL_MODES,
              "run the linear-probe protocol and print its accuracy")):
         cmd = commands.add_parser(name, help=text)
         cmd.add_argument("folder", help="directory holding the TU files")

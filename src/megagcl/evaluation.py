@@ -8,10 +8,7 @@ ten-run protocol reports mean and population standard deviation.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +21,7 @@ from .graphdata import Dataset, SplitResult, batch_graphs, split_dataset
 PROBE_STEPS = 500
 PROBE_LR = 0.1
 PROBE_L2 = 1e-3
+PROTOCOL_MODES = tr.TRAINING_MODES + ("gin-riu",)
 
 
 @dataclass
@@ -49,6 +47,8 @@ def embed_dataset(phi: gnn.EncoderParams, dataset: Dataset,
     """Pooled encoder outputs for every graph, in dataset order."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
+    if not dataset.records:
+        raise DataError(f"{dataset.name}: no graphs to embed")
     rows = []
     records = dataset.records
     for start in range(0, len(records), batch_size):
@@ -71,14 +71,14 @@ def _accuracy(logits, labels):
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def linear_probe(table: EmbeddingTable, split: SplitResult, seed=0) -> float:
+def linear_probe(table: EmbeddingTable, split: SplitResult) -> float:
     """Full-batch softmax regression on frozen embeddings.
 
     Standardization uses train-split statistics only. Returns the test
     accuracy at the step with the best validation accuracy (earliest on
-    ties). Zero init makes the outcome seed-independent; the seed parameter
-    stays for interface stability. An empty validation or test split has no
-    accuracy to select or report by, so it raises.
+    ties). The weights start at zero, so the outcome is deterministic. An
+    empty validation or test split has no accuracy to select or report by,
+    so it raises.
     """
     for part in ("val", "test"):
         if not getattr(split, part):
@@ -121,87 +121,28 @@ def linear_probe(table: EmbeddingTable, split: SplitResult, seed=0) -> float:
 
 
 def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
-                 n_runs=10, dims: gnn.ModelDims = None,
-                 pretrained_phi: gnn.EncoderParams = None,
-                 progress=None) -> ProbeResult:
-    """Ten seeded runs of split / train / embed / probe.
+                 n_runs=10) -> ProbeResult:
+    """Seeded runs of split / train / embed / probe; run ``i`` uses seed
+    ``hp.seed + i`` for both its split and its training.
 
     ``gin-riu`` skips training and probes a freshly initialized encoder.
-    With ``pretrained_phi`` the given frozen encoder is probed under each
-    run's split instead of retraining. Fewer than one run has no accuracy
-    to report, so it raises.
+    The mode, the run count and the dataset are checked before any run:
+    an unknown mode, fewer than one run, or a dataset without graphs or
+    node features raises ``ConfigError``.
     """
+    if mode not in PROTOCOL_MODES:
+        raise ConfigError(f"unknown protocol mode: {mode!r}")
     if n_runs < 1:
         raise ConfigError(f"n_runs must be at least 1, got {n_runs}")
-    dims = dims or gnn.ModelDims(feature_dim=dataset.feature_width)
+    tr.require_features(dataset)
+    dims = gnn.ModelDims(feature_dim=dataset.feature_width)
     accuracies = []
-    fixed_table = None
-    if pretrained_phi is not None:
-        fixed_table = embed_dataset(pretrained_phi, dataset)
     for run in range(n_runs):
         seed = hp.seed + run
         split = split_dataset(dataset, seed)
-        if fixed_table is not None:
-            table = fixed_table
-        elif mode == "gin-riu":
+        if mode == "gin-riu":
             phi, _, _ = gnn.init_params(dims, seed)
-            table = embed_dataset(phi, dataset)
         else:
-            state, _ = tr.train(dataset, replace(hp, seed=seed), dims, mode)
-            table = embed_dataset(state.phi, dataset)
-        acc = linear_probe(table, split, seed)
-        accuracies.append(acc)
-        if progress is not None:
-            progress(run, acc)
+            phi = tr.train(dataset, replace(hp, seed=seed), dims, mode)[0].phi
+        accuracies.append(linear_probe(embed_dataset(phi, dataset), split))
     return ProbeResult.from_accuracies(accuracies)
-
-
-# ---------------------------------------------------------------------------
-# feature heatmap
-# ---------------------------------------------------------------------------
-
-def _color_ramp():
-    """Fixed 256-entry blue-to-red ramp (piecewise linear)."""
-    ramp = []
-    for i in range(256):
-        t = i / 255.0
-        r = min(max(1.5 - abs(4.0 * t - 3.0), 0.0), 1.0)
-        g = min(max(1.5 - abs(4.0 * t - 2.0), 0.0), 1.0)
-        b = min(max(1.5 - abs(4.0 * t - 1.0), 0.0), 1.0)
-        ramp.append((int(255 * r), int(255 * g), int(255 * b)))
-    return ramp
-
-
-COLOR_RAMP = _color_ramp()
-
-
-def export_feature_heatmap(table: EmbeddingTable, path):
-    """Render the embedding table as a binary portable pixmap.
-
-    Rows are graphs sorted by class label, columns are embedding dimensions;
-    values are min-max normalized over the whole table and mapped through
-    the fixed color ramp. A constant table renders as a single color. The
-    file is written to a temporary name in the target directory and renamed
-    into place, so a reader never sees a partial image.
-    """
-    order = np.lexsort((np.arange(len(table.labels)), table.labels))
-    values = table.vectors[order]
-    lo = values.min()
-    hi = values.max()
-    if hi > lo:
-        idx = np.rint((values - lo) / (hi - lo) * 255).astype(np.intp)
-    else:
-        idx = np.zeros(values.shape, dtype=np.intp)
-    height, width = values.shape
-    ramp = np.asarray(COLOR_RAMP, dtype=np.uint8)
-    pixels = ramp[idx]  # (h, w, 3)
-    header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    path = Path(path)
-    tmp = tempfile.NamedTemporaryFile(dir=path.parent, delete=False)
-    try:
-        with tmp:
-            tmp.write(header + pixels.tobytes())
-        os.replace(tmp.name, path)
-    finally:
-        if os.path.exists(tmp.name):
-            os.unlink(tmp.name)

@@ -21,8 +21,6 @@ from . import autodiff as ad
 from .errors import ShapeError
 from .graphdata import GraphBatch
 
-GIN_EPS = 0.0  # fixed, non-learnable
-
 
 @dataclass
 class MlpParams:
@@ -54,13 +52,6 @@ class EncoderParams:
             raise ShapeError("encoder-params", [], f"{len(ts)} tensors")
         return cls([MlpParams.from_tensors(ts[i:i + 4])
                     for i in range(0, len(ts), 4)])
-
-    @property
-    def out_dim(self):
-        return self.layers[-1].w2.shape[1]
-
-
-ProjectionParams = MlpParams
 
 
 @dataclass(frozen=True)
@@ -106,7 +97,7 @@ def readout(batch: GraphBatch, h):
                                  batch.pooling)
 
 
-def project(h, psi: ProjectionParams):
+def project(h, psi: MlpParams):
     """Map pooled representations to contrastive features (no normalization
     here; cosine similarity normalizes later)."""
     if h.shape[1] != psi.w1.shape[0]:

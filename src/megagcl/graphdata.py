@@ -270,27 +270,6 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     return Dataset(name=name, records=records, n_classes=len(classes))
 
 
-def serialize_tu_dataset(dataset: Dataset, root_dir):
-    """Write a dataset back out in the TU file convention (round-trip aid)."""
-    folder = Path(root_dir)
-    folder.mkdir(parents=True, exist_ok=True)
-    name = dataset.name
-    records = dataset.records
-    sizes = np.array([r.n_nodes for r in records], dtype=np.intp)
-    offsets = np.cumsum(sizes) - sizes
-    edges = np.concatenate([_edge_array(())] + [
-        r.topology.edges + off + 1 for r, off in zip(records, offsets)])
-    np.savetxt(folder / f"{name}_A.txt", edges, fmt="%d, %d")
-    np.savetxt(folder / f"{name}_graph_indicator.txt",
-               np.repeat(np.arange(1, len(records) + 1), sizes), fmt="%d")
-    np.savetxt(folder / f"{name}_graph_labels.txt",
-               [r.label for r in records], fmt="%d")
-    node_labels = [r.node_labels for r in records if r.node_labels is not None]
-    if node_labels:
-        np.savetxt(folder / f"{name}_node_labels.txt",
-                   np.concatenate(node_labels), fmt="%d")
-
-
 def degree_sequence(topology: GraphTopology):
     """Out-degree per node over the stored directed pairs (self-loops excluded)."""
     return np.bincount(topology.edges[:, 0], minlength=topology.n_nodes)

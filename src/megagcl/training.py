@@ -63,7 +63,7 @@ class MetricsLog:
 @dataclass
 class TrainState:
     phi: gnn.EncoderParams
-    psi: gnn.ProjectionParams
+    psi: gnn.MlpParams
     sigma: lga.AugmenterParams
     enc_opt: ad.AdamState
     aug_opt: ad.AdamState
@@ -104,14 +104,13 @@ def contrast_step(state: TrainState, batch, hp: Hyperparams,
                   unit_weights=False):
     """Adam-update the encoder and head on the contrastive loss.
 
-    The augmenter drives the second view but is treated as a constant
-    (detached weights); it is bitwise untouched by this step.
+    The augmenter drives the second view but scores it with the tape
+    paused, so its weights are constants; it is bitwise untouched here.
     """
     tape = ad.active_tape()
     with tape.paused():
         weights = lga.unit_edge_weights(batch) if unit_weights \
             else lga.lga_edge_weights(batch, state.sigma)
-    weights = ad.detach(weights)
     z = _encode_project(batch, lga.unit_edge_weights(batch), state.phi,
                         state.psi)
     z_aug = _encode_project(batch, weights, state.phi, state.psi)
@@ -174,14 +173,15 @@ def meta_gradients(phi, psi, sigma, batch, hp: Hyperparams, iteration=0):
         raise NumericError(
             f"non-finite meta-gradient at iteration {iteration}; "
             f"gradient norms {norms}")
-    record = {
-        "step": "meta",
-        "l_contrast": l_contrast.item(),
-        "l_mega": l_mega.item(),
-        "tr_c": losses.trace_sum(c).item(),
-        "de_c": losses.offdiag_sum(c).item(),
-        "feature_term": losses.feature_term(ad.detach(d)).item(),
-    }
+    with ad.active_tape().paused():
+        record = {
+            "step": "meta",
+            "l_contrast": l_contrast.item(),
+            "l_mega": l_mega.item(),
+            "tr_c": losses.trace_sum(c).item(),
+            "de_c": losses.offdiag_sum(c).item(),
+            "feature_term": losses.feature_term(d).item(),
+        }
     return grads, record
 
 
@@ -195,6 +195,15 @@ def meta_step(state: TrainState, batch, hp: Hyperparams):
                                             state.aug_opt, hp.augmenter_lr)
     state.sigma = lga.AugmenterParams.from_tensors(new_sigma)
     return record
+
+
+def require_features(dataset: Dataset):
+    """Raise ``ConfigError`` unless the dataset holds graphs with node
+    features: without them there is nothing to encode."""
+    if not dataset.records:
+        raise ConfigError(f"{dataset.name}: the dataset is empty")
+    if dataset.feature_width is None:
+        raise ConfigError(f"{dataset.name}: the dataset needs node features")
 
 
 def _iter_batches(dataset, rng, batch_size):
@@ -218,10 +227,7 @@ def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
     """
     if mode not in TRAINING_MODES:
         raise ConfigError(f"unknown training mode: {mode!r}")
-    if not dataset.records:
-        raise ConfigError("cannot train on an empty dataset")
-    if dataset.feature_width is None:
-        raise ConfigError("dataset needs node features before training")
+    require_features(dataset)
     if hp.batch_size < 2:
         raise ConfigError("batch size must be at least 2 "
                           "(the contrastive loss needs negatives)")

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from megagcl import autodiff as ad
 from megagcl import graphdata as gd
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -13,6 +14,13 @@ DATA_ROOT = Path(os.environ.get("MEGA_DATA_ROOT", REPO_ROOT / "data"))
 @pytest.fixture(scope="session")
 def mutag():
     return gd.parse_tu_dataset(DATA_ROOT, "MUTAG")
+
+
+@pytest.fixture
+def tape():
+    t = ad.Tape()
+    with ad.use_tape(t):
+        yield t
 
 
 def write_tu_fixture(folder, name, a_lines, indicator, graph_labels,

@@ -10,13 +10,6 @@ from megagcl.errors import ShapeError
 from conftest import ring_record
 
 
-@pytest.fixture
-def tape():
-    t = ad.Tape()
-    with ad.use_tape(t):
-        yield t
-
-
 def small_batch(n=3):
     ds = gd.Dataset("T", [ring_record(n, 0)], 1)
     ds = gd.build_node_features(ds, "degree-onehot", cap=3)

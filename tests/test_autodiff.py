@@ -10,13 +10,6 @@ from megagcl import graphdata as gd
 from megagcl.errors import NumericError, ShapeError, TapeError
 
 
-@pytest.fixture
-def tape():
-    t = ad.Tape()
-    with ad.use_tape(t):
-        yield t
-
-
 def scalar(loss_fn, x):
     """Evaluate a tensor-valued pipeline down to a float (for finite diff)."""
     return loss_fn(x).item()

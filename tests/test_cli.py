@@ -61,11 +61,14 @@ def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
 
 def test_misuse_raises_config_error(tmp_path):
     folder = str(two_triangles(tmp_path))
+    empty = str(write_tu_fixture(tmp_path / "empty", "E", [], [], [],
+                                 node_labels=[]))
     for argv in ([], ["bench"], ["train"], ["train", folder],
                  ["train", folder, "TRI", "--mode", "gin-riu"],
                  ["eval", folder, "TRI", "--mode", "nope"],
                  ["train", folder, "TRI", "--epochs", "two"],
                  ["train", folder, "TRI", "--epochs", "0"],
-                 ["train", folder, "TRI", "--seed", "-1"]):
+                 ["train", folder, "TRI", "--seed", "-1"],
+                 ["eval", empty, "E", "--mode", "gin-riu"]):
         with pytest.raises(ConfigError):
             cli.main(argv)

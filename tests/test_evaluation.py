@@ -28,7 +28,7 @@ def test_batched_embeddings_equal_one_graph_at_a_time():
                                 seed=0)
     batched = ev.embed_dataset(phi, ds)
     alone = ev.embed_dataset(phi, ds, batch_size=1)
-    assert batched.vectors.shape == (len(ds), phi.out_dim)
+    assert batched.vectors.shape == (len(ds), phi.layers[-1].w2.shape[1])
     np.testing.assert_allclose(batched.vectors, alone.vectors, rtol=0,
                                atol=1e-9)
     np.testing.assert_array_equal(batched.labels, ds.labels)
@@ -78,12 +78,33 @@ def test_linear_probe_rejects_empty_val_split():
         ev.linear_probe(_table(), split)
 
 
-def test_heatmap_is_binary_ppm_of_table_size(tmp_path):
-    table = _table(n=5, dim=4)
-    path = tmp_path / "heat.ppm"
-    ev.export_feature_heatmap(table, path)
-    header = b"P6\n4 5\n255\n"
-    data = path.read_bytes()
-    assert data.startswith(header)
-    assert len(data) == len(header) + 3 * 4 * 5
-    assert [p.name for p in tmp_path.iterdir()] == ["heat.ppm"]
+def _bare_dataset():
+    """Two graphs per class and no node features."""
+    records = [gd.GraphRecord(gd.GraphTopology(2, [(0, 1), (1, 0)]), c)
+               for c in (0, 1) for _ in range(2)]
+    return gd.Dataset("BARE", records, 2)
+
+
+@pytest.mark.parametrize("dataset, mode", [
+    (gd.Dataset("EMPTY", [], 0), "gin-riu"),
+    (gd.Dataset("EMPTY", [], 0), "mega"),
+    (_bare_dataset(), "gin-riu"),
+    (_bare_dataset(), "ccl"),
+    (synthetic_dataset(), "nope"),
+], ids=["empty-gin-riu", "empty-mega", "no-features-gin-riu",
+        "no-features-ccl", "unknown-mode"])
+def test_run_protocol_rejects_bad_input_before_any_split(monkeypatch,
+                                                         dataset, mode):
+    def no_split(*args):
+        raise AssertionError("split before the input was checked")
+
+    monkeypatch.setattr(ev, "split_dataset", no_split)
+    with pytest.raises(ConfigError):
+        ev.run_protocol(dataset, tr.Hyperparams(epochs=1), mode=mode,
+                        n_runs=1)
+
+
+def test_embed_dataset_rejects_an_empty_dataset():
+    phi, _, _ = gnn.init_params(gnn.ModelDims(feature_dim=3), seed=0)
+    with pytest.raises(DataError, match="no graphs"):
+        ev.embed_dataset(phi, gd.Dataset("EMPTY", [], 0))

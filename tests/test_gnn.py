@@ -10,13 +10,6 @@ from megagcl.errors import ShapeError
 from conftest import ring_record, synthetic_dataset
 
 
-@pytest.fixture
-def tape():
-    t = ad.Tape()
-    with ad.use_tape(t):
-        yield t
-
-
 def featured(rec, width=5):
     ds = gd.Dataset("T", [rec], 1)
     return gd.build_node_features(ds, "degree-onehot", cap=width - 1).records[0]

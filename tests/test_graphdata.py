@@ -129,21 +129,6 @@ def test_undirected_closure_names_first_edge_out_of_range():
         gd.undirected_closure([(0, 1), (4, 4), (2, 5), (-1, 0)], 3)
 
 
-def test_round_trip_serialization(tmp_path):
-    folder = two_triangles(tmp_path / "orig", labels=(4, 7))
-    ds = gd.parse_tu_dataset(folder, "TRI")
-    out = tmp_path / "resaved"
-    gd.serialize_tu_dataset(ds, out)
-    ds2 = gd.parse_tu_dataset(out, "TRI")
-    assert len(ds) == len(ds2)
-    assert ds.n_classes == ds2.n_classes
-    for a, b in zip(ds.records, ds2.records):
-        assert a.topology.n_nodes == b.topology.n_nodes
-        assert np.array_equal(a.topology.edges, b.topology.edges)
-        assert a.label == b.label
-        assert a.node_labels == b.node_labels
-
-
 def test_crlf_and_spacing_tolerated(tmp_path):
     folder = tmp_path / "crlf"
     folder.mkdir()

@@ -6,13 +6,6 @@ from megagcl import losses
 from megagcl.errors import ConfigError, NumericError, ShapeError
 
 
-@pytest.fixture
-def tape():
-    t = ad.Tape()
-    with ad.use_tape(t):
-        yield t
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracles
 # ---------------------------------------------------------------------------
