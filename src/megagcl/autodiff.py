@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -183,10 +182,15 @@ class SparsePattern:
     order on every call. Without repeated (dst, src) pairs this is the order
     in which scipy sorts a COO matrix on conversion to CSR, so products
     match a per-call ``csr_matrix((w, (dst, src)))`` bit for bit.
+
+    ``csr_t`` is the transpose as a CSC view over ``csr``'s three arrays,
+    so it sees the weights written into ``csr.data``. Its product adds each
+    output row's terms by target, then by edge order: the entry order of a
+    pattern built from the reversed edges, whose products it matches bit for
+    bit without that second build.
     """
 
-    __slots__ = ("src", "dst", "n_out", "n_in", "order", "csr", "_t",
-                 "_parent", "__weakref__")
+    __slots__ = ("src", "dst", "n_out", "n_in", "order", "csr", "csr_t")
 
     def __init__(self, src, dst, n_out, n_in):
         src = np.asarray(src, dtype=np.intp)
@@ -208,24 +212,7 @@ class SparsePattern:
         self.csr = scipy.sparse.csr_matrix(
             (np.zeros(src.size), src[self.order], indptr),
             shape=(n_out, n_in))
-        self._t = None
-        self._parent = None
-
-    @property
-    def T(self):
-        """The transposed pattern (edges reversed), built on first use.
-
-        The transpose of a transpose is the pattern it was built from, while
-        that lives. The transpose refers back to it only weakly, so a batch's
-        patterns are freed by reference counting, without a GC cycle.
-        """
-        parent = self._parent() if self._parent is not None else None
-        if parent is not None:
-            return parent
-        if self._t is None:
-            self._t = SparsePattern(self.dst, self.src, self.n_in, self.n_out)
-            self._t._parent = weakref.ref(self)
-        return self._t
+        self.csr_t = self.csr.T
 
 
 def _f_add(inputs, extras):
@@ -351,15 +338,17 @@ def _f_weighted_aggregate(inputs, extras):
     x, w = inputs
     _require_2d("weighted-aggregate", x)
     pattern = extras["pattern"]
+    transposed = extras["transposed"]
     n_edges = pattern.src.shape[0]
-    if w.shape != (n_edges, 1) or x.shape[0] != pattern.n_in:
+    n_rows = pattern.n_out if transposed else pattern.n_in
+    if w.shape != (n_edges, 1) or x.shape[0] != n_rows:
         raise ShapeError("weighted-aggregate", [x.shape, w.shape],
                          f"expected ({n_edges}, 1) weights and "
-                         f"{pattern.n_in} input rows")
-    # the matrix is shared by every call on the pattern and only its data is
-    # swapped; the tape is single-threaded, so no call sees another's weights
-    pattern.csr.data = w.data[pattern.order, 0]
-    return pattern.csr @ x.data
+                         f"{n_rows} input rows")
+    # every call overwrites the buffer the matrix shares with its transposed
+    # view; the tape is single-threaded, so no call sees another's weights
+    np.take(w.data[:, 0], pattern.order, out=pattern.csr.data)
+    return (pattern.csr_t if transposed else pattern.csr) @ x.data
 
 
 def _f_scalar_scale(inputs, extras):
@@ -494,11 +483,13 @@ def _v_weighted_aggregate(node, g, need):
     # and the unit-weight view aggregate with constant weights
     x, w = node.inputs
     pattern = node.extras["pattern"]
-    gx = weighted_aggregate(g, w, pattern.T) if need[0] else None
+    transposed = node.extras["transposed"]
+    gx = weighted_aggregate(g, w, pattern, not transposed) if need[0] else None
     gw = None
     if need[1]:
-        gw = matmul(mul(gather_rows(g, pattern.dst),
-                        gather_rows(x, pattern.src)),
+        g_rows, x_rows = ((pattern.src, pattern.dst) if transposed
+                          else (pattern.dst, pattern.src))
+        gw = matmul(mul(gather_rows(g, g_rows), gather_rows(x, x_rows)),
                     constant(np.ones((x.shape[1], 1))))
     return [gx, gw]
 
@@ -619,7 +610,7 @@ def gather_rows(x, indices):
     return primitive_forward("gather-rows", [x], indices=idx)
 
 
-def weighted_aggregate(x, w, pattern):
+def weighted_aggregate(x, w, pattern, transposed=False):
     """Row ``t`` of the (n_out, F) result is the sum of ``w[e] * x[src[e]]``
     over the edges ``e`` with ``dst[e] == t``: A_w @ x for the sparse
     matrix A_w with entries ``w[e]`` at (dst[e], src[e]).
@@ -628,8 +619,11 @@ def weighted_aggregate(x, w, pattern):
     ``n_in`` (the row count of ``x``); ``w`` is an (E, 1) column aligned with
     its edges. Build the pattern once and reuse it for every call over the
     same edges: each call then costs one sparse product, not a rebuild.
+
+    With ``transposed`` it is A_w^T @ x: ``x`` has ``n_out`` rows.
     """
-    return primitive_forward("weighted-aggregate", [x, w], pattern=pattern)
+    return primitive_forward("weighted-aggregate", [x, w], pattern=pattern,
+                             transposed=transposed)
 
 
 def scalar_scale(x, factor):
@@ -661,11 +655,13 @@ def backward(loss: Tensor, params, create_graph=False) -> GradientMap:
     over a function of the gradients yields second derivatives.
 
     Only gradients that can reach a requested parameter are built. Before
-    the reverse pass, one ascending pass over the nodes reachable from the
-    loss marks each parameter and every node with a marked input; a rule
-    then builds an input's gradient only if that input is marked, so a
-    constant never gets one. With ``create_graph`` the tape thus records no
-    gradient that the returned gradients do not use.
+    the reverse pass, one ascending pass over the tape up to the loss marks
+    each parameter and every node with a marked input (the tape is in
+    topological order); a rule then builds an input's gradient only if that
+    input is marked, so a constant never gets one. A marked node the loss
+    does not reach gets no gradient and is skipped. With ``create_graph``
+    the tape thus records no gradient that the returned gradients do not
+    use.
     """
     tape = active_tape()
     if tape is None:
@@ -680,17 +676,8 @@ def backward(loss: Tensor, params, create_graph=False) -> GradientMap:
             raise TapeError("parameter is not on the tape")
 
     nodes = tape.nodes
-    seen = {loss.node_id}
-    stack = [loss.node_id]
-    while stack:
-        for t in nodes[stack.pop()].inputs:
-            nid = t.node_id
-            if nid is not None and nid not in seen:
-                seen.add(nid)
-                stack.append(nid)
-
     needed = {p.node_id for p in params}
-    for nid in sorted(seen):
+    for nid in range(loss.node_id + 1):
         if any(t.node_id in needed for t in nodes[nid].inputs):
             needed.add(nid)
 
@@ -726,13 +713,15 @@ def backward(loss: Tensor, params, create_graph=False) -> GradientMap:
 # optimizers
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Moment accumulators for one ordered parameter list."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: list = field(default=None)
     v: list = field(default=None)
@@ -752,8 +741,8 @@ def adam_step(params, grads: GradientMap, state: AdamState, lr):
         state.v = [np.zeros(p.shape) for p in params]
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     tape = active_tape()
     new_params = []
     for i, (p, g) in enumerate(zip(params, gs)):
@@ -761,11 +750,11 @@ def adam_step(params, grads: GradientMap, state: AdamState, lr):
             raise ShapeError("adam-step", [state.m[i].shape, p.shape],
                              "moment/parameter shape mismatch")
         gd = g.data
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * gd
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * gd * gd
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * gd
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * gd * gd
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        fresh = Tensor(p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        fresh = Tensor(p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         if tape is not None and tape.recording:
             tape.adopt(fresh)
         new_params.append(fresh)

@@ -6,8 +6,9 @@ so one sparse weighted aggregation (A_w @ H) over the full edge list realizes
 the self term and the neighbor sum in one pass. Readout is a per-graph sum,
 the same aggregation with unit weights from nodes to their graphs. Both
 aggregate over sparse patterns the batch builds once and caches
-(``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so every layer, view
-and backward pass over one batch reuses them and only swaps in its weights.
+(``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so every layer and
+view over one batch reuses them and only writes in its weights. Backward
+passes run the transposed products over the same patterns, building none.
 The projection head is a two-layer perceptron with a relu in between.
 """
 

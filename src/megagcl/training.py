@@ -231,6 +231,9 @@ def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
     if hp.batch_size < 2:
         raise ConfigError("batch size must be at least 2 "
                           "(the contrastive loss needs negatives)")
+    if len(dataset.records) < 2:
+        raise ConfigError(f"{dataset.name}: training needs at least 2 graphs "
+                          "(the contrastive loss needs negatives)")
     if mode == "mega-il":
         hp = replace(hp, lam=0.0)
 

@@ -63,14 +63,24 @@ def test_weighted_aggregate_matches_add_at_oracle(tape):
         np.testing.assert_array_equal(out.data[n_out - 1], 0.0)
 
 
-def test_weighted_aggregate_gradients_match_finite_differences(tape):
-    x0, w0, src, dst, n_out = _aggregate_case(1)
-    c = ad.constant(np.random.default_rng(2).standard_normal((n_out, 3)))
+def _gradient_case(seed, transposed):
+    """An aggregation case whose input fits the product: with
+    ``transposed`` the input has the pattern's ``n_out`` rows."""
+    x, w, src, dst, n_out = _aggregate_case(seed)
+    pattern = ad.SparsePattern(src, dst, n_out, len(x))
+    if transposed:
+        x = np.random.default_rng(seed + 10).standard_normal((n_out, 3))
+    return x, w, pattern
+
+
+def _check_first_order(transposed):
+    x0, w0, pattern = _gradient_case(1, transposed)
+    n_rows = pattern.n_in if transposed else pattern.n_out
+    c = ad.constant(np.random.default_rng(2).standard_normal((n_rows, 3)))
     x, w = ad.variable(x0), ad.variable(w0)
-    pattern = ad.SparsePattern(src, dst, n_out, len(x0))
 
     def loss_of(tx, tw):
-        agg = ad.weighted_aggregate(tx, tw, pattern)
+        agg = ad.weighted_aggregate(tx, tw, pattern, transposed)
         return ad.reduce_sum(ad.mul(ad.square(agg), c))
 
     grads = ad.backward(loss_of(x, w), [x, w])
@@ -80,16 +90,24 @@ def test_weighted_aggregate_gradients_match_finite_differences(tape):
     assert ad.max_relative_error(grads[w], fd_w) < 1e-6
 
 
-def test_weighted_aggregate_second_order_through_create_graph(tape):
+def test_weighted_aggregate_gradients_match_finite_differences(tape):
+    _check_first_order(transposed=False)
+
+
+def test_transposed_aggregate_gradients_match_finite_differences(tape):
+    _check_first_order(transposed=True)
+
+
+def _check_second_order(transposed):
     # d/dw of <c, d/dx sum(sigmoid(A_w x))>, the shape of the meta step's
-    # gradient through the encoder's gradient
-    x0, w0, src, dst, n_out = _aggregate_case(3)
+    # gradient through the encoder's gradient; the x rule of either product
+    # is the other one, so each case runs both w rules
+    x0, w0, pattern = _gradient_case(3, transposed)
     c = np.random.default_rng(4).standard_normal(x0.shape)
-    pattern = ad.SparsePattern(src, dst, n_out, len(x0))
 
     def outer_of(tx, tw):
         inner = ad.reduce_sum(ad.sigmoid(
-            ad.weighted_aggregate(tx, tw, pattern)))
+            ad.weighted_aggregate(tx, tw, pattern, transposed)))
         gx = ad.backward(inner, [tx], create_graph=True)[tx]
         return ad.reduce_sum(ad.mul(gx, ad.constant(c)))
 
@@ -108,6 +126,14 @@ def test_weighted_aggregate_second_order_through_create_graph(tape):
     assert ad.max_relative_error(gw, fd) < 1e-6
 
 
+def test_weighted_aggregate_second_order_through_create_graph(tape):
+    _check_second_order(transposed=False)
+
+
+def test_transposed_aggregate_second_order_through_create_graph(tape):
+    _check_second_order(transposed=True)
+
+
 def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
     # indices are checked once, when the pattern is built; weight and input
     # shapes on every call
@@ -121,6 +147,14 @@ def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
     for rows in (2, 4):
         with pytest.raises(ShapeError, match="3 input rows"):
             ad.weighted_aggregate(ad.constant(np.ones((rows, 2))), w, pattern)
+    # the transposed product takes the pattern's n_out rows, not n_in
+    for rows in (1, 3):
+        with pytest.raises(ShapeError, match="2 input rows"):
+            ad.weighted_aggregate(ad.constant(np.ones((rows, 2))), w, pattern,
+                                  transposed=True)
+    out = ad.weighted_aggregate(ad.constant(np.ones((2, 2))), w, pattern,
+                                transposed=True)
+    assert out.shape == (3, 2)
     for bad_src, bad_dst in (([0, 1, 3], dst), ([0, -1, 2], dst),
                              (src, [1, 2, 0]), (src, [1, -1, 0])):
         with pytest.raises(ShapeError, match="out of range"):
@@ -143,17 +177,22 @@ def test_sparse_pattern_bitwise_equals_per_call_csr_on_mutag(tape, mutag):
     assert batch.pooling is batch.pooling
     rng = np.random.default_rng(5)
     n, src, dst = batch.n_nodes, batch.edge_src, batch.edge_dst
+    nodes, graphs = np.arange(n), batch.graph_of_node
     x = rng.standard_normal((n, 32))
+    x_graphs = rng.standard_normal((batch.n_graphs, 32))
     w = rng.standard_normal((batch.n_edges, 1))
-    cases = [(batch.adjacency, src, dst, n, w),
-             (batch.adjacency.T, dst, src, n, w),
-             (batch.pooling, np.arange(n), batch.graph_of_node,
-              batch.n_graphs, np.ones((n, 1)))]
-    for pattern, s, d, n_out, weights in cases:
-        got = ad.weighted_aggregate(ad.constant(x), ad.constant(weights),
-                                    pattern)
+    w_nodes = rng.standard_normal((n, 1))
+    # a transposed product must equal the one over the reversed edges
+    cases = [(batch.adjacency, False, x, src, dst, n, w),
+             (batch.adjacency, True, x, dst, src, n, w),
+             (batch.pooling, False, x, nodes, graphs, batch.n_graphs,
+              np.ones((n, 1))),
+             (batch.pooling, True, x_graphs, graphs, nodes, n, w_nodes)]
+    for pattern, transposed, xs, s, d, n_out, weights in cases:
+        got = ad.weighted_aggregate(ad.constant(xs), ad.constant(weights),
+                                    pattern, transposed)
         np.testing.assert_array_equal(got.data,
-                                      _csr_oracle(x, weights, s, d, n_out))
+                                      _csr_oracle(xs, weights, s, d, n_out))
 
 
 def test_sparse_pattern_serves_many_weight_vectors(tape):
@@ -170,31 +209,18 @@ def test_sparse_pattern_serves_many_weight_vectors(tape):
     assert not np.allclose(first.data, second.data)
 
 
-def test_sparse_pattern_transpose_swaps_edges_once(tape):
-    _, _, src, dst, n_out = _aggregate_case(8)
-    pattern = ad.SparsePattern(src, dst, n_out, 6)
-    t = pattern.T
-    assert t is pattern.T
-    assert t.T is pattern
-    want = ad.SparsePattern(dst, src, 6, n_out)
-    assert (t.n_out, t.n_in) == (6, n_out)
-    for name in ("src", "dst", "order"):
-        np.testing.assert_array_equal(getattr(t, name), getattr(want, name))
-    np.testing.assert_array_equal(t.csr.indptr, want.csr.indptr)
-    np.testing.assert_array_equal(t.csr.indices, want.csr.indices)
-    # no reference back: a batch's patterns are freed without a GC cycle
-    assert not any(r is pattern for r in gc.get_referents(t))
-
-
 def test_deleting_a_batch_frees_its_patterns_without_gc(mutag):
     gc.disable()
     try:
         ds = gd.build_node_features(mutag, "node-label-onehot")
         batch = gd.batch_graphs(ds.records[:8])
         adjacency, pooling = batch.adjacency, batch.pooling
-        assert adjacency.T.T is adjacency and pooling.T.T is pooling
-        refs = [weakref.ref(p) for p in (adjacency, adjacency.T,
-                                         pooling, pooling.T)]
+        ones = ad.constant(np.ones((batch.n_edges, 1)))
+        ad.weighted_aggregate(ad.constant(np.ones((batch.n_nodes, 1))), ones,
+                              adjacency, transposed=True)
+        # a pattern takes no weak reference; its matrices are freed with it
+        refs = [weakref.ref(m) for p in (adjacency, pooling)
+                for m in (p.csr, p.csr_t)]
         del batch, adjacency, pooling
         assert all(r() is None for r in refs)
     finally:

@@ -63,12 +63,15 @@ def test_misuse_raises_config_error(tmp_path):
     folder = str(two_triangles(tmp_path))
     empty = str(write_tu_fixture(tmp_path / "empty", "E", [], [], [],
                                  node_labels=[]))
+    one = str(write_tu_fixture(tmp_path / "one", "ONE", ["1, 2", "2, 1"],
+                               [1, 1], [1], node_labels=[0, 1]))
     for argv in ([], ["bench"], ["train"], ["train", folder],
                  ["train", folder, "TRI", "--mode", "gin-riu"],
                  ["eval", folder, "TRI", "--mode", "nope"],
                  ["train", folder, "TRI", "--epochs", "two"],
                  ["train", folder, "TRI", "--epochs", "0"],
                  ["train", folder, "TRI", "--seed", "-1"],
-                 ["eval", empty, "E", "--mode", "gin-riu"]):
+                 ["eval", empty, "E", "--mode", "gin-riu"],
+                 ["train", one, "ONE"]):
         with pytest.raises(ConfigError):
             cli.main(argv)

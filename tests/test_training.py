@@ -274,6 +274,13 @@ def test_train_rejects_bad_inputs():
     bare = gd.Dataset("B", [gd.GraphRecord(gd.GraphTopology(1, ()), 0)], 1)
     with pytest.raises(ConfigError):
         tr.train(bare, hp())
+    # one graph forms no batch with a negative: refused, not left untrained
+    tiny, _ = tiny_fixture()
+    _, log = tr.train(tiny, hp(batch_size=2), small_dims(2))
+    assert log.summary["iterations"] == 1
+    one = gd.Dataset("ONE", tiny.records[:1], 2, feature_scheme="raw")
+    with pytest.raises(ConfigError, match="at least 2 graphs"):
+        tr.train(one, hp(batch_size=2), small_dims(2))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
