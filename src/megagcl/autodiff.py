@@ -9,6 +9,20 @@ step.
 Scalars are tensors of shape ``(1,)``; matrices are 2-D. Elementwise add,
 sub and mul broadcast in exactly three cases: scalar against anything,
 ``(1, m)`` row against ``(n, m)``, and ``(n, 1)`` column against ``(n, m)``.
+
+``matmul(a, b, ta, tb)`` multiplies ``a`` (transposed when ``ta``) by ``b``
+(transposed when ``tb``), so a product with a transposed operand, and each
+gradient of a product, is one node rather than a ``transpose`` node and a
+product. A flagged operand is still copied contiguously before the product,
+exactly as ``transpose`` copies it: handing BLAS the transposed view instead
+takes another kernel path, which rounds differently and changes results in
+the last bits.
+
+Row sums, column sums and diagonals are primitives of their own
+(``sum_rows``, ``sum_cols``, ``diagonal``), whose gradients ``broadcast``
+and ``embed_diagonal`` copy values rather than multiply by ones-matrices.
+The sums keep the product with a ones vector in their forward, which is
+faster than ``np.sum`` along an axis and rounds exactly as it always has.
 """
 
 from __future__ import annotations
@@ -54,10 +68,6 @@ class Tensor:
     def __repr__(self):
         tag = "const" if self.node_id is None else f"node {self.node_id}"
         return f"Tensor(shape={self.shape}, {tag})"
-
-
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class _Node:
@@ -237,9 +247,12 @@ def _f_matmul(inputs, extras):
     _arity("matmul", inputs, 2)
     a, b = inputs
     _require_2d("matmul", a, b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError("matmul", [a.shape, b.shape], "inner dimensions differ")
-    return a.data @ b.data
+    ta, tb = extras["ta"], extras["tb"]
+    if a.shape[0 if ta else 1] != b.shape[1 if tb else 0]:
+        raise ShapeError("matmul", [a.shape, b.shape],
+                         f"inner dimensions differ (ta={ta}, tb={tb})")
+    return ((a.data.T.copy() if ta else a.data)
+            @ (b.data.T.copy() if tb else b.data))
 
 
 def _f_concat_rows(inputs, extras):
@@ -311,6 +324,52 @@ def _f_transpose(inputs, extras):
     return inputs[0].data.T.copy()
 
 
+def _f_sum_rows(inputs, extras):
+    _arity("sum-rows", inputs, 1)
+    _require_2d("sum-rows", inputs[0])
+    x = inputs[0].data
+    return x @ np.ones((x.shape[1], 1))
+
+
+def _f_sum_cols(inputs, extras):
+    _arity("sum-cols", inputs, 1)
+    _require_2d("sum-cols", inputs[0])
+    x = inputs[0].data
+    return np.ones((1, x.shape[0])) @ x
+
+
+def _f_broadcast(inputs, extras):
+    _arity("broadcast", inputs, 1)
+    x, shape = inputs[0], extras["shape"]
+    fits = len(shape) == 2 == x.data.ndim and all(
+        d in (1, want) for d, want in zip(x.shape, shape))
+    if not (fits or x.shape == (1,)):
+        raise ShapeError("broadcast", [x.shape, shape], "cannot broadcast")
+    out = np.empty(shape)
+    out[...] = x.data
+    return out
+
+
+def _f_diagonal(inputs, extras):
+    _arity("diagonal", inputs, 1)
+    x = inputs[0]
+    _require_2d("diagonal", x)
+    if x.shape[0] != x.shape[1]:
+        raise ShapeError("diagonal", [x.shape], "expected a square matrix")
+    return x.data.diagonal().reshape(-1, 1).copy()
+
+
+def _f_embed_diagonal(inputs, extras):
+    _arity("embed-diagonal", inputs, 1)
+    x = inputs[0]
+    if x.data.ndim != 2 or x.shape[1] != 1:
+        raise ShapeError("embed-diagonal", [x.shape], "expected a column")
+    n = x.shape[0]
+    out = np.zeros((n, n))
+    out.flat[::n + 1] = x.data[:, 0]
+    return out
+
+
 def _f_l2_normalize_rows(inputs, extras):
     _arity("l2-normalize-rows", inputs, 1)
     _require_2d("l2-normalize-rows", inputs[0])
@@ -361,17 +420,17 @@ def _reduce_to(g: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     if g.shape == shape:
         return g
-    if len(shape) == 1 and shape[0] == 1:
+    if shape == (1,):
         return reduce_sum(g)
     if len(shape) == 2 and g.data.ndim == 2:
         n, m = g.shape
-        if shape == (1, 1):
-            col = matmul(g, constant(np.ones((m, 1))))
-            return matmul(constant(np.ones((1, n))), col)
-        if shape == (1, m):
-            return matmul(constant(np.ones((1, n))), g)
-        if shape == (n, 1):
-            return matmul(g, constant(np.ones((m, 1))))
+        if shape in ((1, 1), (1, m), (n, 1)):
+            # a sum over a length-1 axis is the identity: skip it
+            if shape[1] == 1 and m > 1:
+                g = sum_rows(g)
+            if shape[0] == 1 and n > 1:
+                g = sum_cols(g)
+            return g
     raise ShapeError("reduce", [g.shape, shape], "cannot reduce gradient")
 
 
@@ -399,9 +458,21 @@ def _v_mul(node, g, need):
 
 
 def _v_matmul(node, g, need):
+    # the gradient of each operand as it enters the product, transposed
+    # back when the operand is flagged: the same products, in the same
+    # order, as the unflagged product of an explicit ``transpose``
     a, b = node.inputs
-    return [matmul(g, transpose(b)) if need[0] else None,
-            matmul(transpose(a), g) if need[1] else None]
+    ta, tb = node.extras["ta"], node.extras["tb"]
+    ga = gb = None
+    if need[0]:
+        ga = matmul(g, b, tb=not tb)
+        if ta:
+            ga = transpose(ga)
+    if need[1]:
+        gb = matmul(a, g, ta=not ta)
+        if tb:
+            gb = transpose(gb)
+    return [ga, gb]
 
 
 def _v_concat_rows(node, g, need):
@@ -416,8 +487,8 @@ def _v_concat_rows(node, g, need):
 
 
 def _v_sum(node, g, need):
-    (x,) = node.inputs
-    return [mul(constant(np.ones(x.shape)), g)]
+    # also the rule of sum-rows and sum-cols
+    return [broadcast(g, node.inputs[0].shape)]
 
 
 def _v_mean(node, g, need):
@@ -459,13 +530,23 @@ def _v_transpose(node, g, need):
     return [transpose(g)]
 
 
+def _v_broadcast(node, g, need):
+    return [_reduce_to(g, node.inputs[0].shape)]
+
+
+def _v_diagonal(node, g, need):
+    return [embed_diagonal(g)]
+
+
+def _v_embed_diagonal(node, g, need):
+    return [diagonal(g)]
+
+
 def _v_l2_normalize_rows(node, g, need):
     (x,) = node.inputs
     out = node.out
-    m = x.shape[1]
-    ones_col = constant(np.ones((m, 1)))
-    norms = sqrt(matmul(square(x), ones_col))
-    dot = matmul(mul(g, out), ones_col)
+    norms = sqrt(sum_rows(square(x)))
+    dot = sum_rows(mul(g, out))
     return [mul(sub(g, mul(out, dot)), reciprocal(norms))]
 
 
@@ -489,8 +570,7 @@ def _v_weighted_aggregate(node, g, need):
     if need[1]:
         g_rows, x_rows = ((pattern.src, pattern.dst) if transposed
                           else (pattern.dst, pattern.src))
-        gw = matmul(mul(gather_rows(g, g_rows), gather_rows(x, x_rows)),
-                    constant(np.ones((x.shape[1], 1))))
+        gw = sum_rows(mul(gather_rows(g, g_rows), gather_rows(x, x_rows)))
     return [gx, gw]
 
 
@@ -514,6 +594,11 @@ _PRIMITIVES = {
     "sqrt": (_f_sqrt, _v_sqrt),
     "reciprocal": (_f_reciprocal, _v_reciprocal),
     "transpose": (_f_transpose, _v_transpose),
+    "sum-rows": (_f_sum_rows, _v_sum),
+    "sum-cols": (_f_sum_cols, _v_sum),
+    "broadcast": (_f_broadcast, _v_broadcast),
+    "diagonal": (_f_diagonal, _v_diagonal),
+    "embed-diagonal": (_f_embed_diagonal, _v_embed_diagonal),
     "l2-normalize-rows": (_f_l2_normalize_rows, _v_l2_normalize_rows),
     "gather-rows": (_f_gather_rows, _v_gather_rows),
     "weighted-aggregate": (_f_weighted_aggregate, _v_weighted_aggregate),
@@ -531,13 +616,16 @@ def primitive_forward(kind, inputs, **extras) -> Tensor:
         forward, _ = _PRIMITIVES[kind]
     except KeyError:
         raise TapeError(f"unknown primitive kind: {kind!r}") from None
-    inputs = [_as_tensor(t) for t in inputs]
+    inputs = [t if type(t) is Tensor else Tensor(t) for t in inputs]
     out = Tensor(forward(inputs, extras))
-    tape = active_tape()
-    if (tape is not None and tape.recording
-            and any(t.node_id is not None for t in inputs)):
-        tape.nodes.append(_Node(kind, tuple(inputs), out, extras or None))
-        out.node_id = len(tape.nodes) - 1
+    tape = getattr(_tls, "tape", None)
+    if tape is not None and tape._pause_depth == 0:
+        for t in inputs:
+            if t.node_id is not None:
+                nodes = tape.nodes
+                nodes.append(_Node(kind, tuple(inputs), out, extras or None))
+                out.node_id = len(nodes) - 1
+                break
     return out
 
 
@@ -553,8 +641,9 @@ def mul(a, b):
     return primitive_forward("mul", [a, b])
 
 
-def matmul(a, b):
-    return primitive_forward("matmul", [a, b])
+def matmul(a, b, ta=False, tb=False):
+    """``a @ b``, with ``a`` transposed when ``ta`` and ``b`` when ``tb``."""
+    return primitive_forward("matmul", [a, b], ta=ta, tb=tb)
 
 
 def concat_rows(tensors):
@@ -599,6 +688,31 @@ def reciprocal(x):
 
 def transpose(x):
     return primitive_forward("transpose", [x])
+
+
+def sum_rows(x):
+    """Each row's sum: (n, m) -> (n, 1)."""
+    return primitive_forward("sum-rows", [x])
+
+
+def sum_cols(x):
+    """Each column's sum: (n, m) -> (1, m)."""
+    return primitive_forward("sum-cols", [x])
+
+
+def broadcast(x, shape):
+    """Copy a scalar, an (n, 1) column or a (1, m) row out to ``shape``."""
+    return primitive_forward("broadcast", [x], shape=tuple(shape))
+
+
+def diagonal(x):
+    """The diagonal of a square matrix as a column: (n, n) -> (n, 1)."""
+    return primitive_forward("diagonal", [x])
+
+
+def embed_diagonal(x):
+    """The (n, n) matrix with column ``x`` on its diagonal, zero elsewhere."""
+    return primitive_forward("embed-diagonal", [x])
 
 
 def l2_normalize_rows(x):
@@ -678,8 +792,10 @@ def backward(loss: Tensor, params, create_graph=False) -> GradientMap:
     nodes = tape.nodes
     needed = {p.node_id for p in params}
     for nid in range(loss.node_id + 1):
-        if any(t.node_id in needed for t in nodes[nid].inputs):
-            needed.add(nid)
+        for t in nodes[nid].inputs:
+            if t.node_id in needed:
+                needed.add(nid)
+                break
 
     grads = {loss.node_id: constant(np.ones(loss.shape))}
     with (nullcontext() if create_graph else tape.paused()):

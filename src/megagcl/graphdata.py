@@ -208,6 +208,8 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
             raise DataError(f"missing mandatory file {p.name} under {folder}")
 
     indicator = _int_lines(ind_path, "graph indicator")
+    if not indicator:
+        raise DataError(f"{ind_path.name}: the dataset holds no graphs")
     n_total = len(indicator)
     graph_ids = sorted(set(indicator))
     if graph_ids != list(range(1, len(graph_ids) + 1)):

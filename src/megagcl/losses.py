@@ -21,6 +21,8 @@ def _require_square(kind, m):
 def trace_sum(m):
     """tr(M) = sum_i M_ii."""
     _require_square("trace", m)
+    # the sum of the masked matrix, not of ad.diagonal(m): numpy's pairwise
+    # sum adds the n diagonal entries in another order, and rounds otherwise
     eye = ad.constant(np.eye(m.shape[0]))
     return ad.reduce_sum(ad.mul(m, eye))
 
@@ -56,18 +58,17 @@ def nt_xent(z, z_aug, tau):
     _check_pair("nt-xent", z, z_aug)
     _check_nonzero_rows("nt-xent", z, "z")
     _check_nonzero_rows("nt-xent", z_aug, "z'")
-    n = z.shape[0]
-    sims = ad.matmul(ad.l2_normalize_rows(z),
-                     ad.transpose(ad.l2_normalize_rows(z_aug)))
+    sims = ad.matmul(ad.l2_normalize_rows(z), ad.l2_normalize_rows(z_aug),
+                     tb=True)
     scaled = ad.exp(ad.scalar_scale(sims, 1.0 / tau))
-    eye = ad.constant(np.eye(n))
-    ones = ad.constant(np.ones((n, 1)))
-    row_tot = ad.matmul(scaled, ones)
-    col_tot = ad.matmul(ad.transpose(scaled), ones)
-    diag = ad.matmul(ad.mul(scaled, eye), ones)
+    row_tot = ad.sum_rows(scaled)
+    # the row sums of the transposed copy, not sum_cols: each runs its own
+    # BLAS kernel, and this one gives the column totals' established bits
+    col_tot = ad.sum_rows(ad.transpose(scaled))
+    diag = ad.diagonal(scaled)
     # positive + all 2(n-1) negatives of anchor i, counted once each
     denom = ad.sub(ad.add(row_tot, col_tot), diag)
-    pos = ad.matmul(ad.mul(sims, eye), ones)
+    pos = ad.diagonal(sims)
     per_anchor = ad.sub(ad.log(denom), ad.scalar_scale(pos, 1.0 / tau))
     return ad.reduce_mean(per_anchor)
 
@@ -78,8 +79,8 @@ def instance_corr(z, z_aug):
     _check_pair("instance-corr", z, z_aug)
     _check_nonzero_rows("instance-corr", z, "z")
     _check_nonzero_rows("instance-corr", z_aug, "z'")
-    return ad.matmul(ad.l2_normalize_rows(z),
-                     ad.transpose(ad.l2_normalize_rows(z_aug)))
+    return ad.matmul(ad.l2_normalize_rows(z), ad.l2_normalize_rows(z_aug),
+                     tb=True)
 
 
 def feature_corr(z, z_aug):
@@ -93,7 +94,7 @@ def feature_corr(z, z_aug):
             raise NumericError(
                 f"feature-corr: zero-norm feature dimension {int(bad[0])} in {tag}")
     return ad.matmul(ad.l2_normalize_rows(ad.transpose(z)),
-                     ad.transpose(ad.l2_normalize_rows(ad.transpose(z_aug))))
+                     ad.l2_normalize_rows(ad.transpose(z_aug)), tb=True)
 
 
 def instance_term(inst):

@@ -315,6 +315,13 @@ UNARY_CASES = [
     ("sum", ad.reduce_sum, (4, 3), None),
     ("mean", ad.reduce_mean, (4, 3), None),
     ("scalar-scale", lambda x: ad.scalar_scale(x, -1.7), (4, 3), None),
+    ("sum-rows", ad.sum_rows, (4, 3), None),
+    ("sum-cols", ad.sum_cols, (4, 3), None),
+    ("broadcast", lambda x: ad.broadcast(x, (4, 3)), (4, 1), None),
+    ("broadcast-row", lambda x: ad.broadcast(x, (4, 3)), (1, 3), None),
+    ("broadcast-scalar", lambda x: ad.broadcast(x, (4, 3)), (1,), None),
+    ("diagonal", ad.diagonal, (4, 4), None),
+    ("embed-diagonal", ad.embed_diagonal, (4, 1), None),
 ]
 
 
@@ -343,18 +350,31 @@ def test_unary_gradients_match_finite_differences(tape, name, op, shape, domain)
     assert ad.max_relative_error(grads[x], fd) < 1e-4
 
 
+def _flagged_matmul(ta, tb):
+    return lambda a, b: ad.matmul(a, b, ta=ta, tb=tb)
+
+
+# (ta, tb) and the shapes of a and b for a (3, 2) product
+MATMUL_FLAG_CASES = [(False, False, (3, 4), (4, 2)),
+                     (True, False, (4, 3), (4, 2)),
+                     (False, True, (3, 4), (2, 4)),
+                     (True, True, (4, 3), (2, 4))]
+
+BINARY_CASES = [
+    ("add", ad.add, (3, 4), (3, 4)),
+    ("add-row", ad.add, (3, 4), (1, 4)),
+    ("sub", ad.sub, (3, 4), (3, 4)),
+    ("mul", ad.mul, (3, 4), (3, 4)),
+    ("mul-col", ad.mul, (3, 4), (3, 1)),
+    ("mul-scalar", ad.mul, (3, 4), (1,)),
+    ("matmul", ad.matmul, (3, 4), (4, 2)),
+] + [(f"matmul-ta{int(ta)}-tb{int(tb)}", _flagged_matmul(ta, tb), sa, sb)
+     for ta, tb, sa, sb in MATMUL_FLAG_CASES]
+
+
 def test_binary_gradients_match_finite_differences(tape):
     rng = np.random.default_rng(7)
-    cases = [
-        ("add", ad.add, (3, 4), (3, 4)),
-        ("add-row", ad.add, (3, 4), (1, 4)),
-        ("sub", ad.sub, (3, 4), (3, 4)),
-        ("mul", ad.mul, (3, 4), (3, 4)),
-        ("mul-col", ad.mul, (3, 4), (3, 1)),
-        ("mul-scalar", ad.mul, (3, 4), (1,)),
-        ("matmul", ad.matmul, (3, 4), (4, 2)),
-    ]
-    for name, op, sa, sb in cases:
+    for name, op, sa, sb in BINARY_CASES:
         a = ad.variable(rng.standard_normal(sa))
         b = ad.variable(rng.standard_normal(sb))
         weights = ad.constant(rng.standard_normal(op(a, b).shape))
@@ -367,6 +387,127 @@ def test_binary_gradients_match_finite_differences(tape):
         fd_b = ad.finite_diff_gradient(lambda t: loss_of(a, t).item(), b)
         assert ad.max_relative_error(grads[a], fd_a) < 1e-4, name
         assert ad.max_relative_error(grads[b], fd_b) < 1e-4, name
+
+
+def _forward_and_gradients(op, arrays, weights):
+    """Bytes of ``op``'s value and of the first-order and ``create_graph``
+    gradients of sum(op(...)^2 * weights) with respect to every input."""
+    out = []
+    for create_graph in (False, True):
+        tape = ad.Tape()
+        with ad.use_tape(tape):
+            xs = [ad.variable(a.copy()) for a in arrays]
+            value = op(*xs)
+            loss = ad.reduce_sum(ad.mul(ad.square(value),
+                                        ad.constant(weights)))
+            grads = ad.backward(loss, xs, create_graph=create_graph)
+            assert all((grads[x].node_id is not None) == create_graph
+                       for x in xs)
+            out += [value.data.tobytes()] + [grads[x].data.tobytes()
+                                             for x in xs]
+    return out
+
+
+@pytest.mark.parametrize("ta,tb", [c[:2] for c in MATMUL_FLAG_CASES])
+def test_flagged_matmul_is_bitwise_the_explicit_transpose(ta, tb):
+    # at (33, 17) @ (17, 9) BLAS rounds a transposed view of an operand
+    # differently from a contiguous copy, so a view would fail here
+    m, k, n = 33, 17, 9
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((k, m) if ta else (m, k))
+    b = rng.standard_normal((n, k) if tb else (k, n))
+    weights = rng.standard_normal((m, n))
+
+    def explicit(x, y):
+        return ad.matmul(ad.transpose(x) if ta else x,
+                         ad.transpose(y) if tb else y)
+
+    assert _forward_and_gradients(_flagged_matmul(ta, tb), [a, b],
+                                  weights) == \
+        _forward_and_gradients(explicit, [a, b], weights)
+
+
+def _ones(*shape):
+    return ad.constant(np.ones(shape))
+
+
+def _eye(n):
+    return ad.constant(np.eye(n))
+
+
+# each primitive and the ones-matmul or mask form it replaced. Inputs are
+# positive, so a mask writes +0.0 off the diagonal, as the primitives do;
+# a negative entry would leave a -0.0 there, equal in value but not in bits
+REDUCTION_FORMS = [
+    ("sum-rows", ad.sum_rows, lambda x: ad.matmul(x, _ones(3, 1)), (4, 3)),
+    ("sum-cols", ad.sum_cols, lambda x: ad.matmul(_ones(1, 4), x), (4, 3)),
+    ("broadcast-col", lambda x: ad.broadcast(x, (4, 3)),
+     lambda x: ad.matmul(x, _ones(1, 3)), (4, 1)),
+    ("broadcast-row", lambda x: ad.broadcast(x, (4, 3)),
+     lambda x: ad.matmul(_ones(4, 1), x), (1, 3)),
+    ("broadcast-scalar", lambda x: ad.broadcast(x, (4, 3)),
+     lambda x: ad.mul(_ones(4, 3), x), (1,)),
+    ("diagonal", ad.diagonal,
+     lambda x: ad.matmul(ad.mul(x, _eye(4)), _ones(4, 1)), (4, 4)),
+    ("embed-diagonal", ad.embed_diagonal,
+     lambda x: ad.mul(ad.matmul(x, _ones(1, 4)), _eye(4)), (4, 1)),
+]
+
+
+@pytest.mark.parametrize("name,op,replaced,shape", REDUCTION_FORMS,
+                         ids=[c[0] for c in REDUCTION_FORMS])
+def test_reduction_primitives_are_bitwise_the_forms_they_replace(
+        name, op, replaced, shape):
+    rng = np.random.default_rng(43)
+    x = rng.uniform(0.5, 2.0, shape)
+    with ad.use_tape(ad.Tape()):
+        out_shape = op(ad.constant(x)).shape
+    weights = rng.uniform(0.5, 2.0, out_shape)
+    assert _forward_and_gradients(op, [x], weights) == \
+        _forward_and_gradients(replaced, [x], weights)
+
+
+def test_sums_and_broadcast_second_order_match_finite_differences(tape):
+    # the create_graph gradient of x runs broadcast as the sums' rule and
+    # embed-diagonal as diagonal's; differentiating it again in s runs the
+    # sums as broadcast's rule and diagonal as embed-diagonal's
+    rng = np.random.default_rng(31)
+    x0, s0 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+    c = ad.constant(rng.standard_normal((4, 3)))
+
+    def outer_of(tx, ts):
+        h = ad.mul(tx, ts)
+        spread = ad.mul(ad.broadcast(ad.sum_rows(h), (4, 3)),
+                        ad.broadcast(ad.sum_cols(h), (4, 3)))
+        gram = ad.matmul(h, h, tb=True)
+        inner = ad.add(ad.reduce_sum(ad.sigmoid(spread)),
+                       ad.reduce_sum(ad.square(
+                           ad.embed_diagonal(ad.sigmoid(ad.diagonal(gram))))))
+        gx = ad.backward(inner, [tx], create_graph=True)[tx]
+        return ad.reduce_sum(ad.mul(gx, c))
+
+    s = ad.variable(s0)
+    gs = ad.backward(outer_of(ad.variable(x0), s), [s])[s]
+
+    def pipeline(ts):
+        probe = ad.Tape()
+        with ad.use_tape(probe):
+            return outer_of(probe.adopt(ad.Tensor(x0.copy())),
+                            ad.constant(ts.data)).item()
+
+    fd = ad.finite_diff_gradient(pipeline, s)
+    assert float(np.max(np.abs(fd.data))) > 1e-3
+    assert ad.max_relative_error(gs, fd) < 1e-6
+
+
+def test_broadcast_and_diagonal_reject_bad_shapes(tape):
+    for shape, target in (((2, 3), (4, 3)), ((4, 1), (4,)), ((2,), (2, 2))):
+        with pytest.raises(ShapeError, match="broadcast"):
+            ad.broadcast(ad.constant(np.ones(shape)), target)
+    with pytest.raises(ShapeError, match="square"):
+        ad.diagonal(ad.constant(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match="column"):
+        ad.embed_diagonal(ad.constant(np.ones((2, 2))))
 
 
 def test_gather_aggregate_concat_gradients(tape):
@@ -391,6 +532,32 @@ def test_gather_aggregate_concat_gradients(tape):
     fd_y = ad.finite_diff_gradient(lambda t: loss_of(x, t).item(), y)
     assert ad.max_relative_error(grads[x], fd_x) < 1e-4
     assert ad.max_relative_error(grads[y], fd_y) < 1e-4
+
+
+# kinds whose finite-difference checks run outside the two case tables
+FD_CHECKED_ELSEWHERE = {
+    "gather-rows": test_gather_aggregate_concat_gradients,
+    "concat-rows": test_gather_aggregate_concat_gradients,
+    "weighted-aggregate":
+        test_weighted_aggregate_gradients_match_finite_differences,
+}
+
+
+def _kinds_without_finite_difference_case():
+    covered = set(FD_CHECKED_ELSEWHERE)
+    for op, shapes in ([(op, [shape]) for _, op, shape, _ in UNARY_CASES]
+                       + [(op, [sa, sb]) for _, op, sa, sb in BINARY_CASES]):
+        tape = ad.Tape()
+        with ad.use_tape(tape):
+            op(*[ad.variable(np.full(sh, 0.5)) for sh in shapes])
+        covered |= {node.kind for node in tape.nodes}
+    return set(ad._PRIMITIVES) - covered
+
+
+def test_every_primitive_has_a_finite_difference_case(monkeypatch):
+    assert _kinds_without_finite_difference_case() == set()
+    monkeypatch.setitem(ad._PRIMITIVES, "untested", ad._PRIMITIVES["relu"])
+    assert _kinds_without_finite_difference_case() == {"untested"}
 
 
 def test_shared_node_gradients_accumulate(tape):
@@ -457,8 +624,9 @@ def test_backward_builds_no_gradient_for_a_constant(tape, monkeypatch):
 
     monkeypatch.setattr(ad, "primitive_forward", counting)
     grads = ad.backward(loss, [w])
-    # sum's rule, then W's gradient transpose(C) @ g; C's would read W
-    assert [kind for kind, _ in built] == ["mul", "transpose", "matmul"]
+    # sum's rule, then W's gradient C^T @ g as one flagged product; C's
+    # would read W
+    assert [kind for kind, _ in built] == ["broadcast", "matmul"]
     assert not any(t is w for _, inputs in built for t in inputs)
     np.testing.assert_array_equal(
         grads[w].data, np.repeat(c.data.sum(axis=0)[:, None], 4, axis=1))
@@ -511,18 +679,24 @@ def test_meta_style_composite_matches_finite_differences(tape):
 
 def test_second_order_random_pipelines_match_finite_differences(tape):
     rng = np.random.default_rng(23)
-    for trial in range(3):
+    for trial in range(4):
         w = ad.variable(rng.standard_normal((3, 3)))
         s = ad.variable(rng.standard_normal((3, 3)))
         x = ad.constant(rng.standard_normal((4, 3)))
         lr = 0.3
+        if trial == 3:
+            # x @ b computed as (b^T @ x^T)^T, with both operands flagged
+            def mm(a, b):
+                return ad.transpose(ad.matmul(b, a, ta=True, tb=True))
+        else:
+            mm = ad.matmul
 
         def meta_loss(ts, record=True):
-            h = ad.sigmoid(ad.matmul(x, ad.mul(w, ts)))
+            h = ad.sigmoid(mm(x, ad.mul(w, ts)))
             inner = ad.reduce_mean(ad.square(h))
             gw = ad.backward(inner, [w], create_graph=True)[w]
             w_virtual = ad.sub(w, ad.scalar_scale(gw, lr))
-            out = ad.sigmoid(ad.matmul(x, w_virtual))
+            out = ad.sigmoid(mm(x, w_virtual))
             return ad.reduce_sum(ad.mul(out, ad.constant(
                 rng_fixed := np.ones((4, 3)))))
 

@@ -8,7 +8,7 @@ from megagcl import cli
 from megagcl import evaluation as ev
 from megagcl import graphdata as gd
 from megagcl import training as tr
-from megagcl.errors import ConfigError
+from megagcl.errors import ConfigError, DataError
 
 from conftest import REPO_ROOT, two_triangles, write_tu_fixture
 
@@ -71,7 +71,9 @@ def test_misuse_raises_config_error(tmp_path):
                  ["train", folder, "TRI", "--epochs", "two"],
                  ["train", folder, "TRI", "--epochs", "0"],
                  ["train", folder, "TRI", "--seed", "-1"],
-                 ["eval", empty, "E", "--mode", "gin-riu"],
                  ["train", one, "ONE"]):
         with pytest.raises(ConfigError):
             cli.main(argv)
+    # a folder with no graphs is bad input data, rejected by the parser
+    with pytest.raises(DataError, match="no graphs"):
+        cli.main(["eval", empty, "E", "--mode", "gin-riu"])

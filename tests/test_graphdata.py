@@ -67,6 +67,12 @@ def test_missing_mandatory_file(tmp_path):
     assert "PART_graph_labels.txt" in str(exc.value)
 
 
+def test_folder_without_graphs_is_rejected(tmp_path):
+    folder = write_tu_fixture(tmp_path, "NONE", [], [], [], node_labels=[])
+    with pytest.raises(DataError, match="NONE_graph_indicator.txt: .*no graphs"):
+        gd.parse_tu_dataset(folder, "NONE")
+
+
 def test_non_numeric_line_names_file_and_line(tmp_path):
     folder = write_tu_fixture(tmp_path, "NUM",
                               a_lines=["1, 2", "2, x"],

@@ -51,6 +51,34 @@ def nt_xent_loops(z, zp, tau):
     return total / n
 
 
+def nt_xent_ones_matrix_form(z, zp, tau):
+    """``nt_xent`` as written with explicit transposes and ones and identity
+    matrices, before the flagged product and the sum primitives."""
+    n = z.shape[0]
+    sims = ad.matmul(ad.l2_normalize_rows(z),
+                     ad.transpose(ad.l2_normalize_rows(zp)))
+    scaled = ad.exp(ad.scalar_scale(sims, 1.0 / tau))
+    eye = ad.constant(np.eye(n))
+    ones = ad.constant(np.ones((n, 1)))
+    row_tot = ad.matmul(scaled, ones)
+    col_tot = ad.matmul(ad.transpose(scaled), ones)
+    diag = ad.matmul(ad.mul(scaled, eye), ones)
+    denom = ad.sub(ad.add(row_tot, col_tot), diag)
+    pos = ad.matmul(ad.mul(sims, eye), ones)
+    per_anchor = ad.sub(ad.log(denom), ad.scalar_scale(pos, 1.0 / tau))
+    return ad.reduce_mean(per_anchor)
+
+
+def instance_corr_transpose_form(z, zp):
+    return ad.matmul(ad.l2_normalize_rows(z),
+                     ad.transpose(ad.l2_normalize_rows(zp)))
+
+
+def feature_corr_transpose_form(z, zp):
+    return ad.matmul(ad.l2_normalize_rows(ad.transpose(z)),
+                     ad.transpose(ad.l2_normalize_rows(ad.transpose(zp))))
+
+
 # ---------------------------------------------------------------------------
 # trace / offdiag
 # ---------------------------------------------------------------------------
@@ -131,6 +159,39 @@ def test_nt_xent_errors(tape):
     with pytest.raises(NumericError) as exc:
         losses.nt_xent(z, zero_row, 0.5)
     assert "row 1" in str(exc.value)
+
+
+def _value_and_gradient_bytes(fn, z0, zp0):
+    """Bytes of the loss (a weighted sum for a matrix result) and of its
+    first-order and ``create_graph`` gradients in both feature batches."""
+    out = []
+    weights = np.random.default_rng(9).standard_normal((z0.shape[1],) * 2)
+    for create_graph in (False, True):
+        with ad.use_tape(ad.Tape()):
+            z, zp = ad.variable(z0.copy()), ad.variable(zp0.copy())
+            value = fn(z, zp)
+            if value.shape != (1,):
+                value = ad.reduce_sum(ad.mul(
+                    value, ad.constant(weights[:value.shape[0],
+                                               :value.shape[1]])))
+            grads = ad.backward(value, [z, zp], create_graph=create_graph)
+            out += [value.data.tobytes(), grads[z].data.tobytes(),
+                    grads[zp].data.tobytes()]
+    return out
+
+
+@pytest.mark.parametrize("fn,reference", [
+    (lambda z, zp: losses.nt_xent(z, zp, 0.5),
+     lambda z, zp: nt_xent_ones_matrix_form(z, zp, 0.5)),
+    (losses.instance_corr, instance_corr_transpose_form),
+    (losses.feature_corr, feature_corr_transpose_form),
+], ids=["nt-xent", "instance-corr", "feature-corr"])
+def test_losses_are_bitwise_their_transpose_and_ones_matrix_forms(
+        fn, reference):
+    rng = np.random.default_rng(8)
+    z0, zp0 = rng.standard_normal((32, 32)), rng.standard_normal((32, 32))
+    assert _value_and_gradient_bytes(fn, z0, zp0) == \
+        _value_and_gradient_bytes(reference, z0, zp0)
 
 
 def test_nt_xent_gradients_match_finite_differences(tape):

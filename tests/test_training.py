@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,52 @@ def test_meta_step_moves_instance_term_downhill():
 # ---------------------------------------------------------------------------
 # full loop
 # ---------------------------------------------------------------------------
+
+# primitive calls and tape nodes of one MUTAG contrast step and one meta
+# step at batch 32, as ROADMAP's Baseline records them
+STEP_CENSUS = {"contrast": (227, 98), "meta": (718, 308)}
+
+
+def _ones_or_identity(t):
+    d = t.data
+    return t.node_id is None and d.size > 1 and (
+        np.all(d == 1.0) or (d.ndim == 2 and d.shape[0] == d.shape[1]
+                             and np.array_equal(d, np.eye(d.shape[0]))))
+
+
+def test_mutag_step_census_and_no_ones_matrix_operands(mutag, monkeypatch):
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    order = np.random.default_rng(0).permutation(len(ds.records))[:32]
+    batch = gd.batch_graphs([ds.records[i] for i in order])
+    state = tr.init_train_state(gnn.ModelDims(feature_dim=ds.feature_width), 0)
+    calls = []
+    forward = ad.primitive_forward
+
+    def counting(kind, inputs, **extras):
+        calls.append(kind)
+        return forward(kind, inputs, **extras)
+
+    monkeypatch.setattr(ad, "primitive_forward", counting)
+    census = {}
+    tape = ad.Tape()
+    with ad.use_tape(tape):
+        for kind, step in (("contrast", tr.contrast_step),
+                           ("meta", tr.meta_step)):
+            tape.reset()
+            state.adopt_all(tape)
+            calls.clear()
+            step(state, batch, tr.Hyperparams())
+            census[kind] = (len(calls), len(tape.nodes))
+    assert census == STEP_CENSUS
+    # no recorded node sums, broadcasts or masks through a ones or identity
+    # matrix. What is left: unit edge, self-loop and pooling weights, and
+    # trace_sum's mask and feature_term's target, whose sums round as before
+    # only in that form
+    taking = Counter(node.kind for node in tape.nodes
+                     if any(_ones_or_identity(t) for t in node.inputs))
+    assert taking == {"weighted-aggregate": 12, "concat-rows": 1, "mul": 4,
+                      "sub": 1}
+
 
 def test_alternation_schedule_c_m_c_m():
     ds = synthetic_dataset(n_per_class=8, seed=1)
