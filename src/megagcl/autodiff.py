@@ -44,16 +44,15 @@ class Tensor:
     """Dense float64 array plus an optional handle into the active tape.
 
     A Tensor without a node id is a constant: it never receives a gradient,
-    and operations on constants alone are not recorded.
+    and operations on constants alone are not recorded. The constructor
+    stores ``data`` as given, so it must already be a float64 array of at
+    least one dimension; ``constant`` coerces anything else.
     """
 
     __slots__ = ("data", "node_id")
 
     def __init__(self, data, node_id=None):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        self.data = arr
+        self.data = data
         self.node_id = node_id
 
     @property
@@ -130,7 +129,10 @@ def use_tape(tape: Tape):
 
 
 def constant(data) -> Tensor:
-    return Tensor(data)
+    """An off-tape tensor of ``data`` as a float64 array, with a scalar
+    stored as shape ``(1,)``."""
+    arr = np.asarray(data, dtype=np.float64)
+    return Tensor(arr.reshape(1) if arr.ndim == 0 else arr)
 
 
 def variable(data) -> Tensor:
@@ -138,7 +140,7 @@ def variable(data) -> Tensor:
     tape = active_tape()
     if tape is None:
         raise TapeError("variable() requires an active tape")
-    return tape.adopt(Tensor(data))
+    return tape.adopt(constant(data))
 
 
 def detach(t: Tensor) -> Tensor:
@@ -616,7 +618,7 @@ def primitive_forward(kind, inputs, **extras) -> Tensor:
         forward, _ = _PRIMITIVES[kind]
     except KeyError:
         raise TapeError(f"unknown primitive kind: {kind!r}") from None
-    inputs = [t if type(t) is Tensor else Tensor(t) for t in inputs]
+    inputs = [t if type(t) is Tensor else constant(t) for t in inputs]
     out = Tensor(forward(inputs, extras))
     tape = getattr(_tls, "tape", None)
     if tape is not None and tape._pause_depth == 0:

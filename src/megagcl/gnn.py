@@ -14,12 +14,12 @@ The projection head is a two-layer perceptron with a relu in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .graphdata import GraphBatch
 
 
@@ -64,6 +64,14 @@ class ModelDims:
     layers: int = 3
     proj_dim: int = 32
     aug_hidden: int = 16
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool) \
+                    or value < 1:
+                raise ConfigError(
+                    f"{f.name} must be an int of at least 1, got {value!r}")
 
 
 def mlp_forward(x, p: MlpParams):

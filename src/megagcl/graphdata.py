@@ -3,9 +3,10 @@
 The TU file convention: a dataset ``NAME`` is a directory holding
 ``NAME_A.txt`` (comma-separated 1-indexed directed edge pairs),
 ``NAME_graph_indicator.txt`` (one 1-indexed graph id per node line) and
-``NAME_graph_labels.txt`` (one label per graph), plus optional
-``NAME_node_labels.txt`` / ``NAME_node_attributes.txt``. Whitespace around
-commas and CRLF line endings are tolerated.
+``NAME_graph_labels.txt`` (one label per graph), plus an optional
+``NAME_node_labels.txt``. Whitespace around commas and CRLF line endings are
+tolerated. ``NAME_node_attributes.txt`` and ``NAME_edge_labels.txt`` are not
+read: the parser warns that they are ignored.
 """
 
 from __future__ import annotations
@@ -163,9 +164,19 @@ def _int_lines(path, what):
         if not line:
             continue
         try:
-            out.append(int(float(line)) if "." in line else int(line))
+            out.append(int(line))
+            continue
         except ValueError:
-            raise DataError(f"{path.name}:{i}: non-numeric {what} line: {line!r}")
+            pass
+        try:
+            value = float(line)
+        except ValueError:
+            raise DataError(
+                f"{path.name}:{i}: non-numeric {what} line: {line!r}") from None
+        if not value.is_integer():  # also false for nan and inf
+            raise DataError(
+                f"{path.name}:{i}: non-integral {what} line: {line!r}")
+        out.append(int(value))
     return out
 
 
@@ -229,8 +240,10 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
         if len(node_labels) != n_total:
             raise DataError(
                 f"{nl_path.name}: {len(node_labels)} labels for {n_total} nodes")
-    if (folder / f"{name}_edge_labels.txt").exists():
-        warnings.warn(f"{name}: edge labels present but unsupported; ignored")
+    for kind in ("edge_labels", "node_attributes"):
+        if (folder / f"{name}_{kind}.txt").exists():
+            warnings.warn(f"{name}: {kind.replace('_', ' ')} present but "
+                          "unsupported; ignored")
 
     # global -> (graph, local) index: a node's rank among its graph's nodes
     graph_of = np.asarray(indicator, dtype=np.intp) - 1

@@ -27,23 +27,22 @@ def trace_sum(m):
     return ad.reduce_sum(ad.mul(m, eye))
 
 
+def _trace_and_offdiag(m):
+    """tr(M) and de(M), the latter as sum(M) - tr(M) on the same trace."""
+    tr = trace_sum(m)
+    return tr, ad.sub(ad.reduce_sum(m), tr)
+
+
 def offdiag_sum(m):
     """de(M) = sum_i sum_{j != i} M_ij."""
     _require_square("offdiag", m)
-    return ad.sub(ad.reduce_sum(m), trace_sum(m))
+    return _trace_and_offdiag(m)[1]
 
 
 def _check_pair(kind, z, z_aug):
     if z.data.ndim != 2 or z_aug.data.ndim != 2 or z.shape != z_aug.shape:
         raise ShapeError(kind, [z.shape, z_aug.shape],
                          "feature batches must be equal 2-D shapes")
-
-
-def _check_nonzero_rows(kind, z, tag):
-    norms = np.sqrt((z.data * z.data).sum(axis=1))
-    bad = np.flatnonzero(norms == 0.0)
-    if bad.size:
-        raise NumericError(f"{kind}: zero-norm row {int(bad[0])} in {tag}")
 
 
 def nt_xent(z, z_aug, tau):
@@ -55,11 +54,7 @@ def nt_xent(z, z_aug, tau):
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    _check_pair("nt-xent", z, z_aug)
-    _check_nonzero_rows("nt-xent", z, "z")
-    _check_nonzero_rows("nt-xent", z_aug, "z'")
-    sims = ad.matmul(ad.l2_normalize_rows(z), ad.l2_normalize_rows(z_aug),
-                     tb=True)
+    sims = instance_corr(z, z_aug)
     scaled = ad.exp(ad.scalar_scale(sims, 1.0 / tau))
     row_tot = ad.sum_rows(scaled)
     # the row sums of the transposed copy, not sum_cols: each runs its own
@@ -75,10 +70,9 @@ def nt_xent(z, z_aug, tau):
 
 def instance_corr(z, z_aug):
     """N x N matrix of cosine similarities between original and augmented
-    features: C_ij = (z_i . z'_j) / (|z_i| |z'_j|)."""
+    features: C_ij = (z_i . z'_j) / (|z_i| |z'_j|). A zero row in either
+    batch raises ``NumericError`` from the row normalisation."""
     _check_pair("instance-corr", z, z_aug)
-    _check_nonzero_rows("instance-corr", z, "z")
-    _check_nonzero_rows("instance-corr", z_aug, "z'")
     return ad.matmul(ad.l2_normalize_rows(z), ad.l2_normalize_rows(z_aug),
                      tb=True)
 
@@ -100,7 +94,7 @@ def feature_corr(z, z_aug):
 def instance_term(inst):
     """tr(C) - de(C): lowest when every positive pair is far apart and every
     pair of distinct instances is close (the hard-example direction)."""
-    return ad.sub(trace_sum(inst), offdiag_sum(inst))
+    return ad.sub(*_trace_and_offdiag(inst))
 
 
 def feature_term(feat):
@@ -111,6 +105,21 @@ def feature_term(feat):
                   offdiag_sum(ad.square(feat)))
 
 
+def mega_terms(inst, feat, lam):
+    """The scalar tensors ``tr_c`` (tr(C)), ``de_c`` (de(C)), ``feature_term``
+    and ``l_mega`` = tr(C) - de(C) + lam * feature_term, keyed by those
+    names and each computed once; ``l_mega`` is bitwise ``mega_loss``'s."""
+    if lam < 0:
+        raise ConfigError(f"lambda must be nonnegative, got {lam}")
+    _require_square("mega-loss", inst)
+    _require_square("mega-loss", feat)
+    tr_c, de_c = _trace_and_offdiag(inst)
+    feat_term = feature_term(feat)
+    return {"tr_c": tr_c, "de_c": de_c, "feature_term": feat_term,
+            "l_mega": ad.add(ad.sub(tr_c, de_c),
+                             ad.scalar_scale(feat_term, lam))}
+
+
 def mega_loss(inst, feat, lam):
     """Combined objective over the two correlation matrices.
 
@@ -118,9 +127,4 @@ def mega_loss(inst, feat, lam):
     apart and distinct instances together; the feature term (see
     ``feature_term``) pulls D toward the identity. ``lam`` balances the two.
     """
-    if lam < 0:
-        raise ConfigError(f"lambda must be nonnegative, got {lam}")
-    _require_square("mega-loss", inst)
-    _require_square("mega-loss", feat)
-    return ad.add(instance_term(inst),
-                  ad.scalar_scale(feature_term(feat), lam))
+    return mega_terms(inst, feat, lam)["l_mega"]

@@ -100,6 +100,22 @@ def _require_finite(value, what, iteration):
                            f"{value}")
 
 
+def _contrast(batch, weights, phi, psi, hp, iteration):
+    """Encode the unit-weight view and the ``weights`` view, and return both
+    projections with their NT-Xent loss, checked finite."""
+    z = _encode_project(batch, lga.unit_edge_weights(batch), phi, psi)
+    z_aug = _encode_project(batch, weights, phi, psi)
+    loss = losses.nt_xent(z, z_aug, hp.tau)
+    _require_finite(loss.item(), "contrastive loss", iteration)
+    return z, z_aug, loss
+
+
+def _step_record(step, l_contrast, terms):
+    """A step's log record: its contrastive loss and the ``mega_terms``."""
+    return {"step": step, "l_contrast": l_contrast.item(),
+            **{name: t.item() for name, t in terms.items()}}
+
+
 def contrast_step(state: TrainState, batch, hp: Hyperparams,
                   unit_weights=False):
     """Adam-update the encoder and head on the contrastive loss.
@@ -111,11 +127,8 @@ def contrast_step(state: TrainState, batch, hp: Hyperparams,
     with tape.paused():
         weights = lga.unit_edge_weights(batch) if unit_weights \
             else lga.lga_edge_weights(batch, state.sigma)
-    z = _encode_project(batch, lga.unit_edge_weights(batch), state.phi,
-                        state.psi)
-    z_aug = _encode_project(batch, weights, state.phi, state.psi)
-    loss = losses.nt_xent(z, z_aug, hp.tau)
-    _require_finite(loss.item(), "contrastive loss", state.iteration)
+    z, z_aug, loss = _contrast(batch, weights, state.phi, state.psi, hp,
+                               state.iteration)
 
     enc_tensors = state.phi.tensors() + state.psi.tensors()
     grads = ad.backward(loss, enc_tensors)
@@ -124,17 +137,9 @@ def contrast_step(state: TrainState, batch, hp: Hyperparams,
     state.phi, state.psi = _split_encoder_tensors(state.phi, new_tensors)
 
     with tape.paused():
-        c = losses.instance_corr(ad.detach(z), ad.detach(z_aug))
-        d = losses.feature_corr(ad.detach(z), ad.detach(z_aug))
-        record = {
-            "step": "contrast",
-            "l_contrast": loss.item(),
-            "tr_c": losses.trace_sum(c).item(),
-            "de_c": losses.offdiag_sum(c).item(),
-            "feature_term": losses.feature_term(d).item(),
-        }
-        record["l_mega"] = losses.mega_loss(c, d, hp.lam).item()
-    return record
+        terms = losses.mega_terms(losses.instance_corr(z, z_aug),
+                                  losses.feature_corr(z, z_aug), hp.lam)
+    return _step_record("contrast", loss, terms)
 
 
 def meta_gradients(phi, psi, sigma, batch, hp: Hyperparams, iteration=0):
@@ -148,10 +153,7 @@ def meta_gradients(phi, psi, sigma, batch, hp: Hyperparams, iteration=0):
     through (3)'s gradients into sigma.
     """
     weights = lga.lga_edge_weights(batch, sigma)
-    z = _encode_project(batch, lga.unit_edge_weights(batch), phi, psi)
-    z_aug = _encode_project(batch, weights, phi, psi)
-    l_contrast = losses.nt_xent(z, z_aug, hp.tau)
-    _require_finite(l_contrast.item(), "contrastive loss", iteration)
+    _, _, l_contrast = _contrast(batch, weights, phi, psi, hp, iteration)
 
     enc_tensors = phi.tensors() + psi.tensors()
     enc_grads = ad.backward(l_contrast, enc_tensors, create_graph=True)
@@ -161,9 +163,9 @@ def meta_gradients(phi, psi, sigma, batch, hp: Hyperparams, iteration=0):
     hat_weights = ad.detach(weights)
     z_meta = _encode_project(batch, lga.unit_edge_weights(batch), phi_v, psi_v)
     z_aug_meta = _encode_project(batch, hat_weights, phi_v, psi_v)
-    c = losses.instance_corr(z_meta, z_aug_meta)
-    d = losses.feature_corr(z_meta, z_aug_meta)
-    l_mega = losses.mega_loss(c, d, hp.lam)
+    terms = losses.mega_terms(losses.instance_corr(z_meta, z_aug_meta),
+                              losses.feature_corr(z_meta, z_aug_meta), hp.lam)
+    l_mega = terms["l_mega"]
     _require_finite(l_mega.item(), "meta objective", iteration)
 
     sigma_tensors = sigma.tensors()
@@ -173,16 +175,7 @@ def meta_gradients(phi, psi, sigma, batch, hp: Hyperparams, iteration=0):
         raise NumericError(
             f"non-finite meta-gradient at iteration {iteration}; "
             f"gradient norms {norms}")
-    with ad.active_tape().paused():
-        record = {
-            "step": "meta",
-            "l_contrast": l_contrast.item(),
-            "l_mega": l_mega.item(),
-            "tr_c": losses.trace_sum(c).item(),
-            "de_c": losses.offdiag_sum(c).item(),
-            "feature_term": losses.feature_term(d).item(),
-        }
-    return grads, record
+    return grads, _step_record("meta", l_contrast, terms)
 
 
 def meta_step(state: TrainState, batch, hp: Hyperparams):

@@ -249,6 +249,21 @@ def test_constants_are_not_recorded(tape):
     assert len(tape.nodes) == 2  # leaf + add
 
 
+@pytest.mark.parametrize("data,shape", [
+    (3, (1,)), (np.float32(2.5), (1,)), ([1, 2], (2,)),
+    ([[1, 0], [0, 1]], (2, 2)), (np.arange(3), (3,))])
+def test_constant_coerces_to_float64_of_at_least_one_dimension(data, shape):
+    for make in (ad.constant, ad.variable):
+        with ad.use_tape(ad.Tape()):
+            t = make(data)
+        assert t.data.dtype == np.float64 and t.shape == shape
+        np.testing.assert_array_equal(t.data.reshape(-1),
+                                      np.ravel(np.asarray(data, dtype=float)))
+    # a primitive coerces a raw input the same way
+    out = ad.add(data, ad.constant(np.zeros(shape)))
+    assert out.data.dtype == np.float64 and out.shape == shape
+
+
 def test_l2_normalize_zero_row_names_row(tape):
     x = ad.constant([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(NumericError) as exc:

@@ -5,7 +5,7 @@ from megagcl import autodiff as ad
 from megagcl import gnn
 from megagcl import graphdata as gd
 from megagcl.augmenter import unit_edge_weights
-from megagcl.errors import ShapeError
+from megagcl.errors import ConfigError, ShapeError
 
 from conftest import ring_record, synthetic_dataset
 
@@ -264,3 +264,13 @@ def test_init_dimension_chain():
         assert a.w2.shape[1] == b.w1.shape[0]
     assert psi.w1.shape == (16, 16) and psi.w2.shape == (16, 8)
     assert sigma.w1.shape == (14, 4) and sigma.w2.shape == (4, 1)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("feature_dim", 0), ("hidden", 0), ("layers", 0), ("proj_dim", -1),
+    ("aug_hidden", 0), ("hidden", 2.5), ("layers", True), ("proj_dim", "8")])
+def test_model_dims_reject_non_positive_or_non_int(name, value):
+    fields = dict(feature_dim=7)
+    fields[name] = value
+    with pytest.raises(ConfigError, match=name):
+        gnn.ModelDims(**fields)

@@ -83,6 +83,38 @@ def test_non_numeric_line_names_file_and_line(tmp_path):
     assert "NUM_A.txt:2" in str(exc.value)
 
 
+@pytest.mark.parametrize("column,value", [
+    ("node_labels", "0.5"), ("indicator", "1.9"), ("graph_labels", "2.7"),
+    ("graph_labels", "nan"), ("node_labels", "inf")])
+def test_non_integral_value_names_file_and_line(tmp_path, column, value):
+    cols = dict(indicator=["1", "1", "2"], graph_labels=["0", "1"],
+                node_labels=["0", "1", "0"])
+    cols[column][1] = value
+    folder = write_tu_fixture(tmp_path, "FRAC", ["1, 2", "2, 1"], **cols)
+    name = "graph_indicator" if column == "indicator" else column
+    with pytest.raises(DataError, match=f"FRAC_{name}.txt:2: non-integral"):
+        gd.parse_tu_dataset(folder, "FRAC")
+
+
+def test_integral_floats_and_negative_labels_accepted(tmp_path):
+    folder = write_tu_fixture(tmp_path, "INT", ["1, 2", "2, 1"],
+                              indicator=["1.0", "1", "2.0"],
+                              graph_labels=["-1", "1.0"],
+                              node_labels=["0", "2.0", "-1"])
+    ds = gd.parse_tu_dataset(folder, "INT")
+    assert [r.n_nodes for r in ds.records] == [2, 1]
+    assert [r.label for r in ds.records] == [0, 1]
+    assert [r.node_labels for r in ds.records] == [[0, 2], [-1]]
+
+
+@pytest.mark.parametrize("kind", ["node_attributes", "edge_labels"])
+def test_unread_optional_files_warn(tmp_path, kind):
+    folder = two_triangles(tmp_path)
+    (folder / f"TRI_{kind}.txt").write_text("0.5\n")
+    with pytest.warns(UserWarning, match=kind.replace("_", " ")):
+        gd.parse_tu_dataset(folder, "TRI")
+
+
 def test_node_index_exceeding_indicator(tmp_path):
     folder = write_tu_fixture(tmp_path, "OOB",
                               a_lines=["1, 2", "2, 1", "1, 9"],

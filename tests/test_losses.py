@@ -300,6 +300,21 @@ def test_mega_loss_matches_loop_oracle(tape):
         assert got == parts
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.1, 0.7, 3.0])
+def test_mega_terms_bitwise_equal_the_separate_evaluations(tape, lam):
+    rng = np.random.default_rng(14)
+    c = ad.constant(rng.standard_normal((6, 6)))
+    d = ad.constant(rng.standard_normal((5, 5)))
+    terms = losses.mega_terms(c, d, lam)
+    assert list(terms) == ["tr_c", "de_c", "feature_term", "l_mega"]
+    separate = {"tr_c": losses.trace_sum(c), "de_c": losses.offdiag_sum(c),
+                "feature_term": losses.feature_term(d),
+                "l_mega": losses.mega_loss(c, d, lam)}
+    for name, t in terms.items():
+        assert t.shape == (1,)
+        assert t.data.tobytes() == separate[name].data.tobytes(), name
+
+
 def test_mega_loss_errors(tape):
     sq = ad.constant(np.eye(2))
     with pytest.raises(ConfigError):

@@ -220,7 +220,7 @@ def test_meta_step_moves_instance_term_downhill():
 
 # primitive calls and tape nodes of one MUTAG contrast step and one meta
 # step at batch 32, as ROADMAP's Baseline records them
-STEP_CENSUS = {"contrast": (227, 98), "meta": (718, 308)}
+STEP_CENSUS = {"contrast": (209, 98), "meta": (698, 306)}
 
 
 def _ones_or_identity(t):
@@ -260,8 +260,68 @@ def test_mutag_step_census_and_no_ones_matrix_operands(mutag, monkeypatch):
     # only in that form
     taking = Counter(node.kind for node in tape.nodes
                      if any(_ones_or_identity(t) for t in node.inputs))
-    assert taking == {"weighted-aggregate": 12, "concat-rows": 1, "mul": 4,
+    assert taking == {"weighted-aggregate": 12, "concat-rows": 1, "mul": 3,
                       "sub": 1}
+
+
+def _mutag_batch_and_state(mutag):
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    order = np.random.default_rng(0).permutation(len(ds.records))[:32]
+    batch = gd.batch_graphs([ds.records[i] for i in order])
+    state = tr.init_train_state(gnn.ModelDims(feature_dim=ds.feature_width), 0)
+    return batch, state
+
+
+def test_step_records_equal_the_term_by_term_evaluation(mutag, monkeypatch):
+    batch, state = _mutag_batch_and_state(mutag)
+    hp = tr.Hyperparams()
+    seen = []
+    terms = losses.mega_terms
+
+    def keeping(inst, feat, lam):
+        seen.append((inst, feat, lam))
+        return terms(inst, feat, lam)
+
+    monkeypatch.setattr(losses, "mega_terms", keeping)
+    tape = ad.Tape()
+    with ad.use_tape(tape):
+        for step in (tr.contrast_step, tr.meta_step):
+            tape.reset()
+            state.adopt_all(tape)
+            seen.clear()
+            record = step(state, batch, hp)
+            (c, d, lam), = seen
+            assert lam == hp.lam
+            with tape.paused():
+                want = {"tr_c": losses.trace_sum(c).item(),
+                        "de_c": losses.offdiag_sum(c).item(),
+                        "feature_term": losses.feature_term(d).item(),
+                        "l_mega": losses.mega_loss(c, d, lam).item()}
+            got = {k: record[k] for k in want}
+            assert got == want  # finite and nonzero, so == is bitwise
+            assert set(record) == {"step", "l_contrast", *want}
+
+
+def test_every_primitive_output_is_float64_of_at_least_one_dimension(
+        mutag, monkeypatch):
+    batch, state = _mutag_batch_and_state(mutag)
+    bad = []
+    forward = ad.primitive_forward
+
+    def checking(kind, inputs, **extras):
+        out = forward(kind, inputs, **extras)
+        if out.data.dtype != np.float64 or out.data.ndim < 1:
+            bad.append((kind, out.data.dtype, out.data.ndim))
+        return out
+
+    monkeypatch.setattr(ad, "primitive_forward", checking)
+    tape = ad.Tape()
+    with ad.use_tape(tape):
+        for step in (tr.contrast_step, tr.meta_step):
+            tape.reset()
+            state.adopt_all(tape)
+            step(state, batch, tr.Hyperparams())
+    assert bad == []
 
 
 def test_alternation_schedule_c_m_c_m():
