@@ -14,12 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from . import gnn
 from .errors import ShapeError
 from .graphdata import GraphBatch
-from .gnn import MlpParams
 
 
-class AugmenterParams(MlpParams):
+class AugmenterParams(gnn.MlpParams):
     """Edge-scoring perceptron: 2F -> hidden -> 1."""
 
 
@@ -40,9 +40,7 @@ def lga_edge_weights(batch: GraphBatch, sigma: AugmenterParams):
                                       f[batch.edge_dst[:n]]], axis=1))
     # the features are one-hot, so each entry of xuv @ w1 sums exactly two
     # nonzero products 1.0 * w: every summation order rounds it the same
-    pre = ad.add(ad.matmul(xuv, sigma.w1), sigma.b1)
-    logits = ad.add(ad.matmul(ad.relu(pre), sigma.w2), sigma.b2)
-    return ad.concat_rows([ad.sigmoid(logits), ones_self])
+    return ad.concat_rows([ad.sigmoid(gnn.mlp_forward(xuv, sigma)), ones_self])
 
 
 def unit_edge_weights(batch: GraphBatch):

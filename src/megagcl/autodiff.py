@@ -23,6 +23,16 @@ Row sums, column sums and diagonals are primitives of their own
 and ``embed_diagonal`` copy values rather than multiply by ones-matrices.
 The sums keep the product with a ones vector in their forward, which is
 faster than ``np.sum`` along an axis and rounds exactly as it always has.
+
+``dense(x, w, b, relu)`` is one perceptron layer, ``x @ w + b`` with an
+optional relu, as one node. It adds the (1, m) bias row into the product's
+own fresh array and applies the relu in place, so a layer allocates one
+array and the tape keeps one, where ``matmul``, ``add`` and ``relu`` made
+and kept three. Each step is the same elementwise operation as in that
+chain, so the values are bitwise the same, and so are the gradients: its
+rule builds the relu mask's ``mul``, the bias sum and the two products in
+the order in which the three rules built them. ``relu`` itself stays as
+the unfused oracle the tests compare ``dense`` against.
 """
 
 from __future__ import annotations
@@ -257,6 +267,21 @@ def _f_matmul(inputs, extras):
             @ (b.data.T.copy() if tb else b.data))
 
 
+def _f_dense(inputs, extras):
+    _arity("dense", inputs, 3)
+    x, w, b = inputs
+    _require_2d("dense", x, w, b)
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ShapeError("dense", [x.shape, w.shape, b.shape],
+                         "expected x (n, k), w (k, m) and a (1, m) bias")
+    # the product is a fresh array, so the bias and relu write into it
+    out = x.data @ w.data
+    out += b.data
+    if extras["relu"]:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
 def _f_concat_rows(inputs, extras):
     if not inputs:
         raise ShapeError("concat-rows", [], "needs at least one input")
@@ -477,6 +502,18 @@ def _v_matmul(node, g, need):
     return [ga, gb]
 
 
+def _v_dense(node, g, need):
+    # the nodes of the rules of relu, add and matmul, in the order in which
+    # those rules built them; the output is positive where the input was
+    x, w, b = node.inputs
+    if node.extras["relu"]:
+        g = mul(g, constant((node.out.data > 0).astype(np.float64)))
+    gb = _reduce_to(g, b.shape) if need[2] else None
+    gx = matmul(g, w, tb=True) if need[0] else None
+    gw = matmul(x, g, ta=True) if need[1] else None
+    return [gx, gw, gb]
+
+
 def _v_concat_rows(node, g, need):
     grads = []
     row = 0
@@ -585,6 +622,7 @@ _PRIMITIVES = {
     "sub": (_f_sub, _v_sub),
     "mul": (_f_mul, _v_mul),
     "matmul": (_f_matmul, _v_matmul),
+    "dense": (_f_dense, _v_dense),
     "concat-rows": (_f_concat_rows, _v_concat_rows),
     "sum": (_f_sum, _v_sum),
     "mean": (_f_mean, _v_mean),
@@ -648,6 +686,14 @@ def matmul(a, b, ta=False, tb=False):
     return primitive_forward("matmul", [a, b], ta=ta, tb=tb)
 
 
+def dense(x, w, b, relu=False):
+    """One perceptron layer: ``x @ w + b``, through a relu when ``relu``.
+
+    ``x`` is (n, k), ``w`` is (k, m) and the bias ``b`` is a (1, m) row.
+    """
+    return primitive_forward("dense", [x, w, b], relu=relu)
+
+
 def concat_rows(tensors):
     return primitive_forward("concat-rows", list(tensors))
 
@@ -661,6 +707,8 @@ def reduce_mean(x):
 
 
 def relu(x):
+    """``max(x, 0)``. The model's layers take theirs inside ``dense``; this
+    unfused form is the oracle ``dense`` is tested against."""
     return primitive_forward("relu", [x])
 
 

@@ -9,7 +9,11 @@ aggregate over sparse patterns the batch builds once and caches
 (``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so every layer and
 view over one batch reuses them and only writes in its weights. Backward
 passes run the transposed products over the same patterns, building none.
-The projection head is a two-layer perceptron with a relu in between.
+
+Each layer's perceptron, the projection head and the augmenter's edge scorer
+are the same two-layer perceptron, ``mlp_forward``: two ``autodiff.dense``
+nodes, the first through a relu, so each layer of it is one tape node and
+one array.
 """
 
 from __future__ import annotations
@@ -75,8 +79,7 @@ class ModelDims:
 
 
 def mlp_forward(x, p: MlpParams):
-    h = ad.relu(ad.add(ad.matmul(x, p.w1), p.b1))
-    return ad.add(ad.matmul(h, p.w2), p.b2)
+    return ad.dense(ad.dense(x, p.w1, p.b1, relu=True), p.w2, p.b2)
 
 
 def gin_layer_forward(batch: GraphBatch, h, weights, layer: MlpParams):

@@ -310,8 +310,10 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
             return np.searchsorted(vocab, rec.node_labels)
 
     elif scheme == "degree-onehot":
-        if cap is None or cap < 1:
-            raise ConfigError("degree-onehot requires cap >= 1")
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
+            raise ConfigError(
+                f"degree-onehot requires cap to be an int of at least 1, "
+                f"got {cap!r}")
         width = cap + 1
         descr = f"degree-onehot(cap={cap})"
 

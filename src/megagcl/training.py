@@ -231,6 +231,10 @@ def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
         hp = replace(hp, lam=0.0)
 
     dims = dims or gnn.ModelDims(feature_dim=dataset.feature_width)
+    if dims.feature_dim != dataset.feature_width:
+        raise ConfigError(
+            f"dims.feature_dim is {dims.feature_dim} but {dataset.name}'s "
+            f"node features are {dataset.feature_width} wide")
     state = init_train_state(dims, hp.seed)
     rng = np.random.default_rng(hp.seed)
     log = MetricsLog()

@@ -404,6 +404,118 @@ def test_binary_gradients_match_finite_differences(tape):
         assert ad.max_relative_error(grads[b], fd_b) < 1e-4, name
 
 
+# relu and the shapes of x, w and b; the last two are the augmenter's
+# second layer, an (E, 1) score with a (1, 1) bias
+DENSE_CASES = [
+    ("dense", False, (5, 4), (4, 3), (1, 3)),
+    ("dense-relu", True, (5, 4), (4, 3), (1, 3)),
+    ("dense-to-column", False, (6, 3), (3, 1), (1, 1)),
+    ("dense-relu-to-column", True, (6, 3), (3, 1), (1, 1)),
+]
+
+
+@pytest.mark.parametrize("name,relu,sx,sw,sb", DENSE_CASES,
+                         ids=[c[0] for c in DENSE_CASES])
+def test_dense_gradients_match_finite_differences(tape, name, relu, sx, sw,
+                                                  sb):
+    rng = np.random.default_rng(37)
+    x, w, b = (ad.variable(rng.standard_normal(s)) for s in (sx, sw, sb))
+    weights = ad.constant(rng.standard_normal((sx[0], sw[1])))
+    pre = x.data @ w.data + b.data
+    assert np.min(np.abs(pre)) > 1e-3  # clear of relu's kink
+    if relu:
+        assert np.any(pre < 0) and np.any(pre > 0)
+
+    def loss_of(tx, tw, tb):
+        return ad.reduce_sum(ad.mul(ad.dense(tx, tw, tb, relu=relu),
+                                    weights))
+
+    grads = ad.backward(loss_of(x, w, b), [x, w, b])
+    for i, t in enumerate((x, w, b)):
+        def value_with(probe, i=i):
+            args = [x, w, b]
+            args[i] = probe
+            return loss_of(*args).item()
+
+        fd = ad.finite_diff_gradient(value_with, t)
+        assert ad.max_relative_error(grads[t], fd) < 1e-6, (name, i)
+
+
+def test_dense_second_order_through_create_graph(tape):
+    # d/d(w1, b1, w2) of <c, d/dx sum(sigmoid(mlp(x)))>: the create_graph
+    # gradient of x runs both dense rules, the relu mask's mul included
+    rng = np.random.default_rng(17)
+    x0 = rng.standard_normal((5, 4))
+    p0 = [rng.standard_normal(s) for s in ((4, 3), (1, 3), (3, 2))]
+    b2 = ad.constant(rng.standard_normal((1, 2)))
+    c = ad.constant(rng.standard_normal((5, 4)))
+
+    def outer_of(tx, w1, b1, w2):
+        h = ad.dense(ad.dense(tx, w1, b1, relu=True), w2, b2)
+        gx = ad.backward(ad.reduce_sum(ad.sigmoid(h)), [tx],
+                         create_graph=True)[tx]
+        return ad.reduce_sum(ad.mul(gx, c))
+
+    params = [ad.variable(p) for p in p0]
+    grads = ad.backward(outer_of(ad.variable(x0), *params), params)
+    for i, t in enumerate(params):
+        def pipeline(probe, i=i):
+            with ad.use_tape(ad.Tape()) as inner:
+                args = [inner.adopt(ad.Tensor(p.copy())) for p in p0]
+                args[i] = ad.constant(probe.data)
+                return outer_of(inner.adopt(ad.Tensor(x0.copy())),
+                                *args).item()
+
+        fd = ad.finite_diff_gradient(pipeline, t)
+        assert float(np.max(np.abs(fd.data))) > 1e-3
+        assert ad.max_relative_error(grads[t], fd) < 1e-6, i
+
+
+def test_dense_rejects_bad_shapes(tape):
+    # an inner dimension that differs, a bias of the wrong width, a bias
+    # per row, a 1-D bias and a 1-D input
+    for sx, sw, sb in (((5, 4), (3, 2), (1, 2)), ((5, 4), (4, 2), (1, 3)),
+                       ((5, 4), (4, 2), (5, 2)), ((5, 4), (4, 2), (2,)),
+                       ((4,), (4, 2), (1, 2))):
+        with pytest.raises(ShapeError, match="dense"):
+            ad.dense(_ones(*sx), _ones(*sw), _ones(*sb), relu=True)
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+def test_dense_leaves_its_inputs_untouched(tape, create_graph):
+    # the bias and relu write into the product's array, never an input's
+    rng = np.random.default_rng(23)
+    x, w1, b1, w2, b2 = (ad.variable(rng.standard_normal(s)) for s in
+                         ((5, 4), (4, 3), (1, 3), (3, 2), (1, 2)))
+    inputs = [x, w1, b1, w2, b2]
+    before = [t.data.tobytes() for t in inputs]
+    h = ad.dense(x, w1, b1, relu=True)
+    assert np.any(h.data == 0.0) and np.any(h.data > 0.0)
+    hidden = h.data.tobytes()
+    out = ad.dense(h, w2, b2)
+    ad.backward(ad.reduce_sum(ad.square(out)), inputs,
+                create_graph=create_graph)
+    assert [t.data.tobytes() for t in inputs] == before
+    assert h.data.tobytes() == hidden
+
+
+def _unfused_dense(x, w, b, relu=False):
+    out = ad.add(ad.matmul(x, w), b)
+    return ad.relu(out) if relu else out
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_dense_is_bitwise_the_unfused_chain(relu):
+    # at (33, 17) @ (17, 9) a different kernel path would show in the bits
+    rng = np.random.default_rng(29)
+    arrays = [rng.standard_normal(s) for s in ((33, 17), (17, 9), (1, 9))]
+    weights = rng.standard_normal((33, 9))
+    fused = _forward_and_gradients(
+        lambda x, w, b: ad.dense(x, w, b, relu=relu), arrays, weights)
+    assert fused == _forward_and_gradients(
+        lambda x, w, b: _unfused_dense(x, w, b, relu), arrays, weights)
+
+
 def _forward_and_gradients(op, arrays, weights):
     """Bytes of ``op``'s value and of the first-order and ``create_graph``
     gradients of sum(op(...)^2 * weights) with respect to every input."""
@@ -561,7 +673,10 @@ FD_CHECKED_ELSEWHERE = {
 def _kinds_without_finite_difference_case():
     covered = set(FD_CHECKED_ELSEWHERE)
     for op, shapes in ([(op, [shape]) for _, op, shape, _ in UNARY_CASES]
-                       + [(op, [sa, sb]) for _, op, sa, sb in BINARY_CASES]):
+                       + [(op, [sa, sb]) for _, op, sa, sb in BINARY_CASES]
+                       + [(lambda x, w, b, relu=relu:
+                           ad.dense(x, w, b, relu=relu), list(shapes))
+                          for _, relu, *shapes in DENSE_CASES]):
         tape = ad.Tape()
         with ad.use_tape(tape):
             op(*[ad.variable(np.full(sh, 0.5)) for sh in shapes])

@@ -4,7 +4,8 @@ import pytest
 from megagcl import graphdata as gd
 from megagcl.errors import ConfigError, DataError
 
-from conftest import two_triangles, write_tu_fixture, synthetic_dataset
+from conftest import (star_record, synthetic_dataset, two_triangles,
+                      write_tu_fixture)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +211,13 @@ def test_node_label_onehot_width_on_mutag(mutag):
     for rec in ds.records[:5]:
         np.testing.assert_array_equal(rec.features.sum(axis=1),
                                       np.ones(rec.n_nodes))
+
+
+@pytest.mark.parametrize("cap", [2.5, True, 0, "3"])
+def test_degree_onehot_rejects_a_cap_that_is_not_an_int_of_at_least_1(cap):
+    ds = gd.Dataset("S", [star_record(4, 0)], 1)
+    with pytest.raises(ConfigError, match="cap"):
+        gd.build_node_features(ds, "degree-onehot", cap=cap)
 
 
 def test_feature_scheme_mismatch():

@@ -220,7 +220,7 @@ def test_meta_step_moves_instance_term_downhill():
 
 # primitive calls and tape nodes of one MUTAG contrast step and one meta
 # step at batch 32, as ROADMAP's Baseline records them
-STEP_CENSUS = {"contrast": (209, 98), "meta": (698, 306)}
+STEP_CENSUS = {"contrast": (182, 74), "meta": (647, 255)}
 
 
 def _ones_or_identity(t):
@@ -270,6 +270,47 @@ def _mutag_batch_and_state(mutag):
     batch = gd.batch_graphs([ds.records[i] for i in order])
     state = tr.init_train_state(gnn.ModelDims(feature_dim=ds.feature_width), 0)
     return batch, state
+
+
+def _unfused_mlp_forward(x, p):
+    """The perceptron as matmul, add and relu nodes: the oracle of dense."""
+    h = ad.relu(ad.add(ad.matmul(x, p.w1), p.b1))
+    return ad.add(ad.matmul(h, p.w2), p.b2)
+
+
+def _steps_in_bytes(batch, state):
+    """Bytes of the parameters after a contrast step and a meta step, of
+    both records and of the meta-gradient, and the kinds on the tape."""
+    grads = []
+    gradients = tr.meta_gradients
+
+    def keeping(*args, **kwargs):
+        g, record = gradients(*args, **kwargs)
+        grads.extend(g[t].data.tobytes() for t in args[2].tensors())
+        return g, record
+
+    out, kinds = [], set()
+    tape = ad.Tape()
+    with ad.use_tape(tape), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "meta_gradients", keeping)
+        for step in (tr.contrast_step, tr.meta_step):
+            tape.reset()
+            state.adopt_all(tape)
+            out.append(step(state, batch, tr.Hyperparams()))
+            out.append([t.data.tobytes() for t in state.all_tensors()])
+            kinds |= {node.kind for node in tape.nodes}
+    return out + [grads], kinds
+
+
+def test_dense_steps_are_bitwise_the_unfused_perceptron(mutag, monkeypatch):
+    batch, state = _mutag_batch_and_state(mutag)
+    fused, fused_kinds = _steps_in_bytes(batch, state)
+    batch, state = _mutag_batch_and_state(mutag)
+    monkeypatch.setattr(gnn, "mlp_forward", _unfused_mlp_forward)
+    unfused, unfused_kinds = _steps_in_bytes(batch, state)
+    assert "dense" in fused_kinds and "relu" not in fused_kinds
+    assert "relu" in unfused_kinds and "dense" not in unfused_kinds
+    assert fused[-1] and fused == unfused
 
 
 def test_step_records_equal_the_term_by_term_evaluation(mutag, monkeypatch):
@@ -389,6 +430,20 @@ def test_train_rejects_bad_inputs():
     one = gd.Dataset("ONE", tiny.records[:1], 2, feature_scheme="raw")
     with pytest.raises(ConfigError, match="at least 2 graphs"):
         tr.train(one, hp(batch_size=2), small_dims(2))
+
+
+def test_train_refuses_a_feature_width_the_dims_do_not_take(monkeypatch):
+    ds = synthetic_dataset(n_per_class=3)
+    dims = gnn.ModelDims(feature_dim=ds.feature_width + 2)
+    steps = []
+    monkeypatch.setattr(tr, "contrast_step", lambda *a, **k: steps.append(a))
+    with pytest.raises(ConfigError) as exc:
+        tr.train(ds, hp(), dims)
+    assert steps == []
+    message = str(exc.value)
+    assert "feature_dim" in message
+    assert f"is {ds.feature_width + 2}" in message
+    assert f"are {ds.feature_width} wide" in message
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
