@@ -198,12 +198,20 @@ class SparsePattern:
     """The fixed structure of a weighted aggregation over ``E`` edges: an
     (n_out, n_in) sparse matrix with one entry at (dst[e], src[e]) per edge.
 
-    The indices are range-checked once, here. ``order`` lists the edges by
-    target, then source (``np.lexsort((src, dst))``): the CSR entry order of
-    ``csr``, whose data ``weighted_aggregate`` fills with the weights in that
-    order on every call. Without repeated (dst, src) pairs this is the order
-    in which scipy sorts a COO matrix on conversion to CSR, so products
-    match a per-call ``csr_matrix((w, (dst, src)))`` bit for bit.
+    ``order`` lists the edges by target, then source, repeats in edge order
+    (numpy's ``lexsort((src, dst))``): the CSR entry order of ``csr``, whose
+    data ``weighted_aggregate`` fills with the weights in that order on
+    every call. Without repeated (dst, src) pairs this is the order in which
+    scipy sorts a COO matrix on conversion to CSR, so products match a
+    per-call ``csr_matrix((w, (dst, src)))`` bit for bit.
+
+    The caller supplies the order, and nothing here sorts: a batch assembles
+    its adjacency order from each graph's cached order by offsets
+    (``graphdata.batch_graphs``), its pooling order is the identity, and the
+    ``gather-rows`` gradient takes a stable argsort of its indices. The
+    order is trusted, not re-verified, because that check costs about as
+    much as the sort it replaces; tests pin each supplier's order against
+    a lexsort. The indices and the order's length are checked here.
 
     ``csr_t`` is the transpose as a CSC view over ``csr``'s three arrays,
     so it sees the weights written into ``csr.data``. Its product adds each
@@ -214,13 +222,17 @@ class SparsePattern:
 
     __slots__ = ("src", "dst", "n_out", "n_in", "order", "csr", "csr_t")
 
-    def __init__(self, src, dst, n_out, n_in):
+    def __init__(self, src, dst, n_out, n_in, order):
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
+        order = np.asarray(order, dtype=np.intp)
         n_out, n_in = int(n_out), int(n_in)
         if src.ndim != 1 or src.shape != dst.shape:
             raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
                              "sources and targets must be equal 1-D shapes")
+        if order.shape != src.shape:
+            raise ShapeError("weighted-aggregate", [src.shape, order.shape],
+                             "the order needs one entry per edge")
         if src.size and (src.min() < 0 or src.max() >= n_in):
             raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
                              f"source out of range for {n_in} input rows")
@@ -228,12 +240,11 @@ class SparsePattern:
             raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
                              f"target out of range for {n_out} output rows")
         self.src, self.dst, self.n_out, self.n_in = src, dst, n_out, n_in
-        self.order = np.lexsort((src, dst))
+        self.order = order
         indptr = np.zeros(n_out + 1, dtype=np.intp)
         np.cumsum(np.bincount(dst, minlength=n_out), out=indptr[1:])
         self.csr = scipy.sparse.csr_matrix(
-            (np.zeros(src.size), src[self.order], indptr),
-            shape=(n_out, n_in))
+            (np.zeros(src.size), src[order], indptr), shape=(n_out, n_in))
         self.csr_t = self.csr.T
 
 
@@ -592,8 +603,10 @@ def _v_l2_normalize_rows(node, g, need):
 def _v_gather_rows(node, g, need):
     (x,) = node.inputs
     n = g.shape[0]
-    pattern = SparsePattern(np.arange(n), node.extras["indices"],
-                            x.shape[0], n)
+    indices = node.extras["indices"]
+    # stable, so equal indices keep their row order: lexsort((arange, indices))
+    pattern = SparsePattern(np.arange(n), indices, x.shape[0], n,
+                            np.argsort(indices, kind="stable"))
     return [weighted_aggregate(g, constant(np.ones((n, 1))), pattern)]
 
 

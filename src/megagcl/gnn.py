@@ -7,8 +7,11 @@ the self term and the neighbor sum in one pass. Readout is a per-graph sum,
 the same aggregation with unit weights from nodes to their graphs. Both
 aggregate over sparse patterns the batch builds once and caches
 (``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so every layer and
-view over one batch reuses them and only writes in its weights. Backward
-passes run the transposed products over the same patterns, building none.
+view over one batch reuses them and only writes in its weights. Building
+them sorts nothing: the adjacency's entry order is assembled from each
+graph's once-computed order (``GraphTopology.csr_order``) by offsets, and
+the pooling's is the identity. Backward passes run the transposed products
+over the same patterns, building none.
 
 Each layer's perceptron, the projection head and the augmenter's edge scorer
 are the same two-layer perceptron, ``mlp_forward``: two ``autodiff.dense``

@@ -30,11 +30,15 @@ SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 class GraphTopology:
     """Undirected topology stored as directed pairs, both directions present.
 
-    ``edges`` is an (E, 2) ``intp`` array of (u, v) rows with u != v, coerced
-    at construction from any sequence of pairs (``()`` gives shape (0, 2)).
-    Arrays do not compare with ``==``, so neither do topologies; compare
-    ``edges`` with ``np.array_equal``. Self-loops are implicit (one per node,
-    materialized at batch time).
+    ``edges`` is an (E, 2) ``intp`` array of (u, v) rows with u != v and
+    both in 0..n_nodes-1, coerced at construction from any sequence of pairs
+    (``()`` gives shape (0, 2)). Arrays do not compare with ``==``, so
+    neither do topologies; compare ``edges`` with ``np.array_equal``.
+    Self-loops are implicit (one per node, materialized at batch time).
+
+    ``csr_order`` is computed on first use, which is also where the edges
+    are checked: construction stays a plain coercion, so parsing pays for
+    neither.
     """
 
     n_nodes: int
@@ -42,6 +46,34 @@ class GraphTopology:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", _edge_array(self.edges))
+
+    @cached_property
+    def csr_order(self):
+        """The graph's edges followed by its n self-loops (loop j at
+        position E + j), listed by target, then source, repeats in edge
+        order: numpy's ``lexsort((src, dst))`` over those E + n entries.
+
+        Computed once per topology and kept, read-only, so every batch that
+        holds the graph assembles its order from this one by offsets.
+        Raises ``DataError`` for a stored self-loop or an edge outside
+        0..n_nodes-1, which would give the batch a second loop or an edge
+        into the next graph.
+        """
+        n, e = self.n_nodes, self.edges
+        bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1)
+                             | (e[:, 0] == e[:, 1]))
+        if bad.size:
+            u, v = e[bad[0]]
+            what = ("is a stored self-loop (self-loops are implicit)"
+                    if u == v else f"is outside node range 0..{n - 1}")
+            raise DataError(f"edge {bad[0]} ({u}, {v}) {what}")
+        loops = np.arange(n, dtype=np.intp)
+        key = np.concatenate([e[:, 1], loops]) * n
+        key += np.concatenate([e[:, 0], loops])
+        # one key, target-major and below n * n, sorts as the two-key lexsort
+        order = np.argsort(key, kind="stable")
+        order.flags.writeable = False
+        return order
 
 
 @dataclass
@@ -83,6 +115,11 @@ class GraphBatch:
     ``edge_src``/``edge_dst`` hold all directed non-self edges (shifted by
     node offsets) followed by one self-loop per node, so an aligned edge
     weight vector has its non-self entries first and its self entries last.
+    ``edge_order`` lists those edges by target, then source: the CSR entry
+    order of ``adjacency``, assembled from the graphs' ``csr_order`` by
+    offsets. The pooling pattern's order is the identity, because
+    ``graph_of_node`` never decreases and the node sources ascend. Neither
+    pattern sorts.
     """
 
     n_graphs: int
@@ -93,6 +130,7 @@ class GraphBatch:
     edge_dst: np.ndarray
     n_nonself: int
     features: np.ndarray
+    edge_order: np.ndarray
 
     @property
     def n_edges(self):
@@ -103,14 +141,15 @@ class GraphBatch:
         """The edge list as an aggregation pattern from nodes to nodes,
         built on first use and kept for the life of the batch."""
         return SparsePattern(self.edge_src, self.edge_dst, self.n_nodes,
-                             self.n_nodes)
+                             self.n_nodes, self.edge_order)
 
     @cached_property
     def pooling(self):
         """The aggregation pattern from each node to its graph (readout),
         built on first use and kept for the life of the batch."""
-        return SparsePattern(np.arange(self.n_nodes), self.graph_of_node,
-                             self.n_graphs, self.n_nodes)
+        nodes = np.arange(self.n_nodes)
+        return SparsePattern(nodes, self.graph_of_node, self.n_graphs,
+                             self.n_nodes, nodes)
 
 
 @dataclass
@@ -332,7 +371,10 @@ def batch_graphs(records) -> GraphBatch:
     """Concatenate graphs block-diagonally.
 
     The global edge list holds every directed non-self edge shifted by its
-    graph's node offset, then one self-loop per node.
+    graph's node offset, then one self-loop per node. Its CSR order comes
+    from the graphs' cached orders: a graph's entry k < E_g is its non-self
+    edge k, at ``edge_offset_g + k`` in the batch, and its entry E_g + j is
+    its node j's self-loop, at ``n_nonself + node_offset_g + j``.
     """
     if not records:
         raise DataError("cannot batch an empty record list")
@@ -340,13 +382,28 @@ def batch_graphs(records) -> GraphBatch:
               for r in records}
     if None in widths or len(widths) != 1:
         raise DataError(f"feature width mismatch across batch: {widths}")
+    for i, r in enumerate(records):
+        if r.features.shape[0] != r.n_nodes:
+            raise DataError(
+                f"record {i} of the batch has {r.n_nodes} nodes but "
+                f"{r.features.shape[0]} feature rows")
 
     sizes = np.array([r.n_nodes for r in records], dtype=np.intp)
+    n_edges = np.array([len(r.topology.edges) for r in records],
+                       dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes
-    total = int(sizes.sum())
+    edge_offsets = np.cumsum(n_edges) - n_edges
+    total, n_nonself = int(sizes.sum()), int(n_edges.sum())
     shifted = np.concatenate([r.topology.edges + off
                               for r, off in zip(records, offsets)])
     self_loops = np.arange(total, dtype=np.intp)
+
+    entries = n_edges + sizes
+    order = np.concatenate([r.topology.csr_order for r in records])
+    is_loop = order >= np.repeat(n_edges, entries)
+    order += np.repeat(edge_offsets, entries)
+    loop_shift = n_nonself + offsets - n_edges - edge_offsets
+    order += is_loop * np.repeat(loop_shift, entries)
 
     return GraphBatch(
         n_graphs=len(records),
@@ -355,8 +412,9 @@ def batch_graphs(records) -> GraphBatch:
         graph_of_node=np.repeat(np.arange(len(records), dtype=np.intp), sizes),
         edge_src=np.concatenate([shifted[:, 0], self_loops]),
         edge_dst=np.concatenate([shifted[:, 1], self_loops]),
-        n_nonself=len(shifted),
+        n_nonself=n_nonself,
         features=np.concatenate([r.features for r in records], axis=0),
+        edge_order=order,
     )
 
 

@@ -23,6 +23,20 @@ def tape():
         yield t
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; returns the list of its calls'
+    positional arguments, which grows as it is called."""
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def write_tu_fixture(folder, name, a_lines, indicator, graph_labels,
                      node_labels=None):
     folder = Path(folder)

@@ -9,6 +9,8 @@ from megagcl import autodiff as ad
 from megagcl import graphdata as gd
 from megagcl.errors import NumericError, ShapeError, TapeError
 
+from conftest import count_calls
+
 
 def scalar(loss_fn, x):
     """Evaluate a tensor-valued pipeline down to a float (for finite diff)."""
@@ -31,10 +33,16 @@ def test_sigmoid_at_zero(tape):
     np.testing.assert_allclose(out.data, [0.5])
 
 
+def _pattern(src, dst, n_out, n_in):
+    """A pattern in the order of the lexsort oracle."""
+    return ad.SparsePattern(src, dst, n_out, n_in,
+                            np.lexsort((np.asarray(src), np.asarray(dst))))
+
+
 def test_weighted_aggregate_hand_summed(tape):
     # unit weights, targets [0,0,1] over rows [[1],[2],[3]] -> [[3],[3]]
     rows = ad.constant([[1.0], [2.0], [3.0]])
-    pattern = ad.SparsePattern([0, 1, 2], [0, 0, 1], 2, 3)
+    pattern = _pattern([0, 1, 2], [0, 0, 1], 2, 3)
     out = ad.weighted_aggregate(rows, np.ones((3, 1)), pattern)
     np.testing.assert_allclose(out.data, [[3.0], [3.0]])
 
@@ -56,7 +64,7 @@ def test_weighted_aggregate_matches_add_at_oracle(tape):
         x, w, src, dst, n_out = _aggregate_case(seed)
         want = np.zeros((n_out, x.shape[1]))
         np.add.at(want, dst, w * x[src])
-        pattern = ad.SparsePattern(src, dst, n_out, len(x))
+        pattern = _pattern(src, dst, n_out, len(x))
         out = ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)
         assert out.shape == (n_out, x.shape[1])
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
@@ -67,7 +75,7 @@ def _gradient_case(seed, transposed):
     """An aggregation case whose input fits the product: with
     ``transposed`` the input has the pattern's ``n_out`` rows."""
     x, w, src, dst, n_out = _aggregate_case(seed)
-    pattern = ad.SparsePattern(src, dst, n_out, len(x))
+    pattern = _pattern(src, dst, n_out, len(x))
     if transposed:
         x = np.random.default_rng(seed + 10).standard_normal((n_out, 3))
     return x, w, pattern
@@ -139,7 +147,7 @@ def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
     # shapes on every call
     x = ad.constant(np.ones((3, 2)))
     src, dst = [0, 1, 2], [1, 1, 0]
-    pattern = ad.SparsePattern(src, dst, 2, 3)
+    pattern = _pattern(src, dst, 2, 3)
     for w in (np.ones(3), np.ones((2, 1)), np.ones((3, 2))):
         with pytest.raises(ShapeError, match="weighted-aggregate"):
             ad.weighted_aggregate(x, w, pattern)
@@ -158,10 +166,10 @@ def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
     for bad_src, bad_dst in (([0, 1, 3], dst), ([0, -1, 2], dst),
                              (src, [1, 2, 0]), (src, [1, -1, 0])):
         with pytest.raises(ShapeError, match="out of range"):
-            ad.SparsePattern(bad_src, bad_dst, 2, 3)
+            ad.SparsePattern(bad_src, bad_dst, 2, 3, [0, 1, 2])
     for bad_src, bad_dst in (([0, 1], dst), (src, [[1, 1, 0]])):
         with pytest.raises(ShapeError, match="equal 1-D shapes"):
-            ad.SparsePattern(bad_src, bad_dst, 2, 3)
+            ad.SparsePattern(bad_src, bad_dst, 2, 3, [0, 1, 2])
 
 
 def _csr_oracle(x, w, src, dst, n_out):
@@ -198,7 +206,7 @@ def test_sparse_pattern_bitwise_equals_per_call_csr_on_mutag(tape, mutag):
 def test_sparse_pattern_serves_many_weight_vectors(tape):
     x, w1, src, dst, n_out = _aggregate_case(6)
     w2 = np.random.default_rng(7).standard_normal(w1.shape)
-    pattern = ad.SparsePattern(src, dst, n_out, len(x))
+    pattern = _pattern(src, dst, n_out, len(x))
     first = ad.weighted_aggregate(ad.constant(x), ad.constant(w1), pattern)
     kept = first.data.copy()
     second = ad.weighted_aggregate(ad.constant(x), ad.constant(w2), pattern)
@@ -637,6 +645,20 @@ def test_broadcast_and_diagonal_reject_bad_shapes(tape):
         ad.embed_diagonal(ad.constant(np.ones((2, 2))))
 
 
+def test_gather_rows_gradient_pattern_is_in_lexsort_order(tape,
+                                                         monkeypatch):
+    built = count_calls(monkeypatch, ad, "SparsePattern")
+    idx = np.array([3, 0, 2, 0, 3, 3, 1, 0])
+    x = ad.variable(np.random.default_rng(12).standard_normal((5, 2)))
+    ad.backward(ad.reduce_sum(ad.gather_rows(x, idx)), [x])
+    (src, dst, n_out, n_in, order), = built
+    np.testing.assert_array_equal(dst, idx)
+    np.testing.assert_array_equal(src, np.arange(len(idx)))
+    assert (n_out, n_in) == (5, len(idx))
+    np.testing.assert_array_equal(
+        order, np.lexsort((np.arange(len(idx)), idx)))
+
+
 def test_gather_aggregate_concat_gradients(tape):
     rng = np.random.default_rng(11)
     x = ad.variable(rng.standard_normal((4, 3)))
@@ -649,7 +671,7 @@ def test_gather_aggregate_concat_gradients(tape):
     def loss_of(tx, ty):
         gathered = ad.gather_rows(tx, idx)
         pooled = ad.weighted_aggregate(gathered, np.ones((5, 1)),
-                                       ad.SparsePattern(range(5), tgt, 2, 5))
+                                       _pattern(range(5), tgt, 2, 5))
         stacked = ad.concat_rows([pooled, ty])
         return ad.reduce_sum(ad.add(ad.mul(pooled, w1),
                                     ad.reduce_sum(ad.mul(stacked, w2))))

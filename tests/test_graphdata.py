@@ -1,11 +1,16 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from megagcl import graphdata as gd
 from megagcl.errors import ConfigError, DataError
 
-from conftest import (star_record, synthetic_dataset, two_triangles,
-                      write_tu_fixture)
+from conftest import (count_calls, star_record, synthetic_dataset,
+                      two_triangles, write_tu_fixture)
+
+MEGABENCH = Path(__file__).resolve().parent.parent / "megabench"
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +290,93 @@ def test_batch_feature_width_mismatch():
         gd.batch_graphs([a, b])
     with pytest.raises(DataError):
         gd.batch_graphs([])
+
+
+def test_batch_rejects_feature_rows_unequal_to_node_count():
+    good = gd.GraphRecord(gd.GraphTopology(1, ()), 0, features=np.ones((1, 2)))
+    extra = gd.GraphRecord(gd.GraphTopology(3, gd.undirected_closure(
+        [(0, 1), (1, 2)], 3)), 0, features=np.ones((4, 2)))
+    short = gd.GraphRecord(gd.GraphTopology(2, ((0, 1), (1, 0))), 0,
+                           features=np.ones((1, 2)))
+    with pytest.raises(DataError, match="record 1 .* 3 nodes but 4 feature"):
+        gd.batch_graphs([good, extra, short])
+    with pytest.raises(DataError, match="record 2 .* 2 nodes but 1 feature"):
+        gd.batch_graphs([good, good, short, extra])
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 1), (1, 0), (0, 3)), r"edge 2 \(0, 3\) is outside node range 0\.\.1"),
+    (((0, 1), (1, 0), (-1, 0)), r"edge 2 \(-1, 0\) is outside node range"),
+    (((0, 1), (1, 1), (1, 0)), r"edge 1 \(1, 1\) is a stored self-loop"),
+])
+def test_topology_rejects_bad_edges_where_its_order_is_first_computed(
+        edges, message):
+    topo = gd.GraphTopology(2, edges)  # construction does not check
+    rec = gd.GraphRecord(topo, 0, features=np.ones((2, 1)))
+    after = gd.GraphRecord(gd.GraphTopology(2, ((0, 1), (1, 0))), 0,
+                           features=np.ones((2, 1)))
+    with pytest.raises(DataError, match=message):
+        gd.batch_graphs([rec, after])
+    with pytest.raises(DataError, match=message):
+        topo.csr_order
+
+
+def _check_batch_orders(records):
+    batch = gd.batch_graphs(records)
+    np.testing.assert_array_equal(
+        batch.edge_order, np.lexsort((batch.edge_src, batch.edge_dst)))
+    assert batch.adjacency.order is batch.edge_order
+    # graph_of_node never decreases and the node sources ascend
+    nodes = np.arange(batch.n_nodes)
+    np.testing.assert_array_equal(
+        np.lexsort((nodes, batch.graph_of_node)), nodes)
+    np.testing.assert_array_equal(batch.pooling.order, nodes)
+
+
+@pytest.fixture(scope="module")
+def synth_records(tmp_path_factory):
+    sys.path.insert(0, str(MEGABENCH))
+    try:
+        import synth
+    finally:
+        sys.path.remove(str(MEGABENCH))
+    folder = synth.write_tu(tmp_path_factory.mktemp("synth"), "SYN", 64, 0)
+    ds = gd.parse_tu_dataset(folder, "SYN")
+    return gd.build_node_features(ds, "node-label-onehot").records
+
+
+@pytest.mark.parametrize("size", [1, 7, 32, 64])
+def test_assembled_orders_equal_lexsort(mutag, synth_records, size):
+    mutag_records = gd.build_node_features(mutag, "node-label-onehot").records
+    rng = np.random.default_rng(size)
+    for records in (mutag_records, synth_records):
+        width = records[0].features.shape[1]
+        empty = gd.GraphRecord(gd.GraphTopology(0, ()), 0,
+                               features=np.zeros((0, width)))
+        edgeless = gd.GraphRecord(gd.GraphTopology(3, ()), 0,
+                                  features=np.ones((3, width)))
+        for _ in range(3):
+            pick = [records[i] for i in
+                    rng.choice(len(records), size, replace=False)]
+            _check_batch_orders(pick)
+            middle = len(pick) // 2
+            _check_batch_orders(pick[:middle] + [empty, edgeless]
+                                + pick[middle:])
+
+
+def test_topology_order_is_computed_once_and_shared(mutag, monkeypatch):
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    first = gd.batch_graphs(ds.records[:8])
+    orders = [r.topology.csr_order for r in ds.records[:8]]
+    sorts = count_calls(monkeypatch, np, "argsort")
+    second = gd.batch_graphs(ds.records[:8])
+    again = gd.build_node_features(ds, "degree-onehot", cap=4)
+    for rec, rec_again, order in zip(ds.records, again.records, orders):
+        assert rec.topology.csr_order is order
+        assert rec_again.topology.csr_order is order
+        assert not order.flags.writeable
+    assert sorts == []
+    np.testing.assert_array_equal(first.edge_order, second.edge_order)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
 from megagcl import autodiff as ad
 from megagcl import augmenter as lga
+from megagcl import evaluation
 from megagcl import gnn
 from megagcl import graphdata as gd
 from megagcl import losses
 from megagcl import training as tr
 from megagcl.errors import ConfigError, NumericError
 
-from conftest import ring_record, synthetic_dataset
+from conftest import count_calls, ring_record, synthetic_dataset
 
 
 def tiny_fixture():
@@ -341,6 +343,41 @@ def test_step_records_equal_the_term_by_term_evaluation(mutag, monkeypatch):
             got = {k: record[k] for k in want}
             assert got == want  # finite and nonzero, so == is bitwise
             assert set(record) == {"step", "l_contrast", *want}
+
+
+def test_steps_and_embedding_sort_nothing(mutag, monkeypatch):
+    # after a first touch has cached every graph's order. The one sort left
+    # on a step path is the gather-rows gradient's argsort, and no step runs
+    # it: the meta step's gathers come from its last backward, which records
+    # nothing to differentiate again
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    order = np.random.default_rng(0).permutation(len(ds.records))[:32]
+    records = [ds.records[i] for i in order]
+    state = tr.init_train_state(gnn.ModelDims(feature_dim=ds.feature_width), 0)
+    steps = {"contrast": tr.contrast_step,
+             "ccl": partial(tr.contrast_step, unit_weights=True),
+             "meta": tr.meta_step}
+    tape = ad.Tape()
+
+    def run(kind):
+        if kind == "embed":
+            return evaluation.embed_dataset(state.phi, ds)
+        tape.reset()
+        state.adopt_all(tape)
+        steps[kind](state, gd.batch_graphs(records), tr.Hyperparams())
+
+    with ad.use_tape(tape):
+        for kind in ("contrast", "embed"):  # first touch of every topology
+            run(kind)
+        sorts = {}
+        for kind in ("contrast", "ccl", "embed", "meta"):
+            with monkeypatch.context() as mp:
+                lexsorts = count_calls(mp, np, "lexsort")
+                argsorts = count_calls(mp, np, "argsort")
+                run(kind)
+            sorts[kind] = (len(lexsorts), len(argsorts))
+    assert sorts == {"contrast": (0, 0), "ccl": (0, 0), "embed": (0, 0),
+                     "meta": (0, 0)}
 
 
 def test_every_primitive_output_is_float64_of_at_least_one_dimension(
