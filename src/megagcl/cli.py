@@ -3,9 +3,10 @@
 Both read a TU-format dataset (``FOLDER`` holding ``NAME_A.txt`` and its
 companions, directly or in a ``NAME`` subdirectory) with one-hot node-label
 features. ``train`` runs the alternating schedule and prints the run summary
-as JSON; ``eval`` runs the seeded linear-probe protocol and prints the mean
-and population standard deviation of the test accuracy as JSON. Misuse
-raises ``ConfigError`` instead of exiting.
+as JSON; ``eval`` runs the seeded protocol, a linear probe under stratified
+10-fold cross-validation, and prints as JSON each seed's mean test accuracy
+over the folds (``accuracies``), their mean and their population standard
+deviation. Misuse raises ``ConfigError`` instead of exiting.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ def main(argv=None):
         print(json.dumps(log.summary))
     else:
         result = evaluation.run_protocol(dataset, hp, mode=args.mode)
-        print(json.dumps({"mode": args.mode, "mean": result.mean,
-                          "std": result.std}))
+        print(json.dumps({"mode": args.mode, "accuracies": result.accuracies,
+                          "mean": result.mean, "std": result.std}))
     return 0
 
 

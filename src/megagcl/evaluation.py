@@ -1,9 +1,12 @@
 """Downstream evaluation of a frozen encoder.
 
 Graphs are embedded with all-ones edge weights and no projection head (the
-augmenter never touches evaluation). A multinomial logistic probe trained on
-standardized train-split embeddings measures representation quality; the
-ten-run protocol reports mean and population standard deviation.
+augmenter never touches evaluation). Representation quality is the mean test
+accuracy of a multinomial logistic probe over stratified 10-fold
+cross-validation, the graph-level protocol of InfoGraph and GraphCL: each
+fold's probe is standardised and trained on the other nine folds, with no
+validation split and no early stopping. The ten-run protocol reports the
+per-seed accuracies, their mean and their population standard deviation.
 """
 
 from __future__ import annotations
@@ -12,12 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import autodiff as ad
+from . import augmenter as lga
 from . import gnn
 from . import training as tr
 from .errors import ConfigError, DataError
-from .graphdata import Dataset, SplitResult, batch_graphs, split_dataset
+from .graphdata import Dataset, batch_graphs
 
+N_FOLDS = 10
 PROBE_STEPS = 500
 PROBE_LR = 0.1
 PROBE_L2 = 1e-3
@@ -45,8 +49,7 @@ class ProbeResult:
 def embed_dataset(phi: gnn.EncoderParams, dataset: Dataset,
                   batch_size=64) -> EmbeddingTable:
     """Pooled encoder outputs for every graph, in dataset order."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
+    _require_count("batch_size", batch_size)
     if not dataset.records:
         raise DataError(f"{dataset.name}: no graphs to embed")
     rows = []
@@ -54,56 +57,38 @@ def embed_dataset(phi: gnn.EncoderParams, dataset: Dataset,
     for start in range(0, len(records), batch_size):
         chunk = records[start:start + batch_size]
         batch = batch_graphs(chunk)
-        weights = ad.constant(np.ones((batch.n_edges, 1)))
+        weights = lga.unit_edge_weights(batch)
         pooled = gnn.readout(batch, gnn.encode(batch, weights, phi))
         rows.append(pooled.data)
     return EmbeddingTable(np.concatenate(rows, axis=0), dataset.labels)
 
 
-def _standardizer(train_rows):
-    mu = train_rows.mean(axis=0)
-    sd = train_rows.std(axis=0)
-    sd = np.where(sd == 0.0, 1.0, sd)
-    return mu, sd
+def stratified_folds(labels, seed):
+    """Fold index (0..N_FOLDS-1) of each graph, deterministic per seed.
 
-
-def _accuracy(logits, labels):
-    return float((logits.argmax(axis=1) == labels).mean())
-
-
-def linear_probe(table: EmbeddingTable, split: SplitResult) -> float:
-    """Full-batch softmax regression on frozen embeddings.
-
-    Standardization uses train-split statistics only. Returns the test
-    accuracy at the step with the best validation accuracy (earliest on
-    ties). The weights start at zero, so the outcome is deterministic. An
-    empty validation or test split has no accuracy to select or report by,
-    so it raises.
+    Each class's graphs are permuted by one ``default_rng(seed)``, class
+    after class in label order; the permuted lists are joined and position
+    ``i`` goes to fold ``i % N_FOLDS``. So fold sizes differ by at most one,
+    and so do each class's counts per fold.
     """
-    for part in ("val", "test"):
-        if not getattr(split, part):
-            raise DataError(f"the {part} split is empty")
-    labels = table.labels
-    classes = np.unique(labels)
-    n_classes = len(classes)
-    train_labels = labels[split.train]
-    missing = set(classes.tolist()) - set(train_labels.tolist())
-    if missing:
-        raise DataError(f"classes absent from the train split: {sorted(missing)}")
+    rng = np.random.default_rng(seed)
+    order = np.concatenate([rng.permutation(np.flatnonzero(labels == c))
+                            for c in np.unique(labels)])
+    folds = np.empty(len(labels), dtype=np.intp)
+    folds[order] = np.arange(len(labels)) % N_FOLDS
+    return folds
 
-    mu, sd = _standardizer(table.vectors[split.train])
-    x = (table.vectors - mu) / sd
-    x_tr, y_tr = x[split.train], labels[split.train]
-    x_va, y_va = x[split.val], labels[split.val]
-    x_te, y_te = x[split.test], labels[split.test]
 
-    w = np.zeros((x.shape[1], n_classes))
+def _probe_accuracy(x_tr, y_tr, x_te, y_te, n_classes):
+    mu = x_tr.mean(axis=0)
+    sd = x_tr.std(axis=0)
+    sd[sd == 0.0] = 1.0
+    x_tr = (x_tr - mu) / sd
+    x_te = (x_te - mu) / sd
+    w = np.zeros((x_tr.shape[1], n_classes))
     b = np.zeros(n_classes)
     onehot = np.zeros((len(y_tr), n_classes))
     onehot[np.arange(len(y_tr)), y_tr] = 1.0
-
-    best_val = -1.0
-    best_test = 0.0
     for _ in range(PROBE_STEPS):
         logits = x_tr @ w + b
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -112,37 +97,69 @@ def linear_probe(table: EmbeddingTable, split: SplitResult) -> float:
         grad_logits = (p - onehot) / len(y_tr)
         w -= PROBE_LR * (x_tr.T @ grad_logits + 2.0 * PROBE_L2 * w)
         b -= PROBE_LR * grad_logits.sum(axis=0)
+    return float(((x_te @ w + b).argmax(axis=1) == y_te).mean())
 
-        val_acc = _accuracy(x_va @ w + b, y_va)
-        if val_acc > best_val:
-            best_val = val_acc
-            best_test = _accuracy(x_te @ w + b, y_te)
-    return best_test
+
+def linear_probe(table: EmbeddingTable, folds) -> float:
+    """Mean test accuracy of a full-batch softmax probe over the folds.
+
+    For each fold the probe is standardised on the other folds, trained
+    from zero weights for ``PROBE_STEPS`` steps, and scored on the held-out
+    fold. There is no validation split and no early stopping, so the outcome
+    is deterministic.
+    """
+    x, y = table.vectors, table.labels
+    n_classes = int(y.max()) + 1
+    return float(np.mean([
+        _probe_accuracy(x[folds != k], y[folds != k],
+                        x[folds == k], y[folds == k], n_classes)
+        for k in range(N_FOLDS)]))
+
+
+def _require_count(name, value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigError(f"{name} must be an int of at least 1, "
+                          f"got {value!r}")
+
+
+def _require_folds(dataset: Dataset):
+    """Raise ``DataError`` unless every fold gets a test graph and every
+    class has a graph in each fold's training set."""
+    n = len(dataset)
+    if n < N_FOLDS:
+        raise DataError(f"{dataset.name}: {n} graphs are too few for "
+                        f"{N_FOLDS}-fold cross-validation")
+    classes, counts = np.unique(dataset.labels, return_counts=True)
+    if counts.min() < 2:
+        c = classes[counts.argmin()]
+        raise DataError(f"{dataset.name}: class {c} has 1 graph; "
+                        "cross-validation needs at least 2 per class")
 
 
 def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
                  n_runs=10) -> ProbeResult:
-    """Seeded runs of split / train / embed / probe; run ``i`` uses seed
-    ``hp.seed + i`` for both its split and its training.
+    """Seeded runs of train / embed / cross-validated probe; run ``i`` uses
+    seed ``hp.seed + i`` for both its folds and its training.
 
     ``gin-riu`` skips training and probes a freshly initialized encoder.
-    The mode, the run count and the dataset are checked before any run:
-    an unknown mode, fewer than one run, or a dataset without graphs or
-    node features raises ``ConfigError``.
+    Everything is checked before the first run: an unknown mode, a run
+    count that is not an int of at least 1, or a dataset without graphs or
+    node features raises ``ConfigError``; fewer graphs than folds, or a
+    class with a single graph, raises ``DataError``.
     """
     if mode not in PROTOCOL_MODES:
         raise ConfigError(f"unknown protocol mode: {mode!r}")
-    if n_runs < 1:
-        raise ConfigError(f"n_runs must be at least 1, got {n_runs}")
+    _require_count("n_runs", n_runs)
     tr.require_features(dataset)
+    _require_folds(dataset)
     dims = gnn.ModelDims(feature_dim=dataset.feature_width)
     accuracies = []
     for run in range(n_runs):
         seed = hp.seed + run
-        split = split_dataset(dataset, seed)
+        folds = stratified_folds(dataset.labels, seed)
         if mode == "gin-riu":
             phi, _, _ = gnn.init_params(dims, seed)
         else:
             phi = tr.train(dataset, replace(hp, seed=seed), dims, mode)[0].phi
-        accuracies.append(linear_probe(embed_dataset(phi, dataset), split))
+        accuracies.append(linear_probe(embed_dataset(phi, dataset), folds))
     return ProbeResult.from_accuracies(accuracies)

@@ -1,4 +1,4 @@
-"""Graph data model, TU-format ingestion, node features, batching, splits.
+"""Graph data model, TU-format ingestion, node features and batching.
 
 The TU file convention: a dataset ``NAME`` is a directory holding
 ``NAME_A.txt`` (comma-separated 1-indexed directed edge pairs),
@@ -11,7 +11,6 @@ read: the parser warns that they are ignored.
 
 from __future__ import annotations
 
-import math
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -22,8 +21,6 @@ import numpy as np
 
 from .autodiff import SparsePattern
 from .errors import ConfigError, DataError
-
-SPLIT_FRACTIONS = (0.8, 0.1, 0.1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,14 +147,6 @@ class GraphBatch:
         nodes = np.arange(self.n_nodes)
         return SparsePattern(nodes, self.graph_of_node, self.n_graphs,
                              self.n_nodes, nodes)
-
-
-@dataclass
-class SplitResult:
-    train: list
-    val: list
-    test: list
-    stratified: bool
 
 
 def _edge_array(pairs):
@@ -417,77 +406,3 @@ def batch_graphs(records) -> GraphBatch:
         edge_order=order,
     )
 
-
-def _largest_remainder(n, fractions):
-    ideal = [n * f for f in fractions]
-    base = [math.floor(x) for x in ideal]
-    rem = [(x - b, -i) for i, (x, b) in enumerate(zip(ideal, base))]
-    for _ in range(n - sum(base)):
-        j = -max(rem)[1]
-        base[j] += 1
-        rem[j] = (-1.0, -j)
-    return base
-
-
-def split_dataset(dataset: Dataset, seed, fractions=SPLIT_FRACTIONS) -> SplitResult:
-    """Label-stratified, disjoint, exhaustive split, deterministic per seed.
-
-    Classes with fewer than 3 graphs force an unstratified split, flagged on
-    the result. A dataset too small to give every split a graph raises.
-    """
-    if any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must be positive and sum to 1: {fractions}")
-    n = len(dataset)
-    rng = np.random.default_rng(seed)
-    targets = _largest_remainder(n, fractions)
-    for part, size in zip(("train", "val", "test"), targets):
-        if size == 0:
-            raise DataError(f"{dataset.name}: {n} graphs leave the {part} "
-                            f"split empty at fractions {fractions}")
-
-    by_class = {}
-    for i, rec in enumerate(dataset.records):
-        by_class.setdefault(rec.label, []).append(i)
-
-    if min(len(v) for v in by_class.values()) < 3:
-        perm = rng.permutation(n)
-        a, b = targets[0], targets[0] + targets[1]
-        return SplitResult(sorted(perm[:a].tolist()),
-                           sorted(perm[a:b].tolist()),
-                           sorted(perm[b:].tolist()), stratified=False)
-
-    labels = sorted(by_class)
-    shuffled = {c: rng.permutation(by_class[c]).tolist() for c in labels}
-    alloc = {c: _largest_remainder(len(by_class[c]), fractions) for c in labels}
-
-    # largest-remainder rounding per class can drift from the global bucket
-    # targets by a few graphs; migrate one at a time from the most-overfull
-    # bucket, taking from the class most overfilled there
-    def totals():
-        return [sum(alloc[c][b] for c in labels) for b in range(3)]
-
-    cur = totals()
-    while cur != targets:
-        over = max(range(3), key=lambda b: cur[b] - targets[b])
-        under = min(range(3), key=lambda b: cur[b] - targets[b])
-
-        def gain(c):
-            n_c = len(by_class[c])
-            surplus = alloc[c][over] - n_c * fractions[over]
-            deficit = n_c * fractions[under] - alloc[c][under]
-            return surplus + deficit
-
-        donor = max((c for c in labels if alloc[c][over] > 0), key=gain)
-        alloc[donor][over] -= 1
-        alloc[donor][under] += 1
-        cur = totals()
-
-    buckets = ([], [], [])
-    for c in labels:
-        a, b, _ = alloc[c]
-        pool = shuffled[c]
-        buckets[0].extend(pool[:a])
-        buckets[1].extend(pool[a:a + b])
-        buckets[2].extend(pool[a + b:])
-    return SplitResult(sorted(buckets[0]), sorted(buckets[1]),
-                       sorted(buckets[2]), stratified=True)

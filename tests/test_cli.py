@@ -40,7 +40,7 @@ def test_train_prints_the_run_summary(tmp_path, capsys):
 
 
 def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
-    # ten triangles and ten three-node paths: every split gets both classes
+    # ten triangles and ten three-node paths: every fold gets both classes
     a_lines, indicator, labels = [], [], []
     for g in range(20):
         off = 3 * g
@@ -56,7 +56,9 @@ def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     want = ev.run_protocol(_load(folder, "TP"), tr.Hyperparams(seed=1),
                            mode="gin-riu")
-    assert printed == {"mode": "gin-riu", "mean": want.mean, "std": want.std}
+    assert printed == {"mode": "gin-riu", "accuracies": want.accuracies,
+                       "mean": want.mean, "std": want.std}
+    assert len(printed["accuracies"]) == 10
 
 
 def test_misuse_raises_config_error(tmp_path):

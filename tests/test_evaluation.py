@@ -44,7 +44,7 @@ def test_run_protocol_gives_one_accuracy_per_run(mode):
     assert result.mean == pytest.approx(np.mean(result.accuracies))
 
 
-@pytest.mark.parametrize("n_runs", [0, -1])
+@pytest.mark.parametrize("n_runs", [0, -1, 2.5, True])
 def test_run_protocol_rejects_fewer_than_one_run(n_runs):
     with pytest.raises(ConfigError, match="n_runs"):
         ev.run_protocol(synthetic_dataset(), tr.Hyperparams(epochs=1),
@@ -55,27 +55,44 @@ def test_embed_dataset_rejects_batch_size_below_one():
     ds = synthetic_dataset()
     phi, _, _ = gnn.init_params(gnn.ModelDims(feature_dim=ds.feature_width),
                                 seed=0)
-    with pytest.raises(ConfigError, match="batch_size"):
-        ev.embed_dataset(phi, ds, batch_size=0)
+    for batch_size in (0, 2.5, True):
+        with pytest.raises(ConfigError, match="batch_size"):
+            ev.embed_dataset(phi, ds, batch_size=batch_size)
 
 
-def _table(n=20, dim=3, seed=0):
-    rng = np.random.default_rng(seed)
-    labels = np.arange(n) % 2
-    return ev.EmbeddingTable(rng.standard_normal((n, dim)) + labels[:, None],
-                             labels)
+@pytest.fixture(params=["mutag", "synthetic"])
+def labels(request):
+    if request.param == "mutag":
+        return request.getfixturevalue("mutag").labels
+    return synthetic_dataset().labels
 
 
-def test_linear_probe_rejects_empty_test_split():
-    split = gd.SplitResult(list(range(16)), [16, 17], [], stratified=False)
-    with pytest.raises(DataError, match="test split is empty"):
-        ev.linear_probe(_table(), split)
+def test_folds_partition_the_dataset(labels):
+    folds = ev.stratified_folds(labels, seed=0)
+    assert folds.shape == labels.shape
+    assert set(folds.tolist()) == set(range(ev.N_FOLDS))
 
 
-def test_linear_probe_rejects_empty_val_split():
-    split = gd.SplitResult(list(range(16)), [], [16, 17], stratified=False)
-    with pytest.raises(DataError, match="val split is empty"):
-        ev.linear_probe(_table(), split)
+def test_folds_balance_sizes_and_classes(labels):
+    folds = ev.stratified_folds(labels, seed=3)
+    sizes = np.bincount(folds, minlength=ev.N_FOLDS)
+    assert sizes.max() - sizes.min() <= 1
+    for c in np.unique(labels):
+        counts = np.bincount(folds[labels == c], minlength=ev.N_FOLDS)
+        assert counts.max() - counts.min() <= 1
+
+
+def test_folds_are_fixed_by_the_seed(labels):
+    a = ev.stratified_folds(labels, seed=5)
+    np.testing.assert_array_equal(a, ev.stratified_folds(labels, seed=5))
+    assert not np.array_equal(a, ev.stratified_folds(labels, seed=6))
+
+
+def test_mutag_probe_beats_the_majority_rate(mutag):
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    majority = np.bincount(ds.labels).max() / len(ds)  # 125 / 188 = 66.5%
+    result = ev.run_protocol(ds, tr.Hyperparams(), mode="gin-riu", n_runs=1)
+    assert result.accuracies[0] > majority
 
 
 def _bare_dataset():
@@ -85,21 +102,32 @@ def _bare_dataset():
     return gd.Dataset("BARE", records, 2)
 
 
-@pytest.mark.parametrize("dataset, mode", [
-    (gd.Dataset("EMPTY", [], 0), "gin-riu"),
-    (gd.Dataset("EMPTY", [], 0), "mega"),
-    (_bare_dataset(), "gin-riu"),
-    (_bare_dataset(), "ccl"),
-    (synthetic_dataset(), "nope"),
-], ids=["empty-gin-riu", "empty-mega", "no-features-gin-riu",
-        "no-features-ccl", "unknown-mode"])
-def test_run_protocol_rejects_bad_input_before_any_split(monkeypatch,
-                                                         dataset, mode):
-    def no_split(*args):
-        raise AssertionError("split before the input was checked")
+def _synthetic_subset(indices):
+    ds = synthetic_dataset()
+    return gd.Dataset("SUB", [ds.records[i] for i in indices], 2)
 
-    monkeypatch.setattr(ev, "split_dataset", no_split)
-    with pytest.raises(ConfigError):
+
+@pytest.mark.parametrize("dataset, mode, error", [
+    (gd.Dataset("EMPTY", [], 0), "gin-riu", ConfigError),
+    (gd.Dataset("EMPTY", [], 0), "mega", ConfigError),
+    (_bare_dataset(), "gin-riu", ConfigError),
+    (_bare_dataset(), "ccl", ConfigError),
+    (synthetic_dataset(), "nope", ConfigError),
+    # synthetic graphs alternate ring (class 0) and star (class 1)
+    (_synthetic_subset(range(9)), "mega", DataError),
+    (_synthetic_subset([0] + list(range(1, 24, 2))), "mega", DataError),
+], ids=["empty-gin-riu", "empty-mega", "no-features-gin-riu",
+        "no-features-ccl", "unknown-mode", "fewer-graphs-than-folds",
+        "single-graph-class"])
+def test_run_protocol_rejects_bad_input_before_any_split(monkeypatch,
+                                                         dataset, mode,
+                                                         error):
+    def never(*args, **kwargs):
+        raise AssertionError("reached before the input was checked")
+
+    monkeypatch.setattr(ev, "stratified_folds", never)
+    monkeypatch.setattr(tr, "train", never)
+    with pytest.raises(error):
         ev.run_protocol(dataset, tr.Hyperparams(epochs=1), mode=mode,
                         n_runs=1)
 

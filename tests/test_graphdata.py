@@ -377,70 +377,3 @@ def test_topology_order_is_computed_once_and_shared(mutag, monkeypatch):
         assert not order.flags.writeable
     assert sorts == []
     np.testing.assert_array_equal(first.edge_order, second.edge_order)
-
-
-# ---------------------------------------------------------------------------
-# splits
-# ---------------------------------------------------------------------------
-
-def _toy_dataset(n, n_classes=2):
-    recs = [gd.GraphRecord(gd.GraphTopology(1, ()), i % n_classes)
-            for i in range(n)]
-    return gd.Dataset("TOY", recs, n_classes)
-
-
-def test_split_sizes_8_1_1():
-    split = gd.split_dataset(_toy_dataset(10), seed=0)
-    assert (len(split.train), len(split.val), len(split.test)) == (8, 1, 1)
-
-
-def test_split_deterministic_per_seed():
-    ds = _toy_dataset(40, 3)
-    a = gd.split_dataset(ds, seed=5)
-    b = gd.split_dataset(ds, seed=5)
-    c = gd.split_dataset(ds, seed=6)
-    assert a == b
-    assert a != c
-
-
-def test_split_disjoint_exhaustive_stratified():
-    ds = _toy_dataset(53, 3)
-    split = gd.split_dataset(ds, seed=2)
-    assert split.stratified
-    all_idx = sorted(split.train + split.val + split.test)
-    assert all_idx == list(range(53))
-    # per-class train fraction within one graph of the global fraction
-    labels = ds.labels
-    for c in range(3):
-        n_c = int((labels == c).sum())
-        in_train = sum(1 for i in split.train if labels[i] == c)
-        assert abs(in_train - n_c * 0.8) <= 1.0
-
-
-def test_split_tiny_class_falls_back_unstratified():
-    recs = [gd.GraphRecord(gd.GraphTopology(1, ()), 0) for _ in range(9)]
-    recs.append(gd.GraphRecord(gd.GraphTopology(1, ()), 1))  # class of size 1
-    ds = gd.Dataset("TINY", recs, 2)
-    split = gd.split_dataset(ds, seed=0)
-    assert not split.stratified
-    assert len(split.train) + len(split.val) + len(split.test) == 10
-
-
-def test_split_rejects_bad_fractions():
-    with pytest.raises(ConfigError):
-        gd.split_dataset(_toy_dataset(10), 0, fractions=(0.5, 0.5, 0.2))
-    with pytest.raises(ConfigError):
-        gd.split_dataset(_toy_dataset(10), 0, fractions=(1.0, 0.0, 0.0))
-
-
-def test_split_rejects_dataset_leaving_a_split_empty():
-    # 5 graphs at 80/10/10 round to 4/1/0
-    with pytest.raises(DataError, match="test split empty"):
-        gd.split_dataset(_toy_dataset(5), seed=0)
-    with pytest.raises(DataError, match="val split empty"):
-        gd.split_dataset(_toy_dataset(10), 0, fractions=(0.9, 0.04, 0.06))
-
-
-def test_mutag_split_sizes(mutag):
-    split = gd.split_dataset(mutag, seed=0)
-    assert (len(split.train), len(split.val), len(split.test)) == (150, 19, 19)
