@@ -79,12 +79,12 @@ def stratified_folds(labels, seed):
     return folds
 
 
-def _probe_accuracy(x_tr, y_tr, x_te, y_te, n_classes):
+def _fold_accuracy(x, y, test, n_classes):
+    x_tr, y_tr = x[~test], y[~test]
     mu = x_tr.mean(axis=0)
     sd = x_tr.std(axis=0)
     sd[sd == 0.0] = 1.0
     x_tr = (x_tr - mu) / sd
-    x_te = (x_te - mu) / sd
     w = np.zeros((x_tr.shape[1], n_classes))
     b = np.zeros(n_classes)
     onehot = np.zeros((len(y_tr), n_classes))
@@ -97,7 +97,8 @@ def _probe_accuracy(x_tr, y_tr, x_te, y_te, n_classes):
         grad_logits = (p - onehot) / len(y_tr)
         w -= PROBE_LR * (x_tr.T @ grad_logits + 2.0 * PROBE_L2 * w)
         b -= PROBE_LR * grad_logits.sum(axis=0)
-    return float(((x_te @ w + b).argmax(axis=1) == y_te).mean())
+    logits = (x[test] - mu) / sd @ w + b
+    return float((logits.argmax(axis=1) == y[test]).mean())
 
 
 def linear_probe(table: EmbeddingTable, folds) -> float:
@@ -108,11 +109,9 @@ def linear_probe(table: EmbeddingTable, folds) -> float:
     fold. There is no validation split and no early stopping, so the outcome
     is deterministic.
     """
-    x, y = table.vectors, table.labels
-    n_classes = int(y.max()) + 1
+    n_classes = int(table.labels.max()) + 1
     return float(np.mean([
-        _probe_accuracy(x[folds != k], y[folds != k],
-                        x[folds == k], y[folds == k], n_classes)
+        _fold_accuracy(table.vectors, table.labels, folds == k, n_classes)
         for k in range(N_FOLDS)]))
 
 
