@@ -142,9 +142,9 @@ def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
 
     ``gin-riu`` skips training and probes a freshly initialized encoder.
     Everything is checked before the first run: an unknown mode, a run
-    count that is not an int of at least 1, or a dataset without graphs or
-    node features raises ``ConfigError``; fewer graphs than folds, or a
-    class with a single graph, raises ``DataError``.
+    count that is not an int of at least 1, or a dataset without node
+    features raises ``ConfigError``; a dataset without graphs, fewer graphs
+    than folds, or a class with a single graph raises ``DataError``.
     """
     if mode not in PROTOCOL_MODES:
         raise ConfigError(f"unknown protocol mode: {mode!r}")

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import augmenter as lga
 from . import gnn
 from . import losses
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .graphdata import Dataset, batch_graphs
 
 TRAINING_MODES = ("mega", "mega-il", "ccl")
@@ -102,9 +102,11 @@ def _require_finite(value, what, iteration):
 
 def _contrast(batch, weights, phi, psi, hp, iteration):
     """Encode the unit-weight view and the ``weights`` view, and return both
-    projections with their NT-Xent loss, checked finite."""
+    projections with their NT-Xent loss, checked finite. With ``weights``
+    None the second view is the unit view itself: it is encoded once and
+    both projections are the same tensor."""
     z = _encode_project(batch, lga.unit_edge_weights(batch), phi, psi)
-    z_aug = _encode_project(batch, weights, phi, psi)
+    z_aug = z if weights is None else _encode_project(batch, weights, phi, psi)
     loss = losses.nt_xent(z, z_aug, hp.tau)
     _require_finite(loss.item(), "contrastive loss", iteration)
     return z, z_aug, loss
@@ -122,11 +124,14 @@ def contrast_step(state: TrainState, batch, hp: Hyperparams,
 
     The augmenter drives the second view but scores it with the tape
     paused, so its weights are constants; it is bitwise untouched here.
+    With ``unit_weights`` (mode ``ccl``) the unit view is contrasted with
+    itself: it is encoded once, and its projection is both views.
     """
     tape = ad.active_tape()
-    with tape.paused():
-        weights = lga.unit_edge_weights(batch) if unit_weights \
-            else lga.lga_edge_weights(batch, state.sigma)
+    weights = None
+    if not unit_weights:
+        with tape.paused():
+            weights = lga.lga_edge_weights(batch, state.sigma)
     z, z_aug, loss = _contrast(batch, weights, state.phi, state.psi, hp,
                                state.iteration)
 
@@ -191,10 +196,10 @@ def meta_step(state: TrainState, batch, hp: Hyperparams):
 
 
 def require_features(dataset: Dataset):
-    """Raise ``ConfigError`` unless the dataset holds graphs with node
-    features: without them there is nothing to encode."""
+    """Raise ``DataError`` for a dataset without graphs and ``ConfigError``
+    for one without node features: either way there is nothing to encode."""
     if not dataset.records:
-        raise ConfigError(f"{dataset.name}: the dataset is empty")
+        raise DataError(f"{dataset.name}: the dataset holds no graphs")
     if dataset.feature_width is None:
         raise ConfigError(f"{dataset.name}: the dataset needs node features")
 
@@ -214,9 +219,10 @@ def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
 
     Modes: ``mega`` alternates contrast and meta steps strictly 1:1;
     ``mega-il`` is the same with the feature term off (lam = 0); ``ccl``
-    takes a contrast step with unit weights on every batch (the plain
-    contrastive baseline). Returns the final TrainState (its ``phi`` is the
-    encoder; head and augmenter ride along) and the metrics log.
+    takes a contrast step on every batch, contrasting the unit-weight view
+    with itself and encoding it once (the plain contrastive baseline).
+    Returns the final TrainState (its ``phi`` is the encoder; head and
+    augmenter ride along) and the metrics log.
     """
     if mode not in TRAINING_MODES:
         raise ConfigError(f"unknown training mode: {mode!r}")

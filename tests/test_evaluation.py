@@ -108,8 +108,8 @@ def _synthetic_subset(indices):
 
 
 @pytest.mark.parametrize("dataset, mode, error", [
-    (gd.Dataset("EMPTY", [], 0), "gin-riu", ConfigError),
-    (gd.Dataset("EMPTY", [], 0), "mega", ConfigError),
+    (gd.Dataset("EMPTY", [], 0), "gin-riu", DataError),
+    (gd.Dataset("EMPTY", [], 0), "mega", DataError),
     (_bare_dataset(), "gin-riu", ConfigError),
     (_bare_dataset(), "ccl", ConfigError),
     (synthetic_dataset(), "nope", ConfigError),

@@ -206,6 +206,13 @@ def test_nt_xent_gradients_match_finite_differences(tape):
         lambda t: losses.nt_xent(z, t, 0.5).item(), zp)
     assert ad.max_relative_error(grads[z], fd_z) < 1e-4
     assert ad.max_relative_error(grads[zp], fd_zp) < 1e-4
+    # one tensor feeding both arguments, as mode ccl's single view does:
+    # the tape must sum the two arguments' gradients into it
+    zz = ad.variable(rng.standard_normal((4, 5)))
+    g_zz = ad.backward(losses.nt_xent(zz, zz, 0.5), [zz])[zz]
+    fd_zz = ad.finite_diff_gradient(
+        lambda t: losses.nt_xent(t, t, 0.5).item(), zz)
+    assert ad.max_relative_error(g_zz, fd_zz) < 1e-4
 
 
 # ---------------------------------------------------------------------------

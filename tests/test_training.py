@@ -11,7 +11,7 @@ from megagcl import gnn
 from megagcl import graphdata as gd
 from megagcl import losses
 from megagcl import training as tr
-from megagcl.errors import ConfigError, NumericError
+from megagcl.errors import ConfigError, DataError, NumericError
 
 from conftest import count_calls, ring_record, synthetic_dataset
 
@@ -220,9 +220,10 @@ def test_meta_step_moves_instance_term_downhill():
 # full loop
 # ---------------------------------------------------------------------------
 
-# primitive calls and tape nodes of one MUTAG contrast step and one meta
-# step at batch 32, as ROADMAP's Baseline records them
-STEP_CENSUS = {"contrast": (182, 74), "meta": (647, 255)}
+# primitive calls and tape nodes of one MUTAG contrast step, one ccl step
+# (the unit view encoded once) and one meta step at batch 32, as ROADMAP's
+# Baseline records them
+STEP_CENSUS = {"contrast": (182, 74), "ccl": (121, 63), "meta": (647, 255)}
 
 
 def _ones_or_identity(t):
@@ -249,6 +250,8 @@ def test_mutag_step_census_and_no_ones_matrix_operands(mutag, monkeypatch):
     tape = ad.Tape()
     with ad.use_tape(tape):
         for kind, step in (("contrast", tr.contrast_step),
+                           ("ccl", partial(tr.contrast_step,
+                                           unit_weights=True)),
                            ("meta", tr.meta_step)):
             tape.reset()
             state.adopt_all(tape)
@@ -264,6 +267,44 @@ def test_mutag_step_census_and_no_ones_matrix_operands(mutag, monkeypatch):
                      if any(_ones_or_identity(t) for t in node.inputs))
     assert taking == {"weighted-aggregate": 12, "concat-rows": 1, "mul": 3,
                       "sub": 1}
+
+
+def test_ccl_step_equals_the_two_encoding_contrast(mutag, monkeypatch):
+    # the oracle: encode the unit view twice, as two independent tensors
+    batch, state = _mutag_batch_and_state(mutag)
+    hp = tr.Hyperparams()
+    enc = state.phi.tensors() + state.psi.tensors()
+    tape = ad.Tape()
+    with ad.use_tape(tape):
+        state.adopt_all(tape)
+        z, z_aug = (tr._encode_project(batch, lga.unit_edge_weights(batch),
+                                       state.phi, state.psi)
+                    for _ in range(2))
+        loss = losses.nt_xent(z, z_aug, hp.tau)
+        grads = ad.backward(loss, enc)
+        want_grads = [grads[t].data for t in enc]
+        with tape.paused():
+            terms = losses.mega_terms(losses.instance_corr(z, z_aug),
+                                      losses.feature_corr(z, z_aug), hp.lam)
+        want = {"step": "contrast", "l_contrast": loss.item(),
+                **{name: t.item() for name, t in terms.items()}}
+
+        kept = []
+        backward = ad.backward
+
+        def keeping(loss, params, **kwargs):
+            g = backward(loss, params, **kwargs)
+            kept.extend(g[t].data for t in params)
+            return g
+
+        monkeypatch.setattr(ad, "backward", keeping)
+        tape.reset()
+        state.adopt_all(tape)
+        record = tr.contrast_step(state, batch, hp, True)
+    assert record == want  # finite and nonzero, so == is bitwise
+    assert len(kept) == len(want_grads)
+    for got, ref in zip(kept, want_grads):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def _mutag_batch_and_state(mutag):
@@ -455,7 +496,7 @@ def test_train_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         tr.train(ds, hp(), mode="gin-riu")
     empty = gd.Dataset("E", [], 0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match="no graphs"):
         tr.train(empty, hp())
     bare = gd.Dataset("B", [gd.GraphRecord(gd.GraphTopology(1, ()), 0)], 1)
     with pytest.raises(ConfigError):
