@@ -33,6 +33,10 @@ chain, so the values are bitwise the same, and so are the gradients: its
 rule builds the relu mask's ``mul``, the bias sum and the two products in
 the order in which the three rules built them. ``relu`` itself stays as
 the unfused oracle the tests compare ``dense`` against.
+
+``weighted_aggregate`` is A_w @ x over edges stored in CSR order, so their
+weight column is the sparse matrix's data as it stands. GIN's self term is
+no edge but an ``add`` of ``x``.
 """
 
 from __future__ import annotations
@@ -198,20 +202,10 @@ class SparsePattern:
     """The fixed structure of a weighted aggregation over ``E`` edges: an
     (n_out, n_in) sparse matrix with one entry at (dst[e], src[e]) per edge.
 
-    ``order`` lists the edges by target, then source, repeats in edge order
-    (numpy's ``lexsort((src, dst))``): the CSR entry order of ``csr``, whose
-    data ``weighted_aggregate`` fills with the weights in that order on
-    every call. Without repeated (dst, src) pairs this is the order in which
-    scipy sorts a COO matrix on conversion to CSR, so products match a
-    per-call ``csr_matrix((w, (dst, src)))`` bit for bit.
-
-    The caller supplies the order, and nothing here sorts: a batch assembles
-    its adjacency order from each graph's cached order by offsets
-    (``graphdata.batch_graphs``), its pooling order is the identity, and the
-    ``gather-rows`` gradient takes a stable argsort of its indices. The
-    order is trusted, not re-verified, because that check costs about as
-    much as the sort it replaces; tests pin each supplier's order against
-    a lexsort. The indices and the order's length are checked here.
+    The edges come in CSR order, checked here: ``dst`` never decreases, and
+    ``src`` is the matrix's column indices as it stands, so entry e of
+    ``csr`` is edge e and a row adds its terms in edge order. Nothing sorts:
+    ``weighted_aggregate`` copies an aligned weight column into the data.
 
     ``csr_t`` is the transpose as a CSC view over ``csr``'s three arrays,
     so it sees the weights written into ``csr.data``. Its product adds each
@@ -220,31 +214,29 @@ class SparsePattern:
     bit without that second build.
     """
 
-    __slots__ = ("src", "dst", "n_out", "n_in", "order", "csr", "csr_t")
+    __slots__ = ("src", "dst", "n_out", "n_in", "csr", "csr_t")
 
-    def __init__(self, src, dst, n_out, n_in, order):
+    def __init__(self, src, dst, n_out, n_in):
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
-        order = np.asarray(order, dtype=np.intp)
         n_out, n_in = int(n_out), int(n_in)
         if src.ndim != 1 or src.shape != dst.shape:
             raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
                              "sources and targets must be equal 1-D shapes")
-        if order.shape != src.shape:
-            raise ShapeError("weighted-aggregate", [src.shape, order.shape],
-                             "the order needs one entry per edge")
         if src.size and (src.min() < 0 or src.max() >= n_in):
             raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
                              f"source out of range for {n_in} input rows")
         if dst.size and (dst.min() < 0 or dst.max() >= n_out):
             raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
                              f"target out of range for {n_out} output rows")
+        if np.any(dst[1:] < dst[:-1]):
+            raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
+                             "targets must never decrease (CSR order)")
         self.src, self.dst, self.n_out, self.n_in = src, dst, n_out, n_in
-        self.order = order
         indptr = np.zeros(n_out + 1, dtype=np.intp)
         np.cumsum(np.bincount(dst, minlength=n_out), out=indptr[1:])
         self.csr = scipy.sparse.csr_matrix(
-            (np.zeros(src.size), src[order], indptr), shape=(n_out, n_in))
+            (np.zeros(src.size), src, indptr), shape=(n_out, n_in))
         self.csr_t = self.csr.T
 
 
@@ -291,18 +283,6 @@ def _f_dense(inputs, extras):
     if extras["relu"]:
         np.maximum(out, 0.0, out=out)
     return out
-
-
-def _f_concat_rows(inputs, extras):
-    if not inputs:
-        raise ShapeError("concat-rows", [], "needs at least one input")
-    _require_2d("concat-rows", *inputs)
-    width = inputs[0].shape[1]
-    for t in inputs[1:]:
-        if t.shape[1] != width:
-            raise ShapeError("concat-rows", [x.shape for x in inputs],
-                             "column counts differ")
-    return np.concatenate([t.data for t in inputs], axis=0)
 
 
 def _f_sum(inputs, extras):
@@ -444,7 +424,7 @@ def _f_weighted_aggregate(inputs, extras):
                          f"{n_rows} input rows")
     # every call overwrites the buffer the matrix shares with its transposed
     # view; the tape is single-threaded, so no call sees another's weights
-    np.take(w.data[:, 0], pattern.order, out=pattern.csr.data)
+    np.copyto(pattern.csr.data, w.data[:, 0])
     return (pattern.csr_t if transposed else pattern.csr) @ x.data
 
 
@@ -463,10 +443,11 @@ def _reduce_to(g: Tensor, shape) -> Tensor:
     if len(shape) == 2 and g.data.ndim == 2:
         n, m = g.shape
         if shape in ((1, 1), (1, m), (n, 1)):
-            # a sum over a length-1 axis is the identity: skip it
-            if shape[1] == 1 and m > 1:
+            # a sum over a length-1 axis is the identity: skip it; one over
+            # a length-0 axis (an edgeless batch) is zeros
+            if shape[1] == 1 and m != 1:
                 g = sum_rows(g)
-            if shape[0] == 1 and n > 1:
+            if shape[0] == 1 and n != 1:
                 g = sum_cols(g)
             return g
     raise ShapeError("reduce", [g.shape, shape], "cannot reduce gradient")
@@ -523,17 +504,6 @@ def _v_dense(node, g, need):
     gx = matmul(g, w, tb=True) if need[0] else None
     gw = matmul(x, g, ta=True) if need[1] else None
     return [gx, gw, gb]
-
-
-def _v_concat_rows(node, g, need):
-    grads = []
-    row = 0
-    for t, wanted in zip(node.inputs, need):
-        n = t.shape[0]
-        grads.append(gather_rows(g, np.arange(row, row + n)) if wanted
-                     else None)
-        row += n
-    return grads
 
 
 def _v_sum(node, g, need):
@@ -604,9 +574,9 @@ def _v_gather_rows(node, g, need):
     (x,) = node.inputs
     n = g.shape[0]
     indices = node.extras["indices"]
-    # stable, so equal indices keep their row order: lexsort((arange, indices))
-    pattern = SparsePattern(np.arange(n), indices, x.shape[0], n,
-                            np.argsort(indices, kind="stable"))
+    # the edges by target, stably, so equal indices keep their row order
+    rows = np.argsort(indices, kind="stable")
+    pattern = SparsePattern(rows, indices[rows], x.shape[0], n)
     return [weighted_aggregate(g, constant(np.ones((n, 1))), pattern)]
 
 
@@ -636,7 +606,6 @@ _PRIMITIVES = {
     "mul": (_f_mul, _v_mul),
     "matmul": (_f_matmul, _v_matmul),
     "dense": (_f_dense, _v_dense),
-    "concat-rows": (_f_concat_rows, _v_concat_rows),
     "sum": (_f_sum, _v_sum),
     "mean": (_f_mean, _v_mean),
     "relu": (_f_relu, _v_relu),
@@ -705,10 +674,6 @@ def dense(x, w, b, relu=False):
     ``x`` is (n, k), ``w`` is (k, m) and the bias ``b`` is a (1, m) row.
     """
     return primitive_forward("dense", [x, w, b], relu=relu)
-
-
-def concat_rows(tensors):
-    return primitive_forward("concat-rows", list(tensors))
 
 
 def reduce_sum(x):
@@ -793,9 +758,10 @@ def weighted_aggregate(x, w, pattern, transposed=False):
     matrix A_w with entries ``w[e]`` at (dst[e], src[e]).
 
     ``pattern`` is the ``SparsePattern`` of ``src``, ``dst``, ``n_out`` and
-    ``n_in`` (the row count of ``x``); ``w`` is an (E, 1) column aligned with
-    its edges. Build the pattern once and reuse it for every call over the
-    same edges: each call then costs one sparse product, not a rebuild.
+    ``n_in`` (the row count of ``x``), edges in CSR order; ``w`` is an (E, 1)
+    column aligned with them. Build the pattern once and reuse it for every
+    call over the same edges: each call then costs one copy of ``w`` and
+    one sparse product, not a rebuild.
 
     With ``transposed`` it is A_w^T @ x: ``x`` has ``n_out`` rows.
     """

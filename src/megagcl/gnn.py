@@ -1,17 +1,16 @@
 """GIN-style message-passing encoder over edge-weighted aggregation.
 
 Each layer computes, for node v, MLP((1+eps) * H_v + sum_{u->v} w_uv * H_u)
-with eps fixed at 0. Self-loop entries of the weight vector are pinned to 1,
-so one sparse weighted aggregation (A_w @ H) over the full edge list realizes
-the self term and the neighbor sum in one pass. Readout is a per-graph sum,
+with eps fixed at 0: one sparse weighted aggregation (A_w @ H) over the
+batch's edges, plus H itself for the self term. Readout is a per-graph sum,
 the same aggregation with unit weights from nodes to their graphs. Both
 aggregate over sparse patterns the batch builds once and caches
 (``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so every layer and
 view over one batch reuses them and only writes in its weights. Building
-them sorts nothing: the adjacency's entry order is assembled from each
-graph's once-computed order (``GraphTopology.csr_order``) by offsets, and
-the pooling's is the identity. Backward passes run the transposed products
-over the same patterns, building none.
+them sorts nothing: the batch stores its edges in CSR order, by target,
+from each graph's once-sorted edges (``GraphTopology.csr_edges``), and its
+nodes ascend by graph. Backward passes run the transposed products over
+the same patterns, building none.
 
 Each layer's perceptron, the projection head and the augmenter's edge scorer
 are the same two-layer perceptron, ``mlp_forward``: two ``autodiff.dense``
@@ -86,15 +85,16 @@ def mlp_forward(x, p: MlpParams):
 
 
 def gin_layer_forward(batch: GraphBatch, h, weights, layer: MlpParams):
-    """One message-passing round with per-edge weights.
+    """One message-passing round with per-edge weights: the perceptron of
+    A_w @ h + h, the weighted neighbour sum plus the self term.
 
-    ``weights`` is an (n_edges, 1) column aligned with the batch edge list;
-    its trailing self-loop entries must be 1.
+    ``weights`` is an (n_edges, 1) column aligned with the batch's edges,
+    which are stored in CSR order; no weight belongs to a node itself.
     """
     if h.shape[0] != batch.n_nodes:
         raise ShapeError("gin-layer", [h.shape],
                          f"expected {batch.n_nodes} node rows")
-    agg = ad.weighted_aggregate(h, weights, batch.adjacency)
+    agg = ad.add(ad.weighted_aggregate(h, weights, batch.adjacency), h)
     return mlp_forward(agg, layer)
 
 

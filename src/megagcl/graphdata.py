@@ -31,9 +31,9 @@ class GraphTopology:
     both in 0..n_nodes-1, coerced at construction from any sequence of pairs
     (``()`` gives shape (0, 2)). Arrays do not compare with ``==``, so
     neither do topologies; compare ``edges`` with ``np.array_equal``.
-    Self-loops are implicit (one per node, materialized at batch time).
+    There are no self-loops: the encoder adds each node's own row itself.
 
-    ``csr_order`` is computed on first use, which is also where the edges
+    ``csr_edges`` is computed on first use, which is also where the edges
     are checked: construction stays a plain coercion, so parsing pays for
     neither.
     """
@@ -45,32 +45,24 @@ class GraphTopology:
         object.__setattr__(self, "edges", _edge_array(self.edges))
 
     @cached_property
-    def csr_order(self):
-        """The graph's edges followed by its n self-loops (loop j at
-        position E + j), listed by target, then source, repeats in edge
-        order: numpy's ``lexsort((src, dst))`` over those E + n entries.
-
-        Computed once per topology and kept, read-only, so every batch that
-        holds the graph assembles its order from this one by offsets.
-        Raises ``DataError`` for a stored self-loop or an edge outside
-        0..n_nodes-1, which would give the batch a second loop or an edge
-        into the next graph.
-        """
+    def csr_edges(self):
+        """The edges sorted by target, then source (CSR order), computed
+        once and kept, read-only. Raises ``DataError`` for a stored
+        self-loop or an edge outside 0..n_nodes-1, which would count a
+        node's own row twice or reach into the next graph of a batch."""
         n, e = self.n_nodes, self.edges
         bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1)
                              | (e[:, 0] == e[:, 1]))
         if bad.size:
             u, v = e[bad[0]]
-            what = ("is a stored self-loop (self-loops are implicit)"
+            what = ("is a stored self-loop"
                     if u == v else f"is outside node range 0..{n - 1}")
             raise DataError(f"edge {bad[0]} ({u}, {v}) {what}")
-        loops = np.arange(n, dtype=np.intp)
-        key = np.concatenate([e[:, 1], loops]) * n
-        key += np.concatenate([e[:, 0], loops])
-        # one key, target-major and below n * n, sorts as the two-key lexsort
-        order = np.argsort(key, kind="stable")
-        order.flags.writeable = False
-        return order
+        # one key, target-major and below n * n, sorts as (target, source)
+        dst, src = np.divmod(np.sort(e[:, 1] * n + e[:, 0]), max(n, 1))
+        edges = np.stack([src, dst], axis=1)
+        edges.flags.writeable = False
+        return edges
 
 
 @dataclass
@@ -109,25 +101,18 @@ class Dataset:
 class GraphBatch:
     """Block-diagonal concatenation of graphs.
 
-    ``edge_src``/``edge_dst`` hold all directed non-self edges (shifted by
-    node offsets) followed by one self-loop per node, so an aligned edge
-    weight vector has its non-self entries first and its self entries last.
-    ``edge_order`` lists those edges by target, then source: the CSR entry
-    order of ``adjacency``, assembled from the graphs' ``csr_order`` by
-    offsets. The pooling pattern's order is the identity, because
-    ``graph_of_node`` never decreases and the node sources ascend. Neither
-    pattern sorts.
+    ``edge_src``/``edge_dst`` hold every graph's directed edges, shifted by
+    its node offset, in CSR order (by target, then source), so both
+    patterns take their edges as they stand: ``graph_of_node`` never
+    decreases either. An edge weight vector is an aligned (n_edges, 1) column.
     """
 
     n_graphs: int
     n_nodes: int
-    offsets: np.ndarray
     graph_of_node: np.ndarray
     edge_src: np.ndarray
     edge_dst: np.ndarray
-    n_nonself: int
     features: np.ndarray
-    edge_order: np.ndarray
 
     @property
     def n_edges(self):
@@ -138,15 +123,14 @@ class GraphBatch:
         """The edge list as an aggregation pattern from nodes to nodes,
         built on first use and kept for the life of the batch."""
         return SparsePattern(self.edge_src, self.edge_dst, self.n_nodes,
-                             self.n_nodes, self.edge_order)
+                             self.n_nodes)
 
     @cached_property
     def pooling(self):
         """The aggregation pattern from each node to its graph (readout),
         built on first use and kept for the life of the batch."""
-        nodes = np.arange(self.n_nodes)
-        return SparsePattern(nodes, self.graph_of_node, self.n_graphs,
-                             self.n_nodes, nodes)
+        return SparsePattern(np.arange(self.n_nodes), self.graph_of_node,
+                             self.n_graphs, self.n_nodes)
 
 
 def _edge_array(pairs):
@@ -156,9 +140,8 @@ def _edge_array(pairs):
 def undirected_closure(edges, n_nodes):
     """Deduplicate directed pairs, drop self-loops, add missing reverses.
 
-    Returns an (E, 2) array: the first occurrence of each pair in input
-    order, then the missing reverses in the order of their pairs. Order-
-    preserving, so parsing is deterministic; idempotent.
+    Returns an (E, 2) array of the distinct pairs sorted by source, then
+    target, so parsing is deterministic; idempotent.
     """
     e = _edge_array(edges)
     e = e[e[:, 0] != e[:, 1]]
@@ -166,9 +149,12 @@ def undirected_closure(edges, n_nodes):
     if outside.size:
         u, v = e[outside[0]]
         raise DataError(f"edge ({u}, {v}) outside node range 0..{n_nodes - 1}")
-    both = np.concatenate([e, e[:, ::-1]])
-    _, first = np.unique(both[:, 0] * n_nodes + both[:, 1], return_index=True)
-    return both[np.sort(first)]
+    keys = np.concatenate([e[:, 0], e[:, 1]]) * n_nodes
+    keys += np.concatenate([e[:, 1], e[:, 0]])
+    keys.sort()
+    first = np.ones(keys.shape, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return np.stack(np.divmod(keys[first], max(n_nodes, 1)), axis=1)
 
 
 def _find_dataset_dir(root_dir, name):
@@ -294,7 +280,8 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
             f"{gu + 1} and {gv + 1}")
 
     # one closure over global ids, then a stable sort by graph, gives each
-    # graph its own closure order: its forward pairs, then its reverses
+    # graph its own closure sorted by source, then target: a node's local
+    # index keeps the order of its global id within its graph
     edges = undirected_closure(pairs - 1, n_total)
     graph_of_edge = graph_of[edges[:, 0]]
     per_graph = np.split(
@@ -359,11 +346,9 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
 def batch_graphs(records) -> GraphBatch:
     """Concatenate graphs block-diagonally.
 
-    The global edge list holds every directed non-self edge shifted by its
-    graph's node offset, then one self-loop per node. Its CSR order comes
-    from the graphs' cached orders: a graph's entry k < E_g is its non-self
-    edge k, at ``edge_offset_g + k`` in the batch, and its entry E_g + j is
-    its node j's self-loop, at ``n_nonself + node_offset_g + j``.
+    The global edge list is every graph's ``csr_edges`` shifted by its node
+    offset. Each graph's edges are in CSR order and the offsets ascend, so
+    the batch's edges are in CSR order as they stand.
     """
     if not records:
         raise DataError("cannot batch an empty record list")
@@ -378,31 +363,14 @@ def batch_graphs(records) -> GraphBatch:
                 f"{r.features.shape[0]} feature rows")
 
     sizes = np.array([r.n_nodes for r in records], dtype=np.intp)
-    n_edges = np.array([len(r.topology.edges) for r in records],
-                       dtype=np.intp)
-    offsets = np.cumsum(sizes) - sizes
-    edge_offsets = np.cumsum(n_edges) - n_edges
-    total, n_nonself = int(sizes.sum()), int(n_edges.sum())
-    shifted = np.concatenate([r.topology.edges + off
-                              for r, off in zip(records, offsets)])
-    self_loops = np.arange(total, dtype=np.intp)
-
-    entries = n_edges + sizes
-    order = np.concatenate([r.topology.csr_order for r in records])
-    is_loop = order >= np.repeat(n_edges, entries)
-    order += np.repeat(edge_offsets, entries)
-    loop_shift = n_nonself + offsets - n_edges - edge_offsets
-    order += is_loop * np.repeat(loop_shift, entries)
-
+    per_graph = [r.topology.csr_edges for r in records]
+    edges = np.concatenate(per_graph)
+    shift = np.repeat(np.cumsum(sizes) - sizes, [len(e) for e in per_graph])
     return GraphBatch(
         n_graphs=len(records),
-        n_nodes=total,
-        offsets=offsets,
+        n_nodes=int(sizes.sum()),
         graph_of_node=np.repeat(np.arange(len(records), dtype=np.intp), sizes),
-        edge_src=np.concatenate([shifted[:, 0], self_loops]),
-        edge_dst=np.concatenate([shifted[:, 1], self_loops]),
-        n_nonself=n_nonself,
+        edge_src=edges[:, 0] + shift,
+        edge_dst=edges[:, 1] + shift,
         features=np.concatenate([r.features for r in records], axis=0),
-        edge_order=order,
     )
-

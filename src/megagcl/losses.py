@@ -50,11 +50,17 @@ def nt_xent(z, z_aug, tau):
 
     For anchor i the positive is (z_i, z'_i); the negatives are the pairs
     (z_i, z'_j) and (z'_i, z_j) for j != i. Similarity is cosine. With a
-    single pair there are no negatives and the loss is exactly 0.
+    single pair there are no negatives and the loss is exactly 0. This is
+    ``nt_xent_of_cosines`` over ``instance_corr(z, z_aug)``.
     """
+    return nt_xent_of_cosines(instance_corr(z, z_aug), tau)
+
+
+def nt_xent_of_cosines(sims, tau):
+    """``nt_xent`` over its N x N cosine matrix ``sims`` (C_ij between z_i
+    and z'_j), so a caller that also needs C builds it once."""
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    sims = instance_corr(z, z_aug)
     scaled = ad.exp(ad.scalar_scale(sims, 1.0 / tau))
     row_tot = ad.sum_rows(scaled)
     # the row sums of the transposed copy, not sum_cols: each runs its own

@@ -37,7 +37,11 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("tau", "lam", "inner_lr", "encoder_lr", "augmenter_lr"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(
+                    f"{name} must be an int or a float, got {value!r}")
+            if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite")
         for name in ("tau", "encoder_lr", "augmenter_lr"):
             if getattr(self, name) <= 0:
@@ -102,14 +106,15 @@ def _require_finite(value, what, iteration):
 
 def _contrast(batch, weights, phi, psi, hp, iteration):
     """Encode the unit-weight view and the ``weights`` view, and return both
-    projections with their NT-Xent loss, checked finite. With ``weights``
-    None the second view is the unit view itself: it is encoded once and
-    both projections are the same tensor."""
+    projections, their cosine matrix and their NT-Xent loss over it, checked
+    finite. With ``weights`` None the second view is the unit view itself:
+    it is encoded once and both projections are the same tensor."""
     z = _encode_project(batch, lga.unit_edge_weights(batch), phi, psi)
     z_aug = z if weights is None else _encode_project(batch, weights, phi, psi)
-    loss = losses.nt_xent(z, z_aug, hp.tau)
+    sims = losses.instance_corr(z, z_aug)
+    loss = losses.nt_xent_of_cosines(sims, hp.tau)
     _require_finite(loss.item(), "contrastive loss", iteration)
-    return z, z_aug, loss
+    return z, z_aug, sims, loss
 
 
 def _step_record(step, l_contrast, terms):
@@ -132,8 +137,8 @@ def contrast_step(state: TrainState, batch, hp: Hyperparams,
     if not unit_weights:
         with tape.paused():
             weights = lga.lga_edge_weights(batch, state.sigma)
-    z, z_aug, loss = _contrast(batch, weights, state.phi, state.psi, hp,
-                               state.iteration)
+    z, z_aug, sims, loss = _contrast(batch, weights, state.phi, state.psi,
+                                     hp, state.iteration)
 
     enc_tensors = state.phi.tensors() + state.psi.tensors()
     grads = ad.backward(loss, enc_tensors)
@@ -142,8 +147,7 @@ def contrast_step(state: TrainState, batch, hp: Hyperparams,
     state.phi, state.psi = _split_encoder_tensors(state.phi, new_tensors)
 
     with tape.paused():
-        terms = losses.mega_terms(losses.instance_corr(z, z_aug),
-                                  losses.feature_corr(z, z_aug), hp.lam)
+        terms = losses.mega_terms(sims, losses.feature_corr(z, z_aug), hp.lam)
     return _step_record("contrast", loss, terms)
 
 
@@ -158,7 +162,7 @@ def meta_gradients(phi, psi, sigma, batch, hp: Hyperparams, iteration=0):
     through (3)'s gradients into sigma.
     """
     weights = lga.lga_edge_weights(batch, sigma)
-    _, _, l_contrast = _contrast(batch, weights, phi, psi, hp, iteration)
+    *_, l_contrast = _contrast(batch, weights, phi, psi, hp, iteration)
 
     enc_tensors = phi.tensors() + psi.tensors()
     enc_grads = ad.backward(l_contrast, enc_tensors, create_graph=True)

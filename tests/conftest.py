@@ -1,4 +1,5 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,21 @@ DATA_ROOT = Path(os.environ.get("MEGA_DATA_ROOT", REPO_ROOT / "data"))
 @pytest.fixture(scope="session")
 def mutag():
     return gd.parse_tu_dataset(DATA_ROOT, "MUTAG")
+
+
+@pytest.fixture(scope="session")
+def synth_records(tmp_path_factory):
+    """64 graphs of 150-250 nodes from ``megabench/synth.py``, with
+    node-label one-hot features."""
+    megabench = str(REPO_ROOT / "megabench")
+    sys.path.insert(0, megabench)
+    try:
+        import synth
+    finally:
+        sys.path.remove(megabench)
+    folder = synth.write_tu(tmp_path_factory.mktemp("synth"), "SYN", 64, 0)
+    ds = gd.parse_tu_dataset(folder, "SYN")
+    return gd.build_node_features(ds, "node-label-onehot").records
 
 
 @pytest.fixture

@@ -31,31 +31,34 @@ def make_sigma(tape, width, hidden=4, seed=0, zero=False):
     return sigma
 
 
-def test_zero_sigma_gives_half_weights_unit_self_loops(tape):
+def test_zero_sigma_gives_half_weights(tape):
     batch = small_batch()
     sigma = make_sigma(tape, 4, zero=True)
     w = aug.lga_edge_weights(batch, sigma)
-    assert w.shape == (batch.n_edges, 1)
-    np.testing.assert_array_equal(w.data[:batch.n_nonself], 0.5)
-    np.testing.assert_array_equal(w.data[batch.n_nonself:], 1.0)
+    assert w.shape == (batch.n_edges, 1) == (6, 1)  # no self-loop entries
+    np.testing.assert_array_equal(w.data, 0.5)
 
 
 def test_weights_strictly_inside_unit_interval(tape):
     batch = small_batch(5)
     sigma = make_sigma(tape, 4, seed=3)
-    w = aug.lga_edge_weights(batch, sigma).data[:batch.n_nonself]
+    w = aug.lga_edge_weights(batch, sigma).data
     assert np.all(w > 0.0) and np.all(w < 1.0)
 
 
-def test_self_loop_weights_constant_and_off_tape(tape):
-    batch = small_batch()
+def test_edgeless_batch_gets_an_empty_weight_column(tape):
+    recs = [gd.GraphRecord(gd.GraphTopology(n, ()), 0,
+                           features=np.eye(n, 4)) for n in (1, 3, 0, 2)]
+    batch = gd.batch_graphs(recs)
     sigma = make_sigma(tape, 4, seed=1)
     w = aug.lga_edge_weights(batch, sigma)
-    np.testing.assert_array_equal(w.data[batch.n_nonself:], 1.0)
-    # gradient of any loss in the weights never touches the self entries
+    assert w.shape == (0, 1) and w.node_id is not None
+    # a loss through the empty column gives every parameter a zero gradient
     loss = ad.reduce_sum(ad.square(w))
-    grads = ad.backward(loss, [sigma.w2])
-    assert grads[sigma.w2].shape == sigma.w2.shape
+    grads = ad.backward(loss, sigma.tensors())
+    for t in sigma.tensors():
+        assert grads[t].shape == t.shape
+        np.testing.assert_array_equal(grads[t].data, 0.0)
 
 
 def test_feature_width_mismatch(tape):
@@ -76,10 +79,10 @@ def test_deterministic_given_sigma_and_batch(tape):
 def test_bias_monotonicity(tape):
     batch = small_batch(5)
     sigma = make_sigma(tape, 4, seed=5)
-    w_low = aug.lga_edge_weights(batch, sigma).data[:batch.n_nonself]
+    w_low = aug.lga_edge_weights(batch, sigma).data
     sigma_hi = aug.AugmenterParams(sigma.w1, sigma.b1, sigma.w2,
                                    ad.constant([[1.5]]))
-    w_hi = aug.lga_edge_weights(batch, sigma_hi).data[:batch.n_nonself]
+    w_hi = aug.lga_edge_weights(batch, sigma_hi).data
     assert np.all(w_hi > w_low)
 
 
@@ -114,8 +117,7 @@ def test_zero_nonself_weights_encode_as_isolated_nodes(tape):
     batch = small_batch(4)
     dims = gnn.ModelDims(feature_dim=4, hidden=4, layers=2)
     phi, _, _ = gnn.init_params(dims, seed=1)
-    w = np.ones((batch.n_edges, 1))
-    w[:batch.n_nonself] = 0.0
+    w = np.zeros((batch.n_edges, 1))
     h = gnn.encode(batch, ad.constant(w), phi)
     # oracle: the same nodes as four single-node graphs
     singles = [gd.GraphRecord(gd.GraphTopology(1, ()), 0,
@@ -137,8 +139,7 @@ def test_intermediate_weights_interpolate_one_linear_layer(tape):
     phi = gnn.EncoderParams([layer])
 
     def encode_with(scale):
-        w = np.ones((batch.n_edges, 1))
-        w[:batch.n_nonself] = scale
+        w = np.full((batch.n_edges, 1), scale)
         return gnn.encode(batch, ad.constant(w), phi).data
 
     lo, mid, hi = encode_with(0.0), encode_with(0.4), encode_with(1.0)

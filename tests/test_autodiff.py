@@ -33,27 +33,23 @@ def test_sigmoid_at_zero(tape):
     np.testing.assert_allclose(out.data, [0.5])
 
 
-def _pattern(src, dst, n_out, n_in):
-    """A pattern in the order of the lexsort oracle."""
-    return ad.SparsePattern(src, dst, n_out, n_in,
-                            np.lexsort((np.asarray(src), np.asarray(dst))))
-
-
 def test_weighted_aggregate_hand_summed(tape):
     # unit weights, targets [0,0,1] over rows [[1],[2],[3]] -> [[3],[3]]
     rows = ad.constant([[1.0], [2.0], [3.0]])
-    pattern = _pattern([0, 1, 2], [0, 0, 1], 2, 3)
+    pattern = ad.SparsePattern([0, 1, 2], [0, 0, 1], 2, 3)
     out = ad.weighted_aggregate(rows, np.ones((3, 1)), pattern)
     np.testing.assert_allclose(out.data, [[3.0], [3.0]])
 
 
 def _aggregate_case(seed=0, n_in=6, n_out=5, n_edges=14, width=3):
     """Random edges with repeats, a self-referencing pair and an output row
-    that no edge reaches."""
+    that no edge reaches, sorted by target, then source (CSR order)."""
     rng = np.random.default_rng(seed)
     src = rng.integers(0, n_in, n_edges)
     dst = rng.integers(0, n_out - 1, n_edges)
     src[:2], dst[:2] = 2, 1  # one edge listed twice
+    by_target = np.lexsort((src, dst))
+    src, dst = src[by_target], dst[by_target]
     x = rng.standard_normal((n_in, width))
     w = rng.standard_normal((n_edges, 1))
     return x, w, src, dst, n_out
@@ -64,7 +60,7 @@ def test_weighted_aggregate_matches_add_at_oracle(tape):
         x, w, src, dst, n_out = _aggregate_case(seed)
         want = np.zeros((n_out, x.shape[1]))
         np.add.at(want, dst, w * x[src])
-        pattern = _pattern(src, dst, n_out, len(x))
+        pattern = ad.SparsePattern(src, dst, n_out, len(x))
         out = ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)
         assert out.shape == (n_out, x.shape[1])
         np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
@@ -75,7 +71,7 @@ def _gradient_case(seed, transposed):
     """An aggregation case whose input fits the product: with
     ``transposed`` the input has the pattern's ``n_out`` rows."""
     x, w, src, dst, n_out = _aggregate_case(seed)
-    pattern = _pattern(src, dst, n_out, len(x))
+    pattern = ad.SparsePattern(src, dst, n_out, len(x))
     if transposed:
         x = np.random.default_rng(seed + 10).standard_normal((n_out, 3))
     return x, w, pattern
@@ -146,8 +142,8 @@ def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
     # indices are checked once, when the pattern is built; weight and input
     # shapes on every call
     x = ad.constant(np.ones((3, 2)))
-    src, dst = [0, 1, 2], [1, 1, 0]
-    pattern = _pattern(src, dst, 2, 3)
+    src, dst = [0, 1, 2], [0, 1, 1]
+    pattern = ad.SparsePattern(src, dst, 2, 3)
     for w in (np.ones(3), np.ones((2, 1)), np.ones((3, 2))):
         with pytest.raises(ShapeError, match="weighted-aggregate"):
             ad.weighted_aggregate(x, w, pattern)
@@ -164,12 +160,15 @@ def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
                                 transposed=True)
     assert out.shape == (3, 2)
     for bad_src, bad_dst in (([0, 1, 3], dst), ([0, -1, 2], dst),
-                             (src, [1, 2, 0]), (src, [1, -1, 0])):
+                             (src, [0, 2, 1]), (src, [0, -1, 1])):
         with pytest.raises(ShapeError, match="out of range"):
-            ad.SparsePattern(bad_src, bad_dst, 2, 3, [0, 1, 2])
-    for bad_src, bad_dst in (([0, 1], dst), (src, [[1, 1, 0]])):
+            ad.SparsePattern(bad_src, bad_dst, 2, 3)
+    for bad_src, bad_dst in (([0, 1], dst), (src, [[0, 1, 1]])):
         with pytest.raises(ShapeError, match="equal 1-D shapes"):
-            ad.SparsePattern(bad_src, bad_dst, 2, 3, [0, 1, 2])
+            ad.SparsePattern(bad_src, bad_dst, 2, 3)
+    # targets that are not grouped are not in CSR order
+    with pytest.raises(ShapeError, match="never decrease"):
+        ad.SparsePattern(src, [1, 0, 1], 2, 3)
 
 
 def _csr_oracle(x, w, src, dst, n_out):
@@ -206,7 +205,7 @@ def test_sparse_pattern_bitwise_equals_per_call_csr_on_mutag(tape, mutag):
 def test_sparse_pattern_serves_many_weight_vectors(tape):
     x, w1, src, dst, n_out = _aggregate_case(6)
     w2 = np.random.default_rng(7).standard_normal(w1.shape)
-    pattern = _pattern(src, dst, n_out, len(x))
+    pattern = ad.SparsePattern(src, dst, n_out, len(x))
     first = ad.weighted_aggregate(ad.constant(x), ad.constant(w1), pattern)
     kept = first.data.copy()
     second = ad.weighted_aggregate(ad.constant(x), ad.constant(w2), pattern)
@@ -651,30 +650,31 @@ def test_gather_rows_gradient_pattern_is_in_lexsort_order(tape,
     idx = np.array([3, 0, 2, 0, 3, 3, 1, 0])
     x = ad.variable(np.random.default_rng(12).standard_normal((5, 2)))
     ad.backward(ad.reduce_sum(ad.gather_rows(x, idx)), [x])
-    (src, dst, n_out, n_in, order), = built
-    np.testing.assert_array_equal(dst, idx)
-    np.testing.assert_array_equal(src, np.arange(len(idx)))
-    assert (n_out, n_in) == (5, len(idx))
+    (src, dst, n_out, n_in), = built
     np.testing.assert_array_equal(
-        order, np.lexsort((np.arange(len(idx)), idx)))
+        src, np.lexsort((np.arange(len(idx)), idx)))
+    np.testing.assert_array_equal(dst, idx[src])
+    assert (n_out, n_in) == (5, len(idx))
 
 
-def test_gather_aggregate_concat_gradients(tape):
+def test_gather_aggregate_gradients(tape):
     rng = np.random.default_rng(11)
     x = ad.variable(rng.standard_normal((4, 3)))
     y = ad.variable(rng.standard_normal((2, 3)))
     idx = [0, 2, 2, 3, 1]
-    tgt = [1, 0, 1, 1, 0]
+    tgt = np.array([1, 0, 1, 1, 0])
+    rows = np.argsort(tgt, kind="stable")  # the gathered rows by target
     w1 = ad.constant(rng.standard_normal((2, 3)))
-    w2 = ad.constant(rng.standard_normal((4, 3)))
+    w2 = rng.standard_normal((4, 3))
 
     def loss_of(tx, ty):
         gathered = ad.gather_rows(tx, idx)
         pooled = ad.weighted_aggregate(gathered, np.ones((5, 1)),
-                                       _pattern(range(5), tgt, 2, 5))
-        stacked = ad.concat_rows([pooled, ty])
-        return ad.reduce_sum(ad.add(ad.mul(pooled, w1),
-                                    ad.reduce_sum(ad.mul(stacked, w2))))
+                                       ad.SparsePattern(rows, tgt[rows], 2, 5))
+        # <[pooled; ty], w2> as the sum of its two blocks
+        stacked = ad.add(ad.reduce_sum(ad.mul(pooled, w2[:2])),
+                         ad.reduce_sum(ad.mul(ty, w2[2:])))
+        return ad.reduce_sum(ad.add(ad.mul(pooled, w1), stacked))
 
     grads = ad.backward(loss_of(x, y), [x, y])
     fd_x = ad.finite_diff_gradient(lambda t: loss_of(t, y).item(), x)
@@ -685,8 +685,7 @@ def test_gather_aggregate_concat_gradients(tape):
 
 # kinds whose finite-difference checks run outside the two case tables
 FD_CHECKED_ELSEWHERE = {
-    "gather-rows": test_gather_aggregate_concat_gradients,
-    "concat-rows": test_gather_aggregate_concat_gradients,
+    "gather-rows": test_gather_aggregate_gradients,
     "weighted-aggregate":
         test_weighted_aggregate_gradients_match_finite_differences,
 }

@@ -35,8 +35,7 @@ def test_zero_nonself_weights_reduce_to_per_node_mlp(tape):
     batch = triangle_batch()
     dims = gnn.ModelDims(feature_dim=5, hidden=4, layers=1)
     phi, _, _ = adopted_params(tape, dims, seed=1)
-    w = np.zeros((batch.n_edges, 1))
-    w[batch.n_nonself:] = 1.0  # self loops stay 1
+    w = np.zeros((batch.n_edges, 1))  # the self term carries no weight
     h = ad.constant(batch.features)
     out = gnn.gin_layer_forward(batch, h, ad.constant(w), phi.layers[0])
     per_node = gnn.mlp_forward(h, phi.layers[0])
@@ -54,6 +53,21 @@ def test_single_node_graph_is_mlp_of_its_row(tape):
     np.testing.assert_allclose(out.data, want.data)
 
 
+def _dense_gin_layer(batch, h, w, layer):
+    """The oracle: MLP((A_w + I) @ H), with each graph's block of A_w built
+    densely (the batch is block-diagonal)."""
+    nodes = np.concatenate([[0], np.cumsum(np.bincount(
+        batch.graph_of_node, minlength=batch.n_graphs))])
+    rows = []
+    for lo, hi in zip(nodes[:-1], nodes[1:]):
+        a = np.eye(hi - lo)
+        inside = (batch.edge_dst >= lo) & (batch.edge_dst < hi)
+        for e in np.flatnonzero(inside):
+            a[batch.edge_dst[e] - lo, batch.edge_src[e] - lo] += w[e, 0]
+        rows.append(a @ h[lo:hi])
+    return gnn.mlp_forward(ad.constant(np.concatenate(rows)), layer).data
+
+
 def test_unit_weight_aggregation_matches_dense_adjacency(tape):
     batch = triangle_batch()
     dims = gnn.ModelDims(feature_dim=5, hidden=4, layers=1)
@@ -62,11 +76,39 @@ def test_unit_weight_aggregation_matches_dense_adjacency(tape):
                                 unit_edge_weights(batch), phi.layers[0])
     # dense oracle: (A + I) @ H through the same mlp
     a = np.eye(3)
-    for u, v in zip(batch.edge_src[:batch.n_nonself],
-                    batch.edge_dst[:batch.n_nonself]):
+    for u, v in zip(batch.edge_src, batch.edge_dst):
         a[v, u] += 1.0
     want = gnn.mlp_forward(ad.constant(a @ batch.features), phi.layers[0])
     np.testing.assert_allclose(out.data, want.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("source", ["mutag", "synth"])
+def test_gin_layer_is_the_mlp_of_weighted_adjacency_plus_identity(
+        tape, request, source):
+    if source == "mutag":
+        ds = gd.build_node_features(request.getfixturevalue("mutag"),
+                                    "node-label-onehot")
+        records = ds.records[:32]
+    else:
+        records = request.getfixturevalue("synth_records")
+    width = records[0].features.shape[1]
+    empty = gd.GraphRecord(gd.GraphTopology(0, ()), 0,
+                           features=np.zeros((0, width)))
+    edgeless = gd.GraphRecord(gd.GraphTopology(3, ()), 0,
+                              features=np.eye(3, width))
+    middle = len(records) // 2
+    batch = gd.batch_graphs(records[:middle] + [edgeless, empty]
+                            + records[middle:])
+    dims = gnn.ModelDims(feature_dim=width, hidden=8, layers=1)
+    phi, _, _ = adopted_params(tape, dims, seed=12)
+    rng = np.random.default_rng(13)
+    for h in (batch.features, rng.standard_normal(batch.features.shape)):
+        w = rng.uniform(0.0, 1.0, (batch.n_edges, 1))
+        out = gnn.gin_layer_forward(batch, ad.constant(h), ad.constant(w),
+                                    phi.layers[0])
+        np.testing.assert_allclose(
+            out.data, _dense_gin_layer(batch, h, w, phi.layers[0]),
+            rtol=0, atol=1e-12)
 
 
 def test_weight_misalignment_rejected(tape):

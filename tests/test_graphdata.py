@@ -1,6 +1,3 @@
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -9,8 +6,6 @@ from megagcl.errors import ConfigError, DataError
 
 from conftest import (count_calls, star_record, synthetic_dataset,
                       two_triangles, write_tu_fixture)
-
-MEGABENCH = Path(__file__).resolve().parent.parent / "megabench"
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +146,12 @@ def test_undirected_closure_added_and_idempotent(tmp_path):
 
 
 def _closure_reference(edges):
-    """Pair-at-a-time closure: first occurrences, then missing reverses."""
+    """Pair-at-a-time closure: the distinct non-self pairs and their
+    reverses, sorted by source, then target."""
     seen = dict.fromkeys((u, v) for u, v in edges if u != v)
     for u, v in list(seen):
         seen.setdefault((v, u))
-    return [list(pair) for pair in seen]
+    return sorted(list(pair) for pair in seen)
 
 
 def test_undirected_closure_matches_pairwise_reference():
@@ -248,11 +244,10 @@ def _featured_triangles(tmp_path):
 def test_single_graph_batch(tmp_path):
     ds = _featured_triangles(tmp_path)
     batch = gd.batch_graphs(ds.records[:1])
-    assert batch.offsets.tolist() == [0]
-    assert batch.n_nonself == 6
-    assert batch.n_edges == 9  # 6 directed + 3 self loops
-    np.testing.assert_array_equal(batch.edge_src[6:], [0, 1, 2])
-    np.testing.assert_array_equal(batch.edge_dst[6:], [0, 1, 2])
+    assert batch.n_edges == 6  # 6 directed edges, no self loops
+    # CSR order: by target, then source
+    np.testing.assert_array_equal(batch.edge_src, [1, 2, 0, 2, 0, 1])
+    np.testing.assert_array_equal(batch.edge_dst, [0, 0, 1, 1, 2, 2])
 
 
 def test_offsets_shift_second_graph(tmp_path):
@@ -261,9 +256,9 @@ def test_offsets_shift_second_graph(tmp_path):
         2, gd.undirected_closure([(0, 1)], 2)), 0,
         features=np.ones((2, 5)))
     batch = gd.batch_graphs([ds.records[0], rec2])
-    assert batch.offsets.tolist() == [0, 3]
-    # second graph's node 0 appears as global node 3
-    assert 3 in batch.edge_src[6:8]
+    # second graph's nodes 0 and 1 appear as global nodes 3 and 4
+    np.testing.assert_array_equal(batch.edge_src[6:], [4, 3])
+    np.testing.assert_array_equal(batch.edge_dst[6:], [3, 4])
     np.testing.assert_array_equal(batch.graph_of_node, [0, 0, 0, 1, 1])
 
 
@@ -271,9 +266,9 @@ def test_batch_of_single_node_graphs():
     recs = [gd.GraphRecord(gd.GraphTopology(1, ()), 0,
                            features=np.ones((1, 2))) for _ in range(4)]
     batch = gd.batch_graphs(recs)
-    assert batch.n_nonself == 0
-    assert batch.n_edges == 4
-    np.testing.assert_array_equal(batch.edge_src, np.arange(4))
+    assert batch.n_nodes == 4
+    assert batch.n_edges == 0
+    assert batch.edge_src.shape == batch.edge_dst.shape == (0,)
 
 
 def test_batch_block_diagonality(tmp_path):
@@ -318,31 +313,43 @@ def test_topology_rejects_bad_edges_where_its_order_is_first_computed(
     with pytest.raises(DataError, match=message):
         gd.batch_graphs([rec, after])
     with pytest.raises(DataError, match=message):
-        topo.csr_order
+        topo.csr_edges
+
+
+def test_csr_edges_are_the_edges_in_lexsort_order_and_read_only(mutag):
+    shuffled = np.random.default_rng(4).permutation(
+        mutag.records[0].topology.edges)
+    for topo in [r.topology for r in mutag.records[:20]] + [
+            gd.GraphTopology(5, shuffled[:0]), gd.GraphTopology(0, ()),
+            gd.GraphTopology(mutag.records[0].n_nodes, shuffled),
+            gd.GraphTopology(3, ((2, 0), (1, 0), (2, 0), (0, 1)))]:
+        e = topo.edges
+        want = e[np.lexsort((e[:, 0], e[:, 1]))]
+        assert topo.csr_edges.dtype == np.intp
+        np.testing.assert_array_equal(topo.csr_edges, want)
+        assert topo.csr_edges.shape == (len(e), 2)
+        assert not topo.csr_edges.flags.writeable
+        with pytest.raises(ValueError):
+            topo.csr_edges[:1] = 0
 
 
 def _check_batch_orders(records):
     batch = gd.batch_graphs(records)
-    np.testing.assert_array_equal(
-        batch.edge_order, np.lexsort((batch.edge_src, batch.edge_dst)))
-    assert batch.adjacency.order is batch.edge_order
-    # graph_of_node never decreases and the node sources ascend
     nodes = np.arange(batch.n_nodes)
+    # the batch's edges are in CSR order as stored, and so are its nodes
+    # by graph: both lexsorts are the identity
+    np.testing.assert_array_equal(
+        np.lexsort((batch.edge_src, batch.edge_dst)), np.arange(batch.n_edges))
     np.testing.assert_array_equal(
         np.lexsort((nodes, batch.graph_of_node)), nodes)
-    np.testing.assert_array_equal(batch.pooling.order, nodes)
-
-
-@pytest.fixture(scope="module")
-def synth_records(tmp_path_factory):
-    sys.path.insert(0, str(MEGABENCH))
-    try:
-        import synth
-    finally:
-        sys.path.remove(str(MEGABENCH))
-    folder = synth.write_tu(tmp_path_factory.mktemp("synth"), "SYN", 64, 0)
-    ds = gd.parse_tu_dataset(folder, "SYN")
-    return gd.build_node_features(ds, "node-label-onehot").records
+    assert batch.adjacency.src is batch.edge_src
+    assert batch.adjacency.dst is batch.edge_dst
+    # the same edges as the graphs' own, shifted by the node offsets
+    want = set()
+    for r, off in zip(records, np.cumsum([0] + [r.n_nodes for r in records])):
+        want |= {(u + off, v + off) for u, v in r.topology.edges.tolist()}
+    got = set(zip(batch.edge_src.tolist(), batch.edge_dst.tolist()))
+    assert got == want and len(got) == batch.n_edges
 
 
 @pytest.mark.parametrize("size", [1, 7, 32, 64])
@@ -367,13 +374,15 @@ def test_assembled_orders_equal_lexsort(mutag, synth_records, size):
 def test_topology_order_is_computed_once_and_shared(mutag, monkeypatch):
     ds = gd.build_node_features(mutag, "node-label-onehot")
     first = gd.batch_graphs(ds.records[:8])
-    orders = [r.topology.csr_order for r in ds.records[:8]]
-    sorts = count_calls(monkeypatch, np, "argsort")
+    orders = [r.topology.csr_edges for r in ds.records[:8]]
+    sorts = [count_calls(monkeypatch, np, name)
+             for name in ("sort", "argsort", "lexsort")]
     second = gd.batch_graphs(ds.records[:8])
     again = gd.build_node_features(ds, "degree-onehot", cap=4)
     for rec, rec_again, order in zip(ds.records, again.records, orders):
-        assert rec.topology.csr_order is order
-        assert rec_again.topology.csr_order is order
+        assert rec.topology.csr_edges is order
+        assert rec_again.topology.csr_edges is order
         assert not order.flags.writeable
-    assert sorts == []
-    np.testing.assert_array_equal(first.edge_order, second.edge_order)
+    assert sorts == [[], [], []]
+    np.testing.assert_array_equal(first.edge_src, second.edge_src)
+    np.testing.assert_array_equal(first.edge_dst, second.edge_dst)

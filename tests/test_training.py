@@ -197,8 +197,7 @@ def test_meta_step_moves_instance_term_downhill():
         [ad.constant(np.zeros(t.shape)) for t in state.sigma.tensors()])
     hparams = hp(inner_lr=0.05, lam=0.0, augmenter_lr=1e-4)
     # the objective the step descends holds the stop-gradient view fixed
-    base_weights = np.ones((batch.n_edges, 1))
-    base_weights[:batch.n_nonself] = 0.5  # sigmoid(0)
+    base_weights = np.full((batch.n_edges, 1), 0.5)  # sigmoid(0)
 
     def instance_term():
         return _meta_objective_value(
@@ -223,7 +222,7 @@ def test_meta_step_moves_instance_term_downhill():
 # primitive calls and tape nodes of one MUTAG contrast step, one ccl step
 # (the unit view encoded once) and one meta step at batch 32, as ROADMAP's
 # Baseline records them
-STEP_CENSUS = {"contrast": (182, 74), "ccl": (121, 63), "meta": (647, 255)}
+STEP_CENSUS = {"contrast": (188, 78), "ccl": (123, 65), "meta": (671, 267)}
 
 
 def _ones_or_identity(t):
@@ -260,13 +259,12 @@ def test_mutag_step_census_and_no_ones_matrix_operands(mutag, monkeypatch):
             census[kind] = (len(calls), len(tape.nodes))
     assert census == STEP_CENSUS
     # no recorded node sums, broadcasts or masks through a ones or identity
-    # matrix. What is left: unit edge, self-loop and pooling weights, and
-    # trace_sum's mask and feature_term's target, whose sums round as before
-    # only in that form
+    # matrix. What is left: unit edge and pooling weights, and trace_sum's
+    # mask and feature_term's target, whose sums round as before only in
+    # that form
     taking = Counter(node.kind for node in tape.nodes
                      if any(_ones_or_identity(t) for t in node.inputs))
-    assert taking == {"weighted-aggregate": 12, "concat-rows": 1, "mul": 3,
-                      "sub": 1}
+    assert taking == {"weighted-aggregate": 12, "mul": 3, "sub": 1}
 
 
 def test_ccl_step_equals_the_two_encoding_contrast(mutag, monkeypatch):
@@ -387,7 +385,7 @@ def test_step_records_equal_the_term_by_term_evaluation(mutag, monkeypatch):
 
 
 def test_steps_and_embedding_sort_nothing(mutag, monkeypatch):
-    # after a first touch has cached every graph's order. The one sort left
+    # after a first touch has cached every graph's csr_edges. The one sort left
     # on a step path is the gather-rows gradient's argsort, and no step runs
     # it: the meta step's gathers come from its last backward, which records
     # nothing to differentiate again
@@ -413,12 +411,40 @@ def test_steps_and_embedding_sort_nothing(mutag, monkeypatch):
         sorts = {}
         for kind in ("contrast", "ccl", "embed", "meta"):
             with monkeypatch.context() as mp:
-                lexsorts = count_calls(mp, np, "lexsort")
-                argsorts = count_calls(mp, np, "argsort")
+                counted = [count_calls(mp, np, name) for name in
+                           ("lexsort", "argsort", "sort", "take")]
                 run(kind)
-            sorts[kind] = (len(lexsorts), len(argsorts))
-    assert sorts == {"contrast": (0, 0), "ccl": (0, 0), "embed": (0, 0),
-                     "meta": (0, 0)}
+            sorts[kind] = tuple(map(len, counted))
+    # nor does any gather its weights into the matrix: they are aligned
+    assert sorts == {"contrast": (0, 0, 0, 0), "ccl": (0, 0, 0, 0),
+                     "embed": (0, 0, 0, 0), "meta": (0, 0, 0, 0)}
+
+
+def test_steps_run_on_an_edgeless_batch():
+    # graphs without edges: the augmenter scores no edge
+    rng = np.random.default_rng(5)
+    recs = [gd.GraphRecord(gd.GraphTopology(n, ()), i % 2,
+                           features=rng.uniform(0.5, 1.5, (n, 3)))
+            for i, n in enumerate((2, 1, 3, 2))]
+    batch = gd.batch_graphs(recs)
+    assert batch.n_edges == 0
+    state = fresh_state(small_dims(3), seed=2)
+    tape = ad.Tape()
+    with ad.use_tape(tape):
+        state.adopt_all(tape)
+        with tape.paused():
+            assert lga.lga_edge_weights(batch, state.sigma).shape == (0, 1)
+        phi_before = param_bytes(state.phi)
+        contrast = tr.contrast_step(state, batch, hp())
+        assert param_bytes(state.phi) != phi_before
+        tape.reset()
+        state.adopt_all(tape)
+        sigma_before = param_bytes(state.sigma)
+        meta = tr.meta_step(state, batch, hp())
+    # no weight reaches the objective, so the meta-gradient is zero
+    assert param_bytes(state.sigma) == sigma_before
+    for record in (contrast, meta):
+        assert all(np.isfinite(v) for k, v in record.items() if k != "step")
 
 
 def test_every_primitive_output_is_float64_of_at_least_one_dimension(
@@ -529,6 +555,14 @@ def test_train_refuses_a_feature_width_the_dims_do_not_take(monkeypatch):
                                   "augmenter_lr"])
 def test_hyperparams_reject_non_finite(name, value):
     with pytest.raises(ConfigError, match=name):
+        tr.Hyperparams(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["0.5", None, [1e-3], True, False])
+@pytest.mark.parametrize("name", ["tau", "lam", "inner_lr", "encoder_lr",
+                                  "augmenter_lr"])
+def test_hyperparams_reject_rates_that_are_not_numbers(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be an int or a float"):
         tr.Hyperparams(**{name: value})
 
 
