@@ -10,33 +10,28 @@ Scalars are tensors of shape ``(1,)``; matrices are 2-D. Elementwise add,
 sub and mul broadcast in exactly three cases: scalar against anything,
 ``(1, m)`` row against ``(n, m)``, and ``(n, 1)`` column against ``(n, m)``.
 
-``matmul(a, b, ta, tb)`` multiplies ``a`` (transposed when ``ta``) by ``b``
-(transposed when ``tb``), so a product with a transposed operand, and each
-gradient of a product, is one node rather than a ``transpose`` node and a
-product. A flagged operand is still copied contiguously before the product,
-exactly as ``transpose`` copies it: handing BLAS the transposed view instead
-takes another kernel path, which rounds differently and changes results in
-the last bits.
+Nothing writes into a tensor's data once it is made, so an output may be a
+view of an input. ``transpose`` returns the transposed view, and
+``matmul(a, b, ta, tb)`` hands BLAS that view of an operand flagged ``ta``
+or ``tb``, so a product with a transposed operand, and each gradient of a
+product, is one node that copies nothing.
 
-Row sums, column sums and diagonals are primitives of their own
-(``sum_rows``, ``sum_cols``, ``diagonal``), whose gradients ``broadcast``
-and ``embed_diagonal`` copy values rather than multiply by ones-matrices.
-The sums keep the product with a ones vector in their forward, which is
-faster than ``np.sum`` along an axis and rounds exactly as it always has.
+``sum_rows``, ``sum_cols`` and ``diagonal`` are primitives whose gradients
+``broadcast`` and ``embed_diagonal`` copy values rather than multiply by
+ones-matrices. The sums take a product with a ones vector, which is faster
+than ``np.sum`` along an axis.
 
 ``dense(x, w, b, relu)`` is one perceptron layer, ``x @ w + b`` with an
-optional relu, as one node. It adds the (1, m) bias row into the product's
-own fresh array and applies the relu in place, so a layer allocates one
-array and the tape keeps one, where ``matmul``, ``add`` and ``relu`` made
-and kept three. Each step is the same elementwise operation as in that
-chain, so the values are bitwise the same, and so are the gradients: its
-rule builds the relu mask's ``mul``, the bias sum and the two products in
-the order in which the three rules built them. ``relu`` itself stays as
-the unfused oracle the tests compare ``dense`` against.
+optional relu, as one node and one array: it adds the bias row into the
+product's fresh output and applies the relu in place. Its values and
+gradients are bitwise those of the ``matmul``, ``add`` and ``relu`` chain;
+``relu`` stays as the unfused oracle the tests compare it against.
 
 ``weighted_aggregate`` is A_w @ x over edges stored in CSR order, so their
 weight column is the sparse matrix's data as it stands. GIN's self term is
-no edge but an ``add`` of ``x``.
+no edge but an ``add`` of ``x``. The gradient in the weights is one
+``edge_dots`` node, the column of dots ``g[dst[e]] . x[src[e]]`` summed as
+``sum_rows`` sums, and its own gradients are two more aggregations.
 """
 
 from __future__ import annotations
@@ -49,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .errors import NumericError, ShapeError, TapeError
+from .errors import ConfigError, NumericError, ShapeError, TapeError
 
 LEAF = "leaf"
 
@@ -208,10 +203,8 @@ class SparsePattern:
     ``weighted_aggregate`` copies an aligned weight column into the data.
 
     ``csr_t`` is the transpose as a CSC view over ``csr``'s three arrays,
-    so it sees the weights written into ``csr.data``. Its product adds each
-    output row's terms by target, then by edge order: the entry order of a
-    pattern built from the reversed edges, whose products it matches bit for
-    bit without that second build.
+    so it sees the weights written into ``csr.data`` and needs no build of
+    its own.
     """
 
     __slots__ = ("src", "dst", "n_out", "n_in", "csr", "csr_t")
@@ -266,8 +259,7 @@ def _f_matmul(inputs, extras):
     if a.shape[0 if ta else 1] != b.shape[1 if tb else 0]:
         raise ShapeError("matmul", [a.shape, b.shape],
                          f"inner dimensions differ (ta={ta}, tb={tb})")
-    return ((a.data.T.copy() if ta else a.data)
-            @ (b.data.T.copy() if tb else b.data))
+    return (a.data.T if ta else a.data) @ (b.data.T if tb else b.data)
 
 
 def _f_dense(inputs, extras):
@@ -339,7 +331,7 @@ def _f_reciprocal(inputs, extras):
 def _f_transpose(inputs, extras):
     _arity("transpose", inputs, 1)
     _require_2d("transpose", inputs[0])
-    return inputs[0].data.T.copy()
+    return inputs[0].data.T
 
 
 def _f_sum_rows(inputs, extras):
@@ -399,15 +391,20 @@ def _f_l2_normalize_rows(inputs, extras):
     return x / norms
 
 
-def _f_gather_rows(inputs, extras):
-    _arity("gather-rows", inputs, 1)
-    _require_2d("gather-rows", inputs[0])
-    idx = extras["indices"]
-    n = inputs[0].shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ShapeError("gather-rows", [inputs[0].shape],
-                         f"index out of range for {n} rows")
-    return inputs[0].data[idx]
+def _f_edge_dots(inputs, extras):
+    _arity("edge-dots", inputs, 2)
+    g, x = inputs
+    _require_2d("edge-dots", g, x)
+    p = extras["pattern"]
+    ends = [(p.dst, p.n_out), (p.src, p.n_in)]
+    (g_rows, n_g), (x_rows, n_x) = ends[::-1] if extras["transposed"] else ends
+    if g.shape[0] != n_g or x.shape[0] != n_x or g.shape[1] != x.shape[1]:
+        raise ShapeError("edge-dots", [g.shape, x.shape],
+                         f"expected {n_g} and {n_x} rows of equal width")
+    # the products in one gathered buffer, summed as sum-rows sums
+    out = g.data[g_rows]
+    out *= x.data[x_rows]
+    return out @ np.ones((out.shape[1], 1))
 
 
 def _f_weighted_aggregate(inputs, extras):
@@ -435,7 +432,6 @@ def _f_scalar_scale(inputs, extras):
 
 def _reduce_to(g: Tensor, shape) -> Tensor:
     """Sum ``g`` back down to ``shape`` (inverse of a broadcast)."""
-    shape = tuple(shape)
     if g.shape == shape:
         return g
     if shape == (1,):
@@ -570,29 +566,22 @@ def _v_l2_normalize_rows(node, g, need):
     return [mul(sub(g, mul(out, dot)), reciprocal(norms))]
 
 
-def _v_gather_rows(node, g, need):
-    (x,) = node.inputs
-    n = g.shape[0]
-    indices = node.extras["indices"]
-    # the edges by target, stably, so equal indices keep their row order
-    rows = np.argsort(indices, kind="stable")
-    pattern = SparsePattern(rows, indices[rows], x.shape[0], n)
-    return [weighted_aggregate(g, constant(np.ones((n, 1))), pattern)]
+def _v_edge_dots(node, g, need):
+    # each input's gradient aggregates the other's rows, weighted by g
+    a, b = node.inputs
+    pattern, transposed = node.extras["pattern"], node.extras["transposed"]
+    ga = weighted_aggregate(b, g, pattern, transposed) if need[0] else None
+    gb = weighted_aggregate(a, g, pattern, not transposed) if need[1] else None
+    return [ga, gb]
 
 
 def _v_weighted_aggregate(node, g, need):
-    # the w rule gathers two E x F arrays. In training it runs only for the
-    # augmenter's weights in a meta step: contrast steps, readout, embedding
-    # and the unit-weight view aggregate with constant weights
+    # in training only the meta step's augmenter weights take the w rule
     x, w = node.inputs
     pattern = node.extras["pattern"]
     transposed = node.extras["transposed"]
     gx = weighted_aggregate(g, w, pattern, not transposed) if need[0] else None
-    gw = None
-    if need[1]:
-        g_rows, x_rows = ((pattern.src, pattern.dst) if transposed
-                          else (pattern.dst, pattern.src))
-        gw = sum_rows(mul(gather_rows(g, g_rows), gather_rows(x, x_rows)))
+    gw = edge_dots(g, x, pattern, transposed) if need[1] else None
     return [gx, gw]
 
 
@@ -622,7 +611,7 @@ _PRIMITIVES = {
     "diagonal": (_f_diagonal, _v_diagonal),
     "embed-diagonal": (_f_embed_diagonal, _v_embed_diagonal),
     "l2-normalize-rows": (_f_l2_normalize_rows, _v_l2_normalize_rows),
-    "gather-rows": (_f_gather_rows, _v_gather_rows),
+    "edge-dots": (_f_edge_dots, _v_edge_dots),
     "weighted-aggregate": (_f_weighted_aggregate, _v_weighted_aggregate),
     "scalar-scale": (_f_scalar_scale, _v_scalar_scale),
 }
@@ -747,25 +736,26 @@ def l2_normalize_rows(x):
     return primitive_forward("l2-normalize-rows", [x])
 
 
-def gather_rows(x, indices):
-    idx = np.asarray(indices, dtype=np.intp)
-    return primitive_forward("gather-rows", [x], indices=idx)
-
-
 def weighted_aggregate(x, w, pattern, transposed=False):
     """Row ``t`` of the (n_out, F) result is the sum of ``w[e] * x[src[e]]``
     over the edges ``e`` with ``dst[e] == t``: A_w @ x for the sparse
-    matrix A_w with entries ``w[e]`` at (dst[e], src[e]).
+    matrix A_w with entries ``w[e]`` at (dst[e], src[e]). With ``transposed``
+    it is A_w^T @ x: ``x`` has ``n_out`` rows.
 
     ``pattern`` is the ``SparsePattern`` of ``src``, ``dst``, ``n_out`` and
     ``n_in`` (the row count of ``x``), edges in CSR order; ``w`` is an (E, 1)
     column aligned with them. Build the pattern once and reuse it for every
     call over the same edges: each call then costs one copy of ``w`` and
     one sparse product, not a rebuild.
-
-    With ``transposed`` it is A_w^T @ x: ``x`` has ``n_out`` rows.
     """
     return primitive_forward("weighted-aggregate", [x, w], pattern=pattern,
+                             transposed=transposed)
+
+
+def edge_dots(g, x, pattern, transposed=False):
+    """The (E, 1) column of ``g[dst[e]] . x[src[e]]`` over ``pattern``'s
+    edges, with ``src`` and ``dst`` swapped when ``transposed``."""
+    return primitive_forward("edge-dots", [g, x], pattern=pattern,
                              transposed=transposed)
 
 
@@ -931,10 +921,11 @@ def finite_diff_gradient(f, x: Tensor, step=1e-4) -> Tensor:
     """Central-difference estimate of d f / d x, same shape as ``x``.
 
     ``f`` takes a detached Tensor and returns a float. Evaluations run with
-    recording paused so probing never pollutes the active tape.
+    recording paused so probing never pollutes the active tape. A step that
+    is not finite and positive raises ``ConfigError``.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigError(f"step must be finite and positive, got {step}")
     flat = x.data.reshape(-1)
     out = np.empty_like(flat)
     tape = active_tape()

@@ -6,13 +6,19 @@ features. ``train`` runs the alternating schedule and prints the run summary
 as JSON; ``eval`` runs the seeded protocol, a linear probe under stratified
 10-fold cross-validation, and prints as JSON each seed's mean test accuracy
 over the folds (``accuracies``), their mean and their population standard
-deviation. Misuse raises ``ConfigError`` instead of exiting.
+deviation. ``compare BEFORE AFTER`` prints, for two ``eval`` outputs over the
+same seeds, the mean of AFTER - BEFORE per seed, its 95% t-interval and the
+seeds up and down. Misuse raises ``ConfigError`` instead of exiting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from pathlib import Path
+
+import numpy as np
+import scipy.stats
 
 from . import evaluation, graphdata, training
 from .errors import ConfigError
@@ -38,11 +44,26 @@ def _parser():
         cmd.add_argument("--epochs", type=int,
                          default=training.Hyperparams.epochs)
         cmd.add_argument("--seed", type=int, default=0)
+    cmd = commands.add_parser("compare", help="print AFTER - BEFORE")
+    cmd.add_argument("outputs", nargs=2, metavar="JSON", help="eval outputs")
     return parser
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    if args.command == "compare":
+        before, after = (json.loads(Path(p).read_text())["accuracies"]
+                         for p in args.outputs)
+        if len(before) != len(after) or len(before) < 2:
+            raise ConfigError("compare needs equal seed counts of at least "
+                              f"2, got {len(before)} and {len(after)}")
+        d = np.subtract(after, before)
+        mean = d.mean()
+        half = scipy.stats.t.ppf(0.975, d.size - 1) * scipy.stats.sem(d)
+        print(json.dumps({"n": d.size, "mean": mean,
+                          "ci95": [mean - half, mean + half],
+                          "up": int(sum(d > 0)), "down": int(sum(d < 0))}))
+        return 0
     hp = training.Hyperparams(epochs=args.epochs, seed=args.seed)
     dataset = graphdata.build_node_features(
         graphdata.parse_tu_dataset(args.folder, args.name),

@@ -13,18 +13,9 @@ from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError
 
 
-def _require_square(kind, m):
-    if m.data.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(kind, [m.shape], "expected a square matrix")
-
-
 def trace_sum(m):
     """tr(M) = sum_i M_ii."""
-    _require_square("trace", m)
-    # the sum of the masked matrix, not of ad.diagonal(m): numpy's pairwise
-    # sum adds the n diagonal entries in another order, and rounds otherwise
-    eye = ad.constant(np.eye(m.shape[0]))
-    return ad.reduce_sum(ad.mul(m, eye))
+    return ad.reduce_sum(ad.diagonal(m))
 
 
 def _trace_and_offdiag(m):
@@ -35,7 +26,6 @@ def _trace_and_offdiag(m):
 
 def offdiag_sum(m):
     """de(M) = sum_i sum_{j != i} M_ij."""
-    _require_square("offdiag", m)
     return _trace_and_offdiag(m)[1]
 
 
@@ -63,8 +53,7 @@ def nt_xent_of_cosines(sims, tau):
         raise ConfigError(f"temperature must be positive, got {tau}")
     scaled = ad.exp(ad.scalar_scale(sims, 1.0 / tau))
     row_tot = ad.sum_rows(scaled)
-    # the row sums of the transposed copy, not sum_cols: each runs its own
-    # BLAS kernel, and this one gives the column totals' established bits
+    # the column totals as a column, to add to the row totals
     col_tot = ad.sum_rows(ad.transpose(scaled))
     diag = ad.diagonal(scaled)
     # positive + all 2(n-1) negatives of anchor i, counted once each
@@ -97,12 +86,6 @@ def feature_corr(z, z_aug):
                      ad.l2_normalize_rows(ad.transpose(z_aug)), tb=True)
 
 
-def instance_term(inst):
-    """tr(C) - de(C): lowest when every positive pair is far apart and every
-    pair of distinct instances is close (the hard-example direction)."""
-    return ad.sub(*_trace_and_offdiag(inst))
-
-
 def feature_term(feat):
     """tr(elementwise (1-D)^2) + de(elementwise D^2): zero exactly when the
     feature correlation D is the identity."""
@@ -114,11 +97,16 @@ def feature_term(feat):
 def mega_terms(inst, feat, lam):
     """The scalar tensors ``tr_c`` (tr(C)), ``de_c`` (de(C)), ``feature_term``
     and ``l_mega`` = tr(C) - de(C) + lam * feature_term, keyed by those
-    names and each computed once; ``l_mega`` is bitwise ``mega_loss``'s."""
+    names and each computed once; ``l_mega`` is bitwise ``mega_loss``'s.
+
+    The instance term tr(C) - de(C) is lowest when every positive pair is
+    far apart and every pair of distinct instances is close (the
+    hard-example direction)."""
     if lam < 0:
         raise ConfigError(f"lambda must be nonnegative, got {lam}")
-    _require_square("mega-loss", inst)
-    _require_square("mega-loss", feat)
+    for m in (inst, feat):
+        if m.data.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ShapeError("mega-loss", [m.shape], "expected a square matrix")
     tr_c, de_c = _trace_and_offdiag(inst)
     feat_term = feature_term(feat)
     return {"tr_c": tr_c, "de_c": de_c, "feature_term": feat_term,
@@ -127,10 +115,9 @@ def mega_terms(inst, feat, lam):
 
 
 def mega_loss(inst, feat, lam):
-    """Combined objective over the two correlation matrices.
-
-    Minimizing the instance term (see ``instance_term``) pushes positives
-    apart and distinct instances together; the feature term (see
-    ``feature_term``) pulls D toward the identity. ``lam`` balances the two.
+    """Combined objective over the two correlation matrices: ``l_mega`` of
+    ``mega_terms``, whose instance term pushes positives apart and distinct
+    instances together while the feature term (see ``feature_term``) pulls
+    D toward the identity. ``lam`` balances the two.
     """
     return mega_terms(inst, feat, lam)["l_mega"]

@@ -7,9 +7,7 @@ import scipy.sparse
 
 from megagcl import autodiff as ad
 from megagcl import graphdata as gd
-from megagcl.errors import NumericError, ShapeError, TapeError
-
-from conftest import count_calls
+from megagcl.errors import ConfigError, NumericError, ShapeError, TapeError
 
 
 def scalar(loss_fn, x):
@@ -103,31 +101,34 @@ def test_transposed_aggregate_gradients_match_finite_differences(tape):
 
 
 def _check_second_order(transposed):
-    # d/dw of <c, d/dx sum(sigmoid(A_w x))>, the shape of the meta step's
-    # gradient through the encoder's gradient; the x rule of either product
-    # is the other one, so each case runs both w rules
+    # d/dx and d/dw of <c, d/dx f> + <cw, d/dw f> for f = sum(sigmoid(A_w x)),
+    # the shape of the meta step's gradient through the encoder's gradient.
+    # The x rule of either product is the other one, so each case runs both
+    # w rules; d/dw f is an edge-dots node, so both of its rules run too
     x0, w0, pattern = _gradient_case(3, transposed)
-    c = np.random.default_rng(4).standard_normal(x0.shape)
+    rng = np.random.default_rng(4)
+    c, cw = rng.standard_normal(x0.shape), rng.standard_normal(w0.shape)
 
     def outer_of(tx, tw):
         inner = ad.reduce_sum(ad.sigmoid(
             ad.weighted_aggregate(tx, tw, pattern, transposed)))
-        gx = ad.backward(inner, [tx], create_graph=True)[tx]
-        return ad.reduce_sum(ad.mul(gx, ad.constant(c)))
+        grads = ad.backward(inner, [tx, tw], create_graph=True)
+        return ad.add(ad.reduce_sum(ad.mul(grads[tx], ad.constant(c))),
+                      ad.reduce_sum(ad.mul(grads[tw], ad.constant(cw))))
 
-    x, w = ad.variable(x0), ad.variable(w0)
-    outer = outer_of(x, w)
-    gw = ad.backward(outer, [w])[w]
-
-    def pipeline(tw):
+    def pipeline(x_data, w_data):
         probe = ad.Tape()
         with ad.use_tape(probe):
-            return outer_of(probe.adopt(ad.Tensor(x0.copy())),
-                            ad.constant(tw.data)).item()
+            return outer_of(probe.adopt(ad.Tensor(x_data.copy())),
+                            probe.adopt(ad.Tensor(w_data.copy()))).item()
 
-    fd = ad.finite_diff_gradient(pipeline, w)
-    assert float(np.max(np.abs(fd.data))) > 1e-3
-    assert ad.max_relative_error(gw, fd) < 1e-6
+    x, w = ad.variable(x0), ad.variable(w0)
+    grads = ad.backward(outer_of(x, w), [x, w])
+    fd = {x: ad.finite_diff_gradient(lambda t: pipeline(t.data, w0), x),
+          w: ad.finite_diff_gradient(lambda t: pipeline(x0, t.data), w)}
+    for t in (x, w):
+        assert float(np.max(np.abs(fd[t].data))) > 1e-3
+        assert ad.max_relative_error(grads[t], fd[t]) < 1e-6
 
 
 def test_weighted_aggregate_second_order_through_create_graph(tape):
@@ -136,6 +137,33 @@ def test_weighted_aggregate_second_order_through_create_graph(tape):
 
 def test_transposed_aggregate_second_order_through_create_graph(tape):
     _check_second_order(transposed=True)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_edge_dots_is_bitwise_the_gathered_products(mutag, transposed):
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    batch = gd.batch_graphs(ds.records[:32])
+    rng = np.random.default_rng(51)
+    for pattern in (batch.adjacency, batch.pooling):
+        ends = [(pattern.dst, pattern.n_out), (pattern.src, pattern.n_in)]
+        (rows, n_g), (cols, n_x) = ends[::-1] if transposed else ends
+        g, x = rng.standard_normal((n_g, 7)), rng.standard_normal((n_x, 7))
+        out = ad.edge_dots(g, x, pattern, transposed)
+        assert out.shape == (len(rows), 1)
+        assert out.data.tobytes() == \
+            ((g[rows] * x[cols]) @ np.ones((7, 1))).tobytes()
+
+
+def test_edge_dots_rejects_bad_shapes(tape):
+    pattern = ad.SparsePattern([0, 1, 2], [0, 1, 1], 2, 3)
+    g, x = np.ones((2, 4)), np.ones((3, 4))
+    assert ad.edge_dots(g, x, pattern).shape == (3, 1)
+    assert ad.edge_dots(x, g, pattern, transposed=True).shape == (3, 1)
+    for bad_g, bad_x, transposed in ((x, x, False), (g, g, False),
+                                     (g, np.ones((3, 5)), False),
+                                     (g, x, True)):
+        with pytest.raises(ShapeError, match="edge-dots"):
+            ad.edge_dots(bad_g, bad_x, pattern, transposed)
 
 
 def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
@@ -544,8 +572,8 @@ def _forward_and_gradients(op, arrays, weights):
 
 @pytest.mark.parametrize("ta,tb", [c[:2] for c in MATMUL_FLAG_CASES])
 def test_flagged_matmul_is_bitwise_the_explicit_transpose(ta, tb):
-    # at (33, 17) @ (17, 9) BLAS rounds a transposed view of an operand
-    # differently from a contiguous copy, so a view would fail here
+    # both forms hand BLAS the same transposed view of a flagged operand,
+    # so they run the same product and match bit for bit
     m, k, n = 33, 17, 9
     rng = np.random.default_rng(41)
     a = rng.standard_normal((k, m) if ta else (m, k))
@@ -644,48 +672,10 @@ def test_broadcast_and_diagonal_reject_bad_shapes(tape):
         ad.embed_diagonal(ad.constant(np.ones((2, 2))))
 
 
-def test_gather_rows_gradient_pattern_is_in_lexsort_order(tape,
-                                                         monkeypatch):
-    built = count_calls(monkeypatch, ad, "SparsePattern")
-    idx = np.array([3, 0, 2, 0, 3, 3, 1, 0])
-    x = ad.variable(np.random.default_rng(12).standard_normal((5, 2)))
-    ad.backward(ad.reduce_sum(ad.gather_rows(x, idx)), [x])
-    (src, dst, n_out, n_in), = built
-    np.testing.assert_array_equal(
-        src, np.lexsort((np.arange(len(idx)), idx)))
-    np.testing.assert_array_equal(dst, idx[src])
-    assert (n_out, n_in) == (5, len(idx))
-
-
-def test_gather_aggregate_gradients(tape):
-    rng = np.random.default_rng(11)
-    x = ad.variable(rng.standard_normal((4, 3)))
-    y = ad.variable(rng.standard_normal((2, 3)))
-    idx = [0, 2, 2, 3, 1]
-    tgt = np.array([1, 0, 1, 1, 0])
-    rows = np.argsort(tgt, kind="stable")  # the gathered rows by target
-    w1 = ad.constant(rng.standard_normal((2, 3)))
-    w2 = rng.standard_normal((4, 3))
-
-    def loss_of(tx, ty):
-        gathered = ad.gather_rows(tx, idx)
-        pooled = ad.weighted_aggregate(gathered, np.ones((5, 1)),
-                                       ad.SparsePattern(rows, tgt[rows], 2, 5))
-        # <[pooled; ty], w2> as the sum of its two blocks
-        stacked = ad.add(ad.reduce_sum(ad.mul(pooled, w2[:2])),
-                         ad.reduce_sum(ad.mul(ty, w2[2:])))
-        return ad.reduce_sum(ad.add(ad.mul(pooled, w1), stacked))
-
-    grads = ad.backward(loss_of(x, y), [x, y])
-    fd_x = ad.finite_diff_gradient(lambda t: loss_of(t, y).item(), x)
-    fd_y = ad.finite_diff_gradient(lambda t: loss_of(x, t).item(), y)
-    assert ad.max_relative_error(grads[x], fd_x) < 1e-4
-    assert ad.max_relative_error(grads[y], fd_y) < 1e-4
-
-
 # kinds whose finite-difference checks run outside the two case tables
 FD_CHECKED_ELSEWHERE = {
-    "gather-rows": test_gather_aggregate_gradients,
+    "edge-dots": (test_weighted_aggregate_second_order_through_create_graph,
+                  test_transposed_aggregate_second_order_through_create_graph),
     "weighted-aggregate":
         test_weighted_aggregate_gradients_match_finite_differences,
 }
@@ -980,6 +970,16 @@ def test_finite_diff_of_sum_is_all_ones(tape):
     x = ad.constant(np.arange(6.0).reshape(2, 3) + 1.0)
     fd = ad.finite_diff_gradient(lambda t: ad.reduce_sum(t).item(), x)
     np.testing.assert_allclose(fd.data, np.ones((2, 3)), atol=1e-8)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
+def test_finite_diff_rejects_a_step_that_is_not_finite_and_positive(
+        tape, step):
+    # inf gave a silent zero gradient and nan an all-nan one
+    x = ad.constant([0.3, -0.2])
+    with pytest.raises(ConfigError, match="finite and positive"):
+        ad.finite_diff_gradient(
+            lambda t: ad.reduce_sum(ad.sigmoid(t)).item(), x, step=step)
 
 
 def test_finite_diff_of_square_at_three(tape):

@@ -79,3 +79,35 @@ def test_misuse_raises_config_error(tmp_path):
     # a folder with no graphs is bad input data, rejected by the parser
     with pytest.raises(DataError, match="no graphs"):
         cli.main(["eval", empty, "E", "--mode", "gin-riu"])
+
+
+def _eval_output(path, accuracies):
+    path.write_text(json.dumps({"mode": "mega", "accuracies": accuracies,
+                                "mean": float(np.mean(accuracies)),
+                                "std": float(np.std(accuracies))}))
+    return str(path)
+
+
+def test_compare_prints_the_paired_difference(tmp_path, capsys):
+    before = _eval_output(tmp_path / "before.json", [80.0, 82.5, 84.0, 86.5])
+    after = _eval_output(tmp_path / "after.json", [81.0, 82.5, 86.0, 85.5])
+    assert cli.main(["compare", before, after]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    # differences 1, 0, 2, -1: mean 0.5, sample variance 5/3, standard
+    # error sqrt(5/3)/2 = 0.6454972, and t(0.975, 3 df) = 3.1824463
+    half = 3.1824463 * 0.6454972
+    assert printed["n"] == 4 and (printed["up"], printed["down"]) == (2, 1)
+    assert printed["mean"] == 0.5
+    np.testing.assert_allclose(printed["ci95"], [0.5 - half, 0.5 + half],
+                               rtol=0, atol=1e-6)
+
+
+def test_compare_needs_equal_seed_counts_of_at_least_two(tmp_path):
+    three = _eval_output(tmp_path / "three.json", [80.0, 81.0, 82.0])
+    four = _eval_output(tmp_path / "four.json", [80.0, 81.0, 82.0, 83.0])
+    one = _eval_output(tmp_path / "one.json", [80.0])
+    for pair in ((three, four), (four, three), (one, one)):
+        with pytest.raises(ConfigError, match="equal seed counts"):
+            cli.main(["compare", *pair])
+    with pytest.raises(ConfigError):
+        cli.main(["compare", three])

@@ -292,7 +292,8 @@ def test_mega_loss_lambda_zero_is_instance_only(tape):
     inst = sum(c[i, i] for i in range(3)) - sum(
         c[i, j] for i in range(3) for j in range(3) if i != j)
     assert abs(got - inst) < 1e-12
-    assert losses.instance_term(ad.constant(c)).item() == got
+    terms = losses.mega_terms(ad.constant(c), ad.constant(d), 0.0)
+    assert ad.sub(terms["tr_c"], terms["de_c"]).item() == got
 
 
 def test_mega_loss_matches_loop_oracle(tape):
@@ -302,7 +303,8 @@ def test_mega_loss_matches_loop_oracle(tape):
     for lam in (0.0, 0.3, 1.0):
         got = losses.mega_loss(ad.constant(c), ad.constant(d), lam).item()
         assert abs(got - mega_loss_loops(c, d, lam)) < 1e-12
-        parts = (losses.instance_term(ad.constant(c)).item()
+        terms = losses.mega_terms(ad.constant(c), ad.constant(d), lam)
+        parts = (ad.sub(terms["tr_c"], terms["de_c"]).item()
                  + losses.feature_term(ad.constant(d)).item() * lam)
         assert got == parts
 
