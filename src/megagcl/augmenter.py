@@ -19,8 +19,7 @@ from .errors import ShapeError
 from .graphdata import GraphBatch
 
 
-class AugmenterParams(gnn.MlpParams):
-    """Edge-scoring perceptron: 2F -> hidden -> 1."""
+AugmenterParams = gnn.MlpParams  # the edge scorer: 2F -> hidden -> 1
 
 
 def lga_edge_weights(batch: GraphBatch, sigma: AugmenterParams):

@@ -97,10 +97,6 @@ class Tape:
         self.nodes = []
         self._pause_depth = 0
 
-    @property
-    def recording(self):
-        return self._pause_depth == 0
-
     @contextmanager
     def paused(self):
         self._pause_depth += 1
@@ -620,6 +616,7 @@ _PRIMITIVES = {
 def primitive_forward(kind, inputs, **extras) -> Tensor:
     """Apply one primitive operation.
 
+    Every input must be a ``Tensor``: wrap an array with ``constant``.
     Appends a tape node iff a tape is active, recording is not paused, and
     at least one input carries a node id.
     """
@@ -627,7 +624,6 @@ def primitive_forward(kind, inputs, **extras) -> Tensor:
         forward, _ = _PRIMITIVES[kind]
     except KeyError:
         raise TapeError(f"unknown primitive kind: {kind!r}") from None
-    inputs = [t if type(t) is Tensor else constant(t) for t in inputs]
     out = Tensor(forward(inputs, extras))
     tape = getattr(_tls, "tape", None)
     if tape is not None and tape._pause_depth == 0:
@@ -767,21 +763,9 @@ def scalar_scale(x, factor):
 # backward pass
 # ---------------------------------------------------------------------------
 
-class GradientMap:
-    """Gradients keyed by parameter node id, indexable by the parameter."""
-
-    def __init__(self, by_id):
-        self._by_id = by_id
-
-    def __getitem__(self, param: Tensor) -> Tensor:
-        nid = param.node_id
-        if nid is None or nid not in self._by_id:
-            raise TapeError("no gradient entry for parameter")
-        return self._by_id[nid]
-
-
-def backward(loss: Tensor, params, create_graph=False) -> GradientMap:
-    """Reverse-mode gradients of a scalar loss with respect to ``params``.
+def backward(loss: Tensor, params, create_graph=False) -> dict:
+    """Reverse-mode gradients of a scalar loss with respect to ``params``,
+    as a dict keyed by the parameter tensors, which hash by identity.
 
     With ``create_graph`` the backward computation itself is recorded on the
     tape, so every returned gradient carries a node id and a later backward
@@ -834,14 +818,14 @@ def backward(loss: Tensor, params, create_graph=False) -> GradientMap:
                     cur = grads.get(t.node_id)
                     grads[t.node_id] = ig if cur is None else add(cur, ig)
 
-    by_id = {}
+    by_param = {}
     for p in params:
         gp = grads.get(p.node_id)
         if gp is None:
             gp = scalar_scale(p, 0.0) if create_graph \
                 else constant(np.zeros(p.shape))
-        by_id[p.node_id] = gp
-    return GradientMap(by_id)
+        by_param[p] = gp
+    return by_param
 
 
 # ---------------------------------------------------------------------------
@@ -862,12 +846,12 @@ class AdamState:
     v: list = field(default=None)
 
 
-def adam_step(params, grads: GradientMap, state: AdamState, lr):
+def adam_step(params, grads: dict, state: AdamState, lr):
     """Adam update with bias correction.
 
-    Returns the updated parameters as fresh tape roots (leaves on the active
-    tape when one is recording, detached constants otherwise) together with
-    the mutated state.
+    Returns the updated parameters as detached constants, which the caller
+    adopts onto its tape before the next step, together with the mutated
+    state.
     """
     params = list(params)
     gs = [grads[p] for p in params]
@@ -878,7 +862,6 @@ def adam_step(params, grads: GradientMap, state: AdamState, lr):
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    tape = active_tape()
     new_params = []
     for i, (p, g) in enumerate(zip(params, gs)):
         if state.m[i].shape != p.shape:
@@ -889,14 +872,12 @@ def adam_step(params, grads: GradientMap, state: AdamState, lr):
         state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * gd * gd
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        fresh = Tensor(p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        if tape is not None and tape.recording:
-            tape.adopt(fresh)
-        new_params.append(fresh)
+        new_params.append(
+            Tensor(p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)))
     return new_params, state
 
 
-def sgd_virtual_step(params, grads: GradientMap, lr):
+def sgd_virtual_step(params, grads: dict, lr):
     """One explicit gradient step that stays on the tape.
 
     The returned tensors are differentiable with respect to anything the

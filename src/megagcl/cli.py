@@ -6,9 +6,11 @@ features. ``train`` runs the alternating schedule and prints the run summary
 as JSON; ``eval`` runs the seeded protocol, a linear probe under stratified
 10-fold cross-validation, and prints as JSON each seed's mean test accuracy
 over the folds (``accuracies``), their mean and their population standard
-deviation. ``compare BEFORE AFTER`` prints, for two ``eval`` outputs over the
-same seeds, the mean of AFTER - BEFORE per seed, its 95% t-interval and the
-seeds up and down. Misuse raises ``ConfigError`` instead of exiting.
+deviation, with the run seeds (``seeds``). ``compare BEFORE AFTER`` prints,
+for two ``eval`` outputs over the same seeds, the mean of AFTER - BEFORE per
+seed, its 95% t-interval and the seeds up and down. Misuse, including two
+outputs over different seeds, raises ``ConfigError`` instead of exiting; a
+file that is not an ``eval`` output raises ``DataError``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 import scipy.stats
 
 from . import evaluation, graphdata, training
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,15 +51,32 @@ def _parser():
     return parser
 
 
+def _read_eval_output(path):
+    """The accuracies and seeds of an ``eval`` output file; ``DataError``
+    naming the file for one that cannot be read or holds no accuracies."""
+    try:
+        output = json.loads(Path(path).read_text())
+        accuracies = np.asarray(output["accuracies"], dtype=np.float64)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not a megagcl eval output "
+                        f"({type(exc).__name__}: {exc})") from None
+    if accuracies.ndim != 1 or not np.all(np.isfinite(accuracies)):
+        raise DataError(f"{path}: accuracies must be a list of finite numbers")
+    return accuracies, output.get("seeds")
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     if args.command == "compare":
-        before, after = (json.loads(Path(p).read_text())["accuracies"]
-                         for p in args.outputs)
+        (before, before_seeds), (after, after_seeds) = (
+            _read_eval_output(p) for p in args.outputs)
         if len(before) != len(after) or len(before) < 2:
             raise ConfigError("compare needs equal seed counts of at least "
                               f"2, got {len(before)} and {len(after)}")
-        d = np.subtract(after, before)
+        if before_seeds is None or before_seeds != after_seeds:
+            raise ConfigError("compare needs two outputs over the same "
+                              f"seeds, got {before_seeds} and {after_seeds}")
+        d = after - before
         mean = d.mean()
         half = scipy.stats.t.ppf(0.975, d.size - 1) * scipy.stats.sem(d)
         print(json.dumps({"n": d.size, "mean": mean,
@@ -73,7 +92,9 @@ def main(argv=None):
         print(json.dumps(log.summary))
     else:
         result = evaluation.run_protocol(dataset, hp, mode=args.mode)
-        print(json.dumps({"mode": args.mode, "accuracies": result.accuracies,
+        seeds = [hp.seed + i for i in range(len(result.accuracies))]
+        print(json.dumps({"mode": args.mode, "seeds": seeds,
+                          "accuracies": result.accuracies,
                           "mean": result.mean, "std": result.std}))
     return 0
 

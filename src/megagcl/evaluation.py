@@ -29,12 +29,6 @@ PROTOCOL_MODES = tr.TRAINING_MODES + ("gin-riu",)
 
 
 @dataclass
-class EmbeddingTable:
-    vectors: np.ndarray  # one row per graph
-    labels: np.ndarray
-
-
-@dataclass
 class ProbeResult:
     accuracies: list
     mean: float
@@ -47,8 +41,8 @@ class ProbeResult:
 
 
 def embed_dataset(phi: gnn.EncoderParams, dataset: Dataset,
-                  batch_size=64) -> EmbeddingTable:
-    """Pooled encoder outputs for every graph, in dataset order."""
+                  batch_size=64) -> np.ndarray:
+    """One pooled encoder row per graph, in dataset order."""
     _require_count("batch_size", batch_size)
     if not dataset.records:
         raise DataError(f"{dataset.name}: no graphs to embed")
@@ -60,7 +54,7 @@ def embed_dataset(phi: gnn.EncoderParams, dataset: Dataset,
         weights = lga.unit_edge_weights(batch)
         pooled = gnn.readout(batch, gnn.encode(batch, weights, phi))
         rows.append(pooled.data)
-    return EmbeddingTable(np.concatenate(rows, axis=0), dataset.labels)
+    return np.concatenate(rows, axis=0)
 
 
 def stratified_folds(labels, seed):
@@ -101,7 +95,7 @@ def _fold_accuracy(x, y, test, n_classes):
     return float((logits.argmax(axis=1) == y[test]).mean())
 
 
-def linear_probe(table: EmbeddingTable, folds) -> float:
+def linear_probe(vectors, labels, folds) -> float:
     """Mean test accuracy of a full-batch softmax probe over the folds.
 
     For each fold the probe is standardised on the other folds, trained
@@ -109,9 +103,9 @@ def linear_probe(table: EmbeddingTable, folds) -> float:
     fold. There is no validation split and no early stopping, so the outcome
     is deterministic.
     """
-    n_classes = int(table.labels.max()) + 1
+    n_classes = int(labels.max()) + 1
     return float(np.mean([
-        _fold_accuracy(table.vectors, table.labels, folds == k, n_classes)
+        _fold_accuracy(vectors, labels, folds == k, n_classes)
         for k in range(N_FOLDS)]))
 
 
@@ -152,13 +146,15 @@ def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
     tr.require_features(dataset)
     _require_folds(dataset)
     dims = gnn.ModelDims(feature_dim=dataset.feature_width)
+    labels = dataset.labels
     accuracies = []
     for run in range(n_runs):
         seed = hp.seed + run
-        folds = stratified_folds(dataset.labels, seed)
+        folds = stratified_folds(labels, seed)
         if mode == "gin-riu":
             phi, _, _ = gnn.init_params(dims, seed)
         else:
             phi = tr.train(dataset, replace(hp, seed=seed), dims, mode)[0].phi
-        accuracies.append(linear_probe(embed_dataset(phi, dataset), folds))
+        accuracies.append(
+            linear_probe(embed_dataset(phi, dataset), labels, folds))
     return ProbeResult.from_accuracies(accuracies)

@@ -126,8 +126,8 @@ def _xavier(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def _init_mlp(rng, d_in, d_hidden, d_out, cls=MlpParams):
-    return cls(
+def _init_mlp(rng, d_in, d_hidden, d_out):
+    return MlpParams(
         w1=ad.constant(_xavier(rng, d_in, d_hidden)),
         b1=ad.constant(np.zeros((1, d_hidden))),
         w2=ad.constant(_xavier(rng, d_hidden, d_out)),
@@ -142,8 +142,6 @@ def init_params(dims: ModelDims, seed):
     Returned tensors are detached constants; the training loop adopts them
     onto its tape.
     """
-    from .augmenter import AugmenterParams
-
     rng = np.random.default_rng(seed)
     layers = []
     d_in = dims.feature_dim
@@ -152,6 +150,5 @@ def init_params(dims: ModelDims, seed):
         d_in = dims.hidden
     phi = EncoderParams(layers)
     psi = _init_mlp(rng, dims.hidden, dims.hidden, dims.proj_dim)
-    sigma = _init_mlp(rng, 2 * dims.feature_dim, dims.aug_hidden, 1,
-                      cls=AugmenterParams)
+    sigma = _init_mlp(rng, 2 * dims.feature_dim, dims.aug_hidden, 1)
     return phi, psi, sigma

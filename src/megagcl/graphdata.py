@@ -82,7 +82,6 @@ class Dataset:
     name: str
     records: list
     n_classes: int
-    feature_scheme: str | None = None
 
     def __len__(self):
         return len(self.records)
@@ -319,7 +318,6 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
         vocab = np.array(sorted(set().union(*(r.node_labels
                                               for r in dataset.records))))
         width = len(vocab)
-        descr = "node-label-onehot"
 
         def column(rec):
             return np.searchsorted(vocab, rec.node_labels)
@@ -330,7 +328,6 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
                 f"degree-onehot requires cap to be an int of at least 1, "
                 f"got {cap!r}")
         width = cap + 1
-        descr = f"degree-onehot(cap={cap})"
 
         def column(rec):
             return np.minimum(degree_sequence(rec.topology), cap)
@@ -340,7 +337,7 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
 
     onehot = np.eye(width)
     records = [replace(r, features=onehot[column(r)]) for r in dataset.records]
-    return replace(dataset, records=records, feature_scheme=descr)
+    return replace(dataset, records=records)
 
 
 def batch_graphs(records) -> GraphBatch:

@@ -226,7 +226,8 @@ def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
     takes a contrast step on every batch, contrasting the unit-weight view
     with itself and encoding it once (the plain contrastive baseline).
     Returns the final TrainState (its ``phi`` is the encoder; head and
-    augmenter ride along) and the metrics log.
+    augmenter ride along), its tensors constants off any tape, and the
+    metrics log.
     """
     if mode not in TRAINING_MODES:
         raise ConfigError(f"unknown training mode: {mode!r}")
@@ -265,6 +266,9 @@ def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
                               n_graphs=batch.n_graphs)
                 log.records.append(record)
                 state.iteration += 1
+    # hand back constants: the last adoption's ids point into a dead tape
+    for t in state.all_tensors():
+        t.node_id = None
 
     last = log.records[-1] if log.records else {}
     log.summary = {

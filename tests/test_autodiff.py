@@ -35,7 +35,7 @@ def test_weighted_aggregate_hand_summed(tape):
     # unit weights, targets [0,0,1] over rows [[1],[2],[3]] -> [[3],[3]]
     rows = ad.constant([[1.0], [2.0], [3.0]])
     pattern = ad.SparsePattern([0, 1, 2], [0, 0, 1], 2, 3)
-    out = ad.weighted_aggregate(rows, np.ones((3, 1)), pattern)
+    out = ad.weighted_aggregate(rows, ad.constant(np.ones((3, 1))), pattern)
     np.testing.assert_allclose(out.data, [[3.0], [3.0]])
 
 
@@ -148,7 +148,8 @@ def test_edge_dots_is_bitwise_the_gathered_products(mutag, transposed):
         ends = [(pattern.dst, pattern.n_out), (pattern.src, pattern.n_in)]
         (rows, n_g), (cols, n_x) = ends[::-1] if transposed else ends
         g, x = rng.standard_normal((n_g, 7)), rng.standard_normal((n_x, 7))
-        out = ad.edge_dots(g, x, pattern, transposed)
+        out = ad.edge_dots(ad.constant(g), ad.constant(x), pattern,
+                           transposed)
         assert out.shape == (len(rows), 1)
         assert out.data.tobytes() == \
             ((g[rows] * x[cols]) @ np.ones((7, 1))).tobytes()
@@ -156,11 +157,11 @@ def test_edge_dots_is_bitwise_the_gathered_products(mutag, transposed):
 
 def test_edge_dots_rejects_bad_shapes(tape):
     pattern = ad.SparsePattern([0, 1, 2], [0, 1, 1], 2, 3)
-    g, x = np.ones((2, 4)), np.ones((3, 4))
+    g, x = ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 4)))
     assert ad.edge_dots(g, x, pattern).shape == (3, 1)
     assert ad.edge_dots(x, g, pattern, transposed=True).shape == (3, 1)
     for bad_g, bad_x, transposed in ((x, x, False), (g, g, False),
-                                     (g, np.ones((3, 5)), False),
+                                     (g, ad.constant(np.ones((3, 5))), False),
                                      (g, x, True)):
         with pytest.raises(ShapeError, match="edge-dots"):
             ad.edge_dots(bad_g, bad_x, pattern, transposed)
@@ -174,8 +175,8 @@ def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
     pattern = ad.SparsePattern(src, dst, 2, 3)
     for w in (np.ones(3), np.ones((2, 1)), np.ones((3, 2))):
         with pytest.raises(ShapeError, match="weighted-aggregate"):
-            ad.weighted_aggregate(x, w, pattern)
-    w = np.ones((3, 1))
+            ad.weighted_aggregate(x, ad.constant(w), pattern)
+    w = ad.constant(np.ones((3, 1)))
     for rows in (2, 4):
         with pytest.raises(ShapeError, match="3 input rows"):
             ad.weighted_aggregate(ad.constant(np.ones((rows, 2))), w, pattern)
@@ -294,9 +295,6 @@ def test_constant_coerces_to_float64_of_at_least_one_dimension(data, shape):
         assert t.data.dtype == np.float64 and t.shape == shape
         np.testing.assert_array_equal(t.data.reshape(-1),
                                       np.ravel(np.asarray(data, dtype=float)))
-    # a primitive coerces a raw input the same way
-    out = ad.add(data, ad.constant(np.zeros(shape)))
-    assert out.data.dtype == np.float64 and out.shape == shape
 
 
 def test_l2_normalize_zero_row_names_row(tape):
@@ -920,7 +918,7 @@ def test_virtual_params_depend_on_second_input(tape):
 
 def test_adam_zero_gradient_leaves_parameters(tape):
     p = ad.variable([1.0, -2.0])
-    grads = ad.GradientMap({p.node_id: ad.constant([0.0, 0.0])})
+    grads = {p: ad.constant([0.0, 0.0])}
     state = ad.AdamState()
     (new_p,), state = ad.adam_step([p], grads, state, lr=0.1)
     np.testing.assert_array_equal(new_p.data, p.data)
@@ -930,10 +928,10 @@ def test_adam_zero_gradient_leaves_parameters(tape):
 def test_adam_first_step_hand_computed(tape):
     # grad 1, lr 0.1: m_hat = 1, v_hat = 1 -> step of lr/(1+eps) ~ 0.1
     p = ad.variable([1.0])
-    grads = ad.GradientMap({p.node_id: ad.constant([1.0])})
+    grads = {p: ad.constant([1.0])}
     (new_p,), _ = ad.adam_step([p], grads, ad.AdamState(), lr=0.1)
     np.testing.assert_allclose(new_p.data, [1.0 - 0.1 / (1.0 + 1e-8)])
-    assert new_p.node_id is not None  # fresh tape root
+    assert new_p.node_id is None  # off the tape: the caller adopts it
 
 
 def test_adam_two_identical_steps_follow_recurrence(tape):
@@ -944,7 +942,7 @@ def test_adam_two_identical_steps_follow_recurrence(tape):
     m = v = 0.0
     expect = 2.0
     for t in (1, 2):
-        grads = ad.GradientMap({p.node_id: ad.constant([g])})
+        grads = {p: ad.constant([g])}
         (p,), state = ad.adam_step([p], grads, state, lr=lr)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
@@ -957,8 +955,8 @@ def test_adam_two_identical_steps_follow_recurrence(tape):
 def test_adam_missing_gradient_entry_raises(tape):
     p = ad.variable([1.0])
     q = ad.variable([2.0])
-    grads = ad.GradientMap({p.node_id: ad.constant([1.0])})
-    with pytest.raises(TapeError):
+    grads = {p: ad.constant([1.0])}
+    with pytest.raises(KeyError):
         ad.adam_step([p, q], grads, ad.AdamState(), lr=0.1)
 
 

@@ -56,9 +56,9 @@ def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     want = ev.run_protocol(_load(folder, "TP"), tr.Hyperparams(seed=1),
                            mode="gin-riu")
-    assert printed == {"mode": "gin-riu", "accuracies": want.accuracies,
+    assert printed == {"mode": "gin-riu", "seeds": list(range(1, 11)),
+                       "accuracies": want.accuracies,
                        "mean": want.mean, "std": want.std}
-    assert len(printed["accuracies"]) == 10
 
 
 def test_misuse_raises_config_error(tmp_path):
@@ -81,8 +81,10 @@ def test_misuse_raises_config_error(tmp_path):
         cli.main(["eval", empty, "E", "--mode", "gin-riu"])
 
 
-def _eval_output(path, accuracies):
-    path.write_text(json.dumps({"mode": "mega", "accuracies": accuracies,
+def _eval_output(path, accuracies, first_seed=0):
+    seeds = list(range(first_seed, first_seed + len(accuracies)))
+    path.write_text(json.dumps({"mode": "mega", "seeds": seeds,
+                                "accuracies": accuracies,
                                 "mean": float(np.mean(accuracies)),
                                 "std": float(np.std(accuracies))}))
     return str(path)
@@ -111,3 +113,28 @@ def test_compare_needs_equal_seed_counts_of_at_least_two(tmp_path):
             cli.main(["compare", *pair])
     with pytest.raises(ConfigError):
         cli.main(["compare", three])
+
+
+def test_compare_refuses_outputs_over_different_seeds(tmp_path):
+    accuracies = [80.0, 81.0, 82.0]
+    zero = _eval_output(tmp_path / "zero.json", accuracies)
+    one = _eval_output(tmp_path / "one.json", accuracies, first_seed=1)
+    unseeded = tmp_path / "unseeded.json"
+    unseeded.write_text(json.dumps({"accuracies": accuracies}))
+    for pair in ((zero, one), (one, zero), (zero, str(unseeded))):
+        with pytest.raises(ConfigError, match="same seeds"):
+            cli.main(["compare", *pair])
+
+
+@pytest.mark.parametrize("content", [
+    None, "not json", json.dumps({"mean": 81.0}),
+    json.dumps({"accuracies": ["a", "b"], "seeds": [0, 1]})],
+    ids=["missing", "not-json", "no-accuracies", "text-accuracies"])
+def test_compare_rejects_a_file_that_is_not_an_eval_output(tmp_path, content):
+    good = _eval_output(tmp_path / "good.json", [80.0, 81.0])
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    for pair in ((good, str(bad)), (str(bad), good)):
+        with pytest.raises(DataError, match="bad.json"):
+            cli.main(["compare", *pair])

@@ -28,10 +28,8 @@ def test_batched_embeddings_equal_one_graph_at_a_time():
                                 seed=0)
     batched = ev.embed_dataset(phi, ds)
     alone = ev.embed_dataset(phi, ds, batch_size=1)
-    assert batched.vectors.shape == (len(ds), phi.layers[-1].w2.shape[1])
-    np.testing.assert_allclose(batched.vectors, alone.vectors, rtol=0,
-                               atol=1e-9)
-    np.testing.assert_array_equal(batched.labels, ds.labels)
+    assert batched.shape == (len(ds), phi.layers[-1].w2.shape[1])
+    np.testing.assert_allclose(batched, alone, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["mega", "ccl", "gin-riu"])

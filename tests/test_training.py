@@ -25,7 +25,7 @@ def tiny_fixture():
     for i in range(2):
         topo = gd.GraphTopology(2, ((0, 1), (1, 0)))
         recs.append(gd.GraphRecord(topo, i, features=feats[i]))
-    ds = gd.Dataset("TINY", recs, 2, feature_scheme="raw")
+    ds = gd.Dataset("TINY", recs, 2)
     return ds, gd.batch_graphs(recs)
 
 
@@ -223,7 +223,7 @@ def test_meta_step_moves_instance_term_downhill():
 # primitive calls and tape nodes of one MUTAG contrast step, one ccl step
 # (the unit view encoded once) and one meta step at batch 32, as ROADMAP's
 # Baseline records them
-STEP_CENSUS = {"contrast": (188, 78), "ccl": (123, 65), "meta": (656, 267)}
+STEP_CENSUS = {"contrast": (188, 62), "ccl": (123, 49), "meta": (656, 263)}
 
 
 def _ones_or_identity(t):
@@ -551,6 +551,25 @@ def test_train_determinism_same_seed_identical_log():
     assert log_a.summary == log_b.summary
 
 
+def test_training_hands_back_plain_constants():
+    # Adam's outputs stay off the tape: the caller adopts them
+    ds = synthetic_dataset(n_per_class=5, seed=7)
+    state = fresh_state(small_dims(ds.feature_width))
+    tape = ad.Tape()
+    with ad.use_tape(tape):
+        state.adopt_all(tape)
+        enc = state.phi.tensors()
+        grads = {t: ad.constant(np.ones(t.shape)) for t in enc}
+        n_nodes = len(tape.nodes)
+        stepped, _ = ad.adam_step(enc, grads, ad.AdamState(), lr=0.1)
+    assert len(tape.nodes) == n_nodes
+    assert all(t.node_id is None for t in stepped)
+    # and train's state holds no id into the tape it discarded
+    state, log = tr.train(ds, hp(epochs=1, batch_size=5), mode="mega")
+    assert {r["step"] for r in log.records} == {"contrast", "meta"}
+    assert all(t.node_id is None for t in state.all_tensors())
+
+
 def test_train_rejects_bad_inputs():
     ds = synthetic_dataset(n_per_class=3)
     with pytest.raises(ConfigError):
@@ -567,7 +586,7 @@ def test_train_rejects_bad_inputs():
     tiny, _ = tiny_fixture()
     _, log = tr.train(tiny, hp(batch_size=2), small_dims(2))
     assert log.summary["iterations"] == 1
-    one = gd.Dataset("ONE", tiny.records[:1], 2, feature_scheme="raw")
+    one = gd.Dataset("ONE", tiny.records[:1], 2)
     with pytest.raises(ConfigError, match="at least 2 graphs"):
         tr.train(one, hp(batch_size=2), small_dims(2))
 
