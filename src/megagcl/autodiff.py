@@ -851,10 +851,23 @@ def adam_step(params, grads: dict, state: AdamState, lr):
 
     Returns the updated parameters as detached constants, which the caller
     adopts onto its tape before the next step, together with the mutated
-    state.
+    state. The parameter count and every moment, parameter and gradient
+    shape are checked before the state is touched, so a step that raises
+    ``ShapeError`` (or ``KeyError`` for a missing gradient) leaves the
+    state as it was.
     """
     params = list(params)
     gs = [grads[p] for p in params]
+    held = ([p.shape for p in params] if state.m is None
+            else [m.shape for m in state.m])
+    if len(held) != len(params):
+        raise ShapeError("adam-step", [(len(held),), (len(params),)],
+                         f"state holds {len(held)} moments for "
+                         f"{len(params)} parameters")
+    for h, p, g in zip(held, params, gs):
+        if not h == p.shape == g.shape:
+            raise ShapeError("adam-step", [h, p.shape, g.shape],
+                             "moment/parameter/gradient shape mismatch")
     if state.m is None:
         state.m = [np.zeros(p.shape) for p in params]
         state.v = [np.zeros(p.shape) for p in params]
@@ -864,9 +877,6 @@ def adam_step(params, grads: dict, state: AdamState, lr):
     bc2 = 1.0 - ADAM_BETA2 ** t
     new_params = []
     for i, (p, g) in enumerate(zip(params, gs)):
-        if state.m[i].shape != p.shape:
-            raise ShapeError("adam-step", [state.m[i].shape, p.shape],
-                             "moment/parameter shape mismatch")
         gd = g.data
         state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * gd
         state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * gd * gd

@@ -7,6 +7,15 @@ The TU file convention: a dataset ``NAME`` is a directory holding
 ``NAME_node_labels.txt``. Whitespace around commas and CRLF line endings are
 tolerated. ``NAME_node_attributes.txt`` and ``NAME_edge_labels.txt`` are not
 read: the parser warns that they are ignored.
+
+Each file is first read by numpy's C parser (``np.loadtxt``, comma
+delimited, int64). The per-line scanners ``_edge_lines`` and ``_int_lines``
+define the accepted format and every error message: they read any file the
+C parser refuses, which covers every malformed file and the forms only the
+scanners accept (``1 2``, ``1.0``, ``1_0``, an index too large for int64,
+whitespace-only lines). On a file the C parser reads, the node-range check
+is vectorised, and a line number is found by a rescan only when an error
+message needs one.
 """
 
 from __future__ import annotations
@@ -170,6 +179,39 @@ def _read_lines(path):
         yield from f
 
 
+def _c_rows(path, width):
+    """The file's rows as an (n, width) int64 array from numpy's C reader,
+    or None where it refuses the file: it raises, it warns, it finds
+    another number of columns or it finds no rows. The scanners then read
+    the file, so they alone decide what is accepted and every message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=np.int64, delimiter=",",
+                              comments=None, ndmin=2)
+    except (OSError, ValueError, OverflowError, Warning):
+        return None
+    return rows if rows.shape[1] == width and len(rows) else None
+
+
+def _nth_line(path, k):
+    """The number and stripped text of the file's k-th (0-based) non-blank
+    line, which holds row k of either parse."""
+    for i, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if line:
+            if k == 0:
+                return i, line
+            k -= 1
+
+
+def _ints(path, what):
+    """The file's one integer per non-blank line: an int64 array, or the
+    scanner's list of ints for a file the C reader refuses."""
+    rows = _c_rows(path, 1)
+    return _int_lines(path, what) if rows is None else rows[:, 0]
+
+
 def _int_lines(path, what):
     out = []
     for i, line in enumerate(_read_lines(path), start=1):
@@ -193,28 +235,45 @@ def _int_lines(path, what):
     return out
 
 
+def _index_error(path, i, line, n_nodes):
+    return DataError(f"{path.name}:{i}: node index exceeds indicator length "
+                     f"({n_nodes} nodes): {line!r}")
+
+
+def _edges(path, n_nodes):
+    """The (E, 2) 1-indexed pairs of an edge file, each within 1..n_nodes."""
+    rows = _c_rows(path, 2)
+    if rows is None:
+        return _edge_lines(path, n_nodes)
+    if rows.min() < 1 or rows.max() > n_nodes:
+        k = np.flatnonzero(((rows < 1) | (rows > n_nodes)).any(axis=1))[0]
+        raise _index_error(path, *_nth_line(path, k), n_nodes)
+    return rows
+
+
 def _edge_lines(path, n_nodes):
-    """The (E, 2) 1-indexed pairs of an edge file, each within 1..n_nodes,
-    plus each pair's line number."""
-    # flat machine-int buffers: per-pair Python objects would set the
+    """The scanner's parse of an edge file, as ``_edges`` returns it."""
+    # a flat machine-int buffer: per-pair Python objects would set the
     # parser's peak memory
-    flat, linenos = array("q"), array("q")
+    flat = array("q")
     for i, line in enumerate(_read_lines(path), start=1):
         line = line.strip()
         if not line:
             continue
+        fields = line.replace(",", " ").split()
+        if len(fields) != 2:
+            raise DataError(f"{path.name}:{i}: edge line needs 2 node "
+                            f"indices, holds {len(fields)}: {line!r}")
         try:
-            u, v = (int(p) for p in line.replace(",", " ").split())
+            u, v = map(int, fields)
         except ValueError:
-            raise DataError(f"{path.name}:{i}: non-numeric edge line: {line!r}")
-        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
             raise DataError(
-                f"{path.name}:{i}: node index exceeds indicator length "
-                f"({n_nodes} nodes): {line!r}")
+                f"{path.name}:{i}: non-numeric edge line: {line!r}") from None
+        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
+            raise _index_error(path, i, line, n_nodes)
         flat.append(u)
         flat.append(v)
-        linenos.append(i)
-    return _edge_array(flat), linenos
+    return _edge_array(flat)
 
 
 def parse_tu_dataset(root_dir, name) -> Dataset:
@@ -231,16 +290,16 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
         if not p.exists():
             raise DataError(f"missing mandatory file {p.name} under {folder}")
 
-    indicator = _int_lines(ind_path, "graph indicator")
-    if not indicator:
+    indicator = _ints(ind_path, "graph indicator")
+    if len(indicator) == 0:
         raise DataError(f"{ind_path.name}: the dataset holds no graphs")
     n_total = len(indicator)
-    graph_ids = sorted(set(indicator))
-    if graph_ids != list(range(1, len(graph_ids) + 1)):
+    graph_ids = np.unique(indicator)
+    if not np.array_equal(graph_ids, np.arange(1, len(graph_ids) + 1)):
         raise DataError(f"{ind_path.name}: graph ids are not 1..N")
     n_graphs = len(graph_ids)
 
-    raw_labels = _int_lines(lab_path, "graph label")
+    raw_labels = _ints(lab_path, "graph label")
     if len(raw_labels) != n_graphs:
         raise DataError(
             f"{lab_path.name}: {len(raw_labels)} labels for {n_graphs} graphs")
@@ -249,7 +308,7 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     node_labels = None
     nl_path = folder / f"{name}_node_labels.txt"
     if nl_path.exists():
-        node_labels = _int_lines(nl_path, "node label")
+        node_labels = _ints(nl_path, "node label")
         if len(node_labels) != n_total:
             raise DataError(
                 f"{nl_path.name}: {len(node_labels)} labels for {n_total} nodes")
@@ -268,15 +327,15 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     if node_labels is not None:
         node_labels = np.asarray(node_labels)[by_graph].tolist()
 
-    pairs, linenos = _edge_lines(a_path, n_total)
+    pairs = _edges(a_path, n_total)
     graph_uv = graph_of[pairs - 1]
     crossing = np.flatnonzero(graph_uv[:, 0] != graph_uv[:, 1])
     if crossing.size:
         k = crossing[0]
         (u, v), (gu, gv) = pairs[k], graph_uv[k]
         raise DataError(
-            f"{a_path.name}:{linenos[k]}: edge ({u}, {v}) crosses graphs "
-            f"{gu + 1} and {gv + 1}")
+            f"{a_path.name}:{_nth_line(a_path, k)[0]}: edge ({u}, {v}) "
+            f"crosses graphs {gu + 1} and {gv + 1}")
 
     # one closure over global ids, then a stable sort by graph, gives each
     # graph its own closure sorted by source, then target: a node's local

@@ -17,18 +17,28 @@ def mutag():
     return gd.parse_tu_dataset(DATA_ROOT, "MUTAG")
 
 
-@pytest.fixture(scope="session")
-def synth_records(tmp_path_factory):
-    """64 graphs of 150-250 nodes from ``megabench/synth.py``, with
-    node-label one-hot features."""
+def synth_module():
+    """``megabench/synth.py``, the benchmark's seeded TU-file writer."""
     megabench = str(REPO_ROOT / "megabench")
     sys.path.insert(0, megabench)
     try:
         import synth
     finally:
         sys.path.remove(megabench)
-    folder = synth.write_tu(tmp_path_factory.mktemp("synth"), "SYN", 64, 0)
-    ds = gd.parse_tu_dataset(folder, "SYN")
+    return synth
+
+
+@pytest.fixture(scope="session")
+def synth_folder(tmp_path_factory):
+    """The TU files of 64 graphs of 150-250 nodes, dataset name ``SYN``."""
+    return synth_module().write_tu(tmp_path_factory.mktemp("synth"), "SYN",
+                                   64, 0)
+
+
+@pytest.fixture(scope="session")
+def synth_records(synth_folder):
+    """The ``synth_folder`` graphs with node-label one-hot features."""
+    ds = gd.parse_tu_dataset(synth_folder, "SYN")
     return gd.build_node_features(ds, "node-label-onehot").records
 
 

@@ -960,6 +960,49 @@ def test_adam_missing_gradient_entry_raises(tape):
         ad.adam_step([p, q], grads, ad.AdamState(), lr=0.1)
 
 
+def _adam_snapshot(state):
+    return (state.step_count, [m.copy() for m in state.m],
+            [v.copy() for v in state.v])
+
+
+@pytest.mark.parametrize("case", ["wrong-shape", "wrong-gradient-shape",
+                                  "extra-parameter", "missing-parameter"])
+def test_adam_failed_step_leaves_state_unchanged(tape, case):
+    p, q = ad.variable([1.0, 2.0]), ad.variable([[3.0]])
+    grads = {p: ad.constant([0.5, -0.5]), q: ad.constant([[1.0]])}
+    (p, q), state = ad.adam_step([p, q], grads, ad.AdamState(), lr=0.1)
+    before = _adam_snapshot(state)
+    grads = {p: ad.constant([0.5, -0.5]), q: ad.constant([[1.0]])}
+    if case == "wrong-shape":
+        q = ad.variable([3.0, 4.0])
+        grads[q] = ad.constant([1.0, 1.0])
+        params = [p, q]
+    elif case == "wrong-gradient-shape":
+        grads[q] = ad.constant([1.0, 1.0])
+        params = [p, q]
+    elif case == "extra-parameter":
+        r = ad.variable([5.0])
+        grads[r] = ad.constant([1.0])
+        params = [p, q, r]
+    else:
+        params = [p]
+    with pytest.raises(ShapeError, match="adam-step"):
+        ad.adam_step(params, grads, state, lr=0.1)
+    after = _adam_snapshot(state)
+    assert after[0] == before[0] == 1
+    for got, want in zip(after[1] + after[2], before[1] + before[2]):
+        np.testing.assert_array_equal(got, want)
+    assert len(after[1]) == len(after[2]) == 2
+
+
+def test_adam_failed_first_step_leaves_state_empty(tape):
+    p = ad.variable([1.0, 2.0])
+    state = ad.AdamState()
+    with pytest.raises(ShapeError, match="adam-step"):
+        ad.adam_step([p], {p: ad.constant([1.0])}, state, lr=0.1)
+    assert state.step_count == 0 and state.m is None and state.v is None
+
+
 # ---------------------------------------------------------------------------
 # finite differences and determinism
 # ---------------------------------------------------------------------------

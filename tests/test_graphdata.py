@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from megagcl import graphdata as gd
 from megagcl.errors import ConfigError, DataError
 
-from conftest import (count_calls, star_record, synthetic_dataset,
-                      two_triangles, write_tu_fixture)
+from conftest import (DATA_ROOT, count_calls, star_record, synth_module,
+                      synthetic_dataset, two_triangles, write_tu_fixture)
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +76,19 @@ def test_folder_without_graphs_is_rejected(tmp_path):
         gd.parse_tu_dataset(folder, "NONE")
 
 
-def test_non_numeric_line_names_file_and_line(tmp_path):
+@pytest.mark.parametrize("line,message", [
+    pytest.param("2, x", "non-numeric edge line: '2, x'", id="non-numeric"),
+    pytest.param("2, 1, 3", "edge line needs 2 node indices, holds 3: "
+                 "'2, 1, 3'", id="three-fields")])
+def test_non_numeric_line_names_file_and_line(tmp_path, line, message):
     folder = write_tu_fixture(tmp_path, "NUM",
-                              a_lines=["1, 2", "2, x"],
+                              a_lines=["1, 2", line],
                               indicator=[1, 1],
                               graph_labels=[1])
     with pytest.raises(DataError) as exc:
         gd.parse_tu_dataset(folder, "NUM")
     assert "NUM_A.txt:2" in str(exc.value)
+    assert str(exc.value) == f"NUM_A.txt:2: {message}"
 
 
 @pytest.mark.parametrize("column,value", [
@@ -177,6 +184,142 @@ def test_crlf_and_spacing_tolerated(tmp_path):
     (folder / "W_graph_labels.txt").write_text("3\r\n")
     ds = gd.parse_tu_dataset(folder, "W")
     assert len(ds) == 1 and ds.records[0].n_nodes == 2
+
+
+def _scanner_only(monkeypatch):
+    """Make numpy's C reader refuse every file, as it refuses those it
+    cannot read, so the line scanners parse them."""
+    monkeypatch.setattr(gd, "_c_rows", lambda path, width: None)
+
+
+def _parse_or_error(folder, name):
+    try:
+        return gd.parse_tu_dataset(folder, name)
+    except DataError as exc:
+        return str(exc)
+
+
+def _assert_same_parse(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert isinstance(got, gd.Dataset), got
+    assert (got.name, got.n_classes, len(got)) == \
+        (want.name, want.n_classes, len(want))
+    for a, b in zip(got.records, want.records):
+        assert (a.n_nodes, a.label, a.node_labels) == \
+            (b.n_nodes, b.label, b.node_labels)
+        assert all(type(x) is int for x in a.node_labels or ())
+        assert np.array_equal(a.topology.edges, b.topology.edges)
+        assert a.topology.edges.dtype == np.intp
+
+
+# Each case replaces some of the files of a 12-node, two-graph dataset:
+# nodes 1-10 are graph 1 and nodes 11-12 graph 2.
+_BASE = {"A": "1, 2\n2, 3\n10, 1\n11, 12\n",
+         "graph_indicator": "1\n" * 10 + "2\n2\n",
+         "graph_labels": "4\n-2\n",
+         "node_labels": "0\n1\n" * 6}
+
+_CRAFTED = {
+    "plain": {},
+    "crlf": {k: v.replace("\n", "\r\n") for k, v in _BASE.items()},
+    "spaces-and-tabs": {"A": "1 ,2\n 2\t,\t3 \n10 , 1\t\n11,12\n"},
+    "blank-lines": {"A": "\n1, 2\n\n\n2, 3\n10, 1\n\n11, 12\n\n",
+                    "graph_indicator": "1\n" * 10 + "\n2\n\n2\n"},
+    "whitespace-only-line": {"A": "1, 2\n  \n2, 3\n"},
+    "space-only-pair": {"A": "1, 2\n2 3\n11 12\n"},
+    "plus-sign": {"A": "+1, 2\n2, +3\n"},
+    "no-break-spaces": {"A": "1\u00a0, 2\n\u00a011,\u00a012\n"},
+    "underscore": {"A": "1_0, 2\n11, 12\n"},
+    "trailing-comma": {"A": "1, 2,\n11, 12\n"},
+    "integral-float": {"graph_indicator": "1.0\n" + "1\n" * 9 + "2\n2.0\n"},
+    "no-trailing-newline": {"A": "1, 2\n11, 12"},
+    "single-edge": {"A": "3, 4\n"},
+    "oversized-index": {"A": "1, 2\n99999999999999999999, 1\n"},
+    "out-of-range-after-blanks": {"A": "1, 2\n\n\n13, 1\n"},
+    "zero-index": {"A": "1, 2\n0, 1\n"},
+    "cross-graph-after-blank": {"A": "1, 2\n\n2, 3\n\n1, 11\n"},
+    "three-fields": {"A": "1, 2\n1, 2, 3\n"},
+    "one-field": {"A": "1, 2\n\n7\n"},
+    "non-numeric": {"A": "1, 2\n1, x\n"},
+    "empty-edge-file": {"A": ""},
+    "non-integral-label": {"graph_labels": "4\n0.5\n"},
+    "oversized-label": {"graph_labels": "4\n99999999999999999999\n"},
+    "label-count": {"graph_labels": "4\n"},
+    "indicator-gap": {"graph_indicator": "1\n" * 10 + "3\n3\n"},
+    "empty-indicator": {"graph_indicator": ""},
+    "node-label-pair": {"node_labels": "0, 1\n" * 12},
+}
+
+
+def _write_crafted(folder, case):
+    for suffix, text in {**_BASE, **_CRAFTED[case]}.items():
+        with (folder / f"T_{suffix}.txt").open("w", newline="") as f:
+            f.write(text)
+
+
+@pytest.mark.parametrize("case", sorted(_CRAFTED))
+def test_c_reader_and_scanner_agree_on_crafted_files(tmp_path, monkeypatch,
+                                                     case):
+    _write_crafted(tmp_path, case)
+    got = _parse_or_error(tmp_path, "T")
+    _scanner_only(monkeypatch)
+    _assert_same_parse(got, _parse_or_error(tmp_path, "T"))
+
+
+@pytest.mark.parametrize("case,message", [
+    ("out-of-range-after-blanks",
+     "T_A.txt:4: node index exceeds indicator length (12 nodes): '13, 1'"),
+    ("cross-graph-after-blank",
+     "T_A.txt:5: edge (1, 11) crosses graphs 1 and 2")])
+def test_c_reader_errors_name_the_line_past_blank_lines(tmp_path, monkeypatch,
+                                                        case, message):
+    _write_crafted(tmp_path, case)
+    scans = [count_calls(monkeypatch, gd, name)
+             for name in ("_edge_lines", "_int_lines")]
+    with pytest.raises(DataError) as exc:
+        gd.parse_tu_dataset(tmp_path, "T")
+    assert str(exc.value) == message
+    assert scans == [[], []]
+
+
+def test_scanner_never_runs_on_shipped_and_benchmark_files(
+        synth_folder, monkeypatch):
+    scans = [count_calls(monkeypatch, gd, name)
+             for name in ("_edge_lines", "_int_lines")]
+    sets = [(DATA_ROOT, "MUTAG"), (synth_folder, "SYN")]
+    fast = [gd.parse_tu_dataset(*where) for where in sets]
+    assert scans == [[], []]
+    _scanner_only(monkeypatch)
+    for got, where in zip(fast, sets):
+        _assert_same_parse(got, gd.parse_tu_dataset(*where))
+    assert [len(calls) for calls in scans] == [2, 6]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_c_reader_matches_scanner_on_synthetic_sets(tmp_path, monkeypatch,
+                                                    seed):
+    folder = synth_module().write_tu(tmp_path, "SYN", 12, seed)
+    fast = gd.parse_tu_dataset(folder, "SYN")
+    _scanner_only(monkeypatch)
+    _assert_same_parse(fast, gd.parse_tu_dataset(folder, "SYN"))
+
+
+@pytest.mark.parametrize("a_text", ["", "\n", "\n\n"])
+def test_edge_free_dataset_leaks_no_warning(tmp_path, a_text):
+    folder = write_tu_fixture(tmp_path, "DOT", [], indicator=[1, 2, 3],
+                              graph_labels=[0, 1, 0])
+    (folder / "DOT_A.txt").write_text(a_text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ds = gd.parse_tu_dataset(folder, "DOT")
+    assert caught == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(gd.parse_tu_dataset(folder, "DOT")) == 3
+    assert [r.n_nodes for r in ds.records] == [1, 1, 1]
+    assert all(r.topology.edges.shape == (0, 2) for r in ds.records)
 
 
 # ---------------------------------------------------------------------------
