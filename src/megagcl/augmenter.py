@@ -15,7 +15,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gnn
-from .errors import ShapeError
 from .graphdata import GraphBatch
 
 
@@ -25,11 +24,9 @@ AugmenterParams = gnn.MlpParams  # the edge scorer: 2F -> hidden -> 1
 def lga_edge_weights(batch: GraphBatch, sigma: AugmenterParams):
     """Score every directed edge; returns an (n_edges, 1) column of sigmoid
     scores, on the tape whenever sigma is, aligned with the batch's edges
-    in their CSR order."""
+    in their CSR order. A scorer whose input width is not twice the
+    feature width raises ``dense``'s ``ShapeError``."""
     f = batch.features
-    if sigma.w1.shape[0] != 2 * f.shape[1]:
-        raise ShapeError("lga-edge-weights", [sigma.w1.shape],
-                         f"augmenter expects 2*{f.shape[1]} input columns")
     xuv = ad.constant(np.concatenate([f[batch.edge_src], f[batch.edge_dst]],
                                      axis=1))
     # the features are one-hot, so each entry of xuv @ w1 sums exactly two

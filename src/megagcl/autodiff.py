@@ -6,6 +6,8 @@ tape and the returned gradients can be differentiated again. That is the
 mechanism the training loop relies on to push gradients through a gradient
 step.
 
+Each primitive's forward takes its input tensors and options as arguments
+and checks every shape condition itself; no wrapper repeats a check.
 Scalars are tensors of shape ``(1,)``; matrices are 2-D. Elementwise add,
 sub and mul broadcast in exactly three cases: scalar against anything,
 ``(1, m)`` row against ``(n, m)``, and ``(n, 1)`` column against ``(n, m)``.
@@ -183,12 +185,6 @@ def _require_2d(kind, *tensors):
             raise ShapeError(kind, [t.shape], "expected a 2-D tensor")
 
 
-def _arity(kind, inputs, n):
-    if len(inputs) != n:
-        raise ShapeError(kind, [t.shape for t in inputs],
-                         f"expected {n} inputs, got {len(inputs)}")
-
-
 class SparsePattern:
     """The fixed structure of a weighted aggregation over ``E`` edges: an
     (n_out, n_in) sparse matrix with one entry at (dst[e], src[e]) per edge.
@@ -229,38 +225,30 @@ class SparsePattern:
         self.csr_t = self.csr.T
 
 
-def _f_add(inputs, extras):
-    _arity("add", inputs, 2)
-    _broadcast_shape("add", *inputs)
-    return inputs[0].data + inputs[1].data
+def _f_add(a, b):
+    _broadcast_shape("add", a, b)
+    return a.data + b.data
 
 
-def _f_sub(inputs, extras):
-    _arity("sub", inputs, 2)
-    _broadcast_shape("sub", *inputs)
-    return inputs[0].data - inputs[1].data
+def _f_sub(a, b):
+    _broadcast_shape("sub", a, b)
+    return a.data - b.data
 
 
-def _f_mul(inputs, extras):
-    _arity("mul", inputs, 2)
-    _broadcast_shape("mul", *inputs)
-    return inputs[0].data * inputs[1].data
+def _f_mul(a, b):
+    _broadcast_shape("mul", a, b)
+    return a.data * b.data
 
 
-def _f_matmul(inputs, extras):
-    _arity("matmul", inputs, 2)
-    a, b = inputs
+def _f_matmul(a, b, ta, tb):
     _require_2d("matmul", a, b)
-    ta, tb = extras["ta"], extras["tb"]
     if a.shape[0 if ta else 1] != b.shape[1 if tb else 0]:
         raise ShapeError("matmul", [a.shape, b.shape],
                          f"inner dimensions differ (ta={ta}, tb={tb})")
     return (a.data.T if ta else a.data) @ (b.data.T if tb else b.data)
 
 
-def _f_dense(inputs, extras):
-    _arity("dense", inputs, 3)
-    x, w, b = inputs
+def _f_dense(x, w, b, relu):
     _require_2d("dense", x, w, b)
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError("dense", [x.shape, w.shape, b.shape],
@@ -268,29 +256,25 @@ def _f_dense(inputs, extras):
     # the product is a fresh array, so the bias and relu write into it
     out = x.data @ w.data
     out += b.data
-    if extras["relu"]:
+    if relu:
         np.maximum(out, 0.0, out=out)
     return out
 
 
-def _f_sum(inputs, extras):
-    _arity("sum", inputs, 1)
-    return np.array([inputs[0].data.sum()])
+def _f_sum(x):
+    return np.array([x.data.sum()])
 
 
-def _f_mean(inputs, extras):
-    _arity("mean", inputs, 1)
-    return np.array([inputs[0].data.mean()])
+def _f_mean(x):
+    return np.array([x.data.mean()])
 
 
-def _f_relu(inputs, extras):
-    _arity("relu", inputs, 1)
-    return np.maximum(inputs[0].data, 0.0)
+def _f_relu(x):
+    return np.maximum(x.data, 0.0)
 
 
-def _f_sigmoid(inputs, extras):
-    _arity("sigmoid", inputs, 1)
-    x = inputs[0].data
+def _f_sigmoid(x):
+    x = x.data
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -299,54 +283,42 @@ def _f_sigmoid(inputs, extras):
     return out
 
 
-def _f_exp(inputs, extras):
-    _arity("exp", inputs, 1)
-    return np.exp(inputs[0].data)
+def _f_exp(x):
+    return np.exp(x.data)
 
 
-def _f_log(inputs, extras):
-    _arity("log", inputs, 1)
-    return np.log(inputs[0].data)
+def _f_log(x):
+    return np.log(x.data)
 
 
-def _f_square(inputs, extras):
-    _arity("square", inputs, 1)
-    return np.square(inputs[0].data)
+def _f_square(x):
+    return np.square(x.data)
 
 
-def _f_sqrt(inputs, extras):
-    _arity("sqrt", inputs, 1)
-    return np.sqrt(inputs[0].data)
+def _f_sqrt(x):
+    return np.sqrt(x.data)
 
 
-def _f_reciprocal(inputs, extras):
-    _arity("reciprocal", inputs, 1)
-    return 1.0 / inputs[0].data
+def _f_reciprocal(x):
+    return 1.0 / x.data
 
 
-def _f_transpose(inputs, extras):
-    _arity("transpose", inputs, 1)
-    _require_2d("transpose", inputs[0])
-    return inputs[0].data.T
+def _f_transpose(x):
+    _require_2d("transpose", x)
+    return x.data.T
 
 
-def _f_sum_rows(inputs, extras):
-    _arity("sum-rows", inputs, 1)
-    _require_2d("sum-rows", inputs[0])
-    x = inputs[0].data
-    return x @ np.ones((x.shape[1], 1))
+def _f_sum_rows(x):
+    _require_2d("sum-rows", x)
+    return x.data @ np.ones((x.shape[1], 1))
 
 
-def _f_sum_cols(inputs, extras):
-    _arity("sum-cols", inputs, 1)
-    _require_2d("sum-cols", inputs[0])
-    x = inputs[0].data
-    return np.ones((1, x.shape[0])) @ x
+def _f_sum_cols(x):
+    _require_2d("sum-cols", x)
+    return np.ones((1, x.shape[0])) @ x.data
 
 
-def _f_broadcast(inputs, extras):
-    _arity("broadcast", inputs, 1)
-    x, shape = inputs[0], extras["shape"]
+def _f_broadcast(x, shape):
     fits = len(shape) == 2 == x.data.ndim and all(
         d in (1, want) for d, want in zip(x.shape, shape))
     if not (fits or x.shape == (1,)):
@@ -356,18 +328,14 @@ def _f_broadcast(inputs, extras):
     return out
 
 
-def _f_diagonal(inputs, extras):
-    _arity("diagonal", inputs, 1)
-    x = inputs[0]
+def _f_diagonal(x):
     _require_2d("diagonal", x)
     if x.shape[0] != x.shape[1]:
         raise ShapeError("diagonal", [x.shape], "expected a square matrix")
     return x.data.diagonal().reshape(-1, 1).copy()
 
 
-def _f_embed_diagonal(inputs, extras):
-    _arity("embed-diagonal", inputs, 1)
-    x = inputs[0]
+def _f_embed_diagonal(x):
     if x.data.ndim != 2 or x.shape[1] != 1:
         raise ShapeError("embed-diagonal", [x.shape], "expected a column")
     n = x.shape[0]
@@ -376,10 +344,9 @@ def _f_embed_diagonal(inputs, extras):
     return out
 
 
-def _f_l2_normalize_rows(inputs, extras):
-    _arity("l2-normalize-rows", inputs, 1)
-    _require_2d("l2-normalize-rows", inputs[0])
-    x = inputs[0].data
+def _f_l2_normalize_rows(x):
+    _require_2d("l2-normalize-rows", x)
+    x = x.data
     norms = np.sqrt((x * x).sum(axis=1, keepdims=True))
     zero = np.flatnonzero(norms.ravel() == 0.0)
     if zero.size:
@@ -387,13 +354,10 @@ def _f_l2_normalize_rows(inputs, extras):
     return x / norms
 
 
-def _f_edge_dots(inputs, extras):
-    _arity("edge-dots", inputs, 2)
-    g, x = inputs
+def _f_edge_dots(g, x, pattern, transposed):
     _require_2d("edge-dots", g, x)
-    p = extras["pattern"]
-    ends = [(p.dst, p.n_out), (p.src, p.n_in)]
-    (g_rows, n_g), (x_rows, n_x) = ends[::-1] if extras["transposed"] else ends
+    ends = [(pattern.dst, pattern.n_out), (pattern.src, pattern.n_in)]
+    (g_rows, n_g), (x_rows, n_x) = ends[::-1] if transposed else ends
     if g.shape[0] != n_g or x.shape[0] != n_x or g.shape[1] != x.shape[1]:
         raise ShapeError("edge-dots", [g.shape, x.shape],
                          f"expected {n_g} and {n_x} rows of equal width")
@@ -403,12 +367,8 @@ def _f_edge_dots(inputs, extras):
     return out @ np.ones((out.shape[1], 1))
 
 
-def _f_weighted_aggregate(inputs, extras):
-    _arity("weighted-aggregate", inputs, 2)
-    x, w = inputs
+def _f_weighted_aggregate(x, w, pattern, transposed):
     _require_2d("weighted-aggregate", x)
-    pattern = extras["pattern"]
-    transposed = extras["transposed"]
     n_edges = pattern.src.shape[0]
     n_rows = pattern.n_out if transposed else pattern.n_in
     if w.shape != (n_edges, 1) or x.shape[0] != n_rows:
@@ -421,9 +381,8 @@ def _f_weighted_aggregate(inputs, extras):
     return (pattern.csr_t if transposed else pattern.csr) @ x.data
 
 
-def _f_scalar_scale(inputs, extras):
-    _arity("scalar-scale", inputs, 1)
-    return inputs[0].data * extras["factor"]
+def _f_scalar_scale(x, factor):
+    return x.data * factor
 
 
 def _reduce_to(g: Tensor, shape) -> Tensor:
@@ -616,15 +575,16 @@ _PRIMITIVES = {
 def primitive_forward(kind, inputs, **extras) -> Tensor:
     """Apply one primitive operation.
 
-    Every input must be a ``Tensor``: wrap an array with ``constant``.
-    Appends a tape node iff a tape is active, recording is not paused, and
-    at least one input carries a node id.
+    Every input must be a ``Tensor``: wrap an array with ``constant``; a
+    wrong number of inputs raises ``TypeError``. Appends a tape node iff a
+    tape is active, recording is not paused, and at least one input
+    carries a node id.
     """
     try:
         forward, _ = _PRIMITIVES[kind]
     except KeyError:
         raise TapeError(f"unknown primitive kind: {kind!r}") from None
-    out = Tensor(forward(inputs, extras))
+    out = Tensor(forward(*inputs, **extras))
     tape = getattr(_tls, "tape", None)
     if tape is not None and tape._pause_depth == 0:
         for t in inputs:

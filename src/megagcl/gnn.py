@@ -90,10 +90,9 @@ def gin_layer_forward(batch: GraphBatch, h, weights, layer: MlpParams):
 
     ``weights`` is an (n_edges, 1) column aligned with the batch's edges,
     which are stored in CSR order; no weight belongs to a node itself.
+    An ``h`` without one row per node, or a misaligned ``weights``, raises
+    ``weighted-aggregate``'s ``ShapeError``.
     """
-    if h.shape[0] != batch.n_nodes:
-        raise ShapeError("gin-layer", [h.shape],
-                         f"expected {batch.n_nodes} node rows")
     agg = ad.add(ad.weighted_aggregate(h, weights, batch.adjacency), h)
     return mlp_forward(agg, layer)
 
@@ -114,10 +113,8 @@ def readout(batch: GraphBatch, h):
 
 def project(h, psi: MlpParams):
     """Map pooled representations to contrastive features (no normalization
-    here; cosine similarity normalizes later)."""
-    if h.shape[1] != psi.w1.shape[0]:
-        raise ShapeError("project", [h.shape, psi.w1.shape],
-                         "representation width does not match the head")
+    here; cosine similarity normalizes later). A width that does not match
+    the head's raises ``dense``'s ``ShapeError``."""
     return mlp_forward(h, psi)
 
 

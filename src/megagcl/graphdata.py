@@ -153,9 +153,8 @@ def undirected_closure(edges, n_nodes):
     """
     e = _edge_array(edges)
     e = e[e[:, 0] != e[:, 1]]
-    outside = np.flatnonzero(((e < 0) | (e >= n_nodes)).any(axis=1))
-    if outside.size:
-        u, v = e[outside[0]]
+    if e.size and (e.min() < 0 or e.max() >= n_nodes):
+        u, v = e[((e < 0) | (e >= n_nodes)).any(axis=1)][0]
         raise DataError(f"edge ({u}, {v}) outside node range 0..{n_nodes - 1}")
     keys = np.concatenate([e[:, 0], e[:, 1]]) * n_nodes
     keys += np.concatenate([e[:, 1], e[:, 0]])
@@ -317,13 +316,14 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
             warnings.warn(f"{name}: {kind.replace('_', ' ')} present but "
                           "unsupported; ignored")
 
-    # global -> (graph, local) index: a node's rank among its graph's nodes
+    # graph-major node ids: a node's new id is its graph's start plus its
+    # rank among that graph's nodes, which keeps the order of their old ids
     graph_of = np.asarray(indicator, dtype=np.intp) - 1
     counts = np.bincount(graph_of, minlength=n_graphs)
     starts = np.cumsum(counts) - counts
     by_graph = np.argsort(graph_of, kind="stable")
-    local_index = np.empty(n_total, dtype=np.intp)
-    local_index[by_graph] = np.arange(n_total) - np.repeat(starts, counts)
+    new_id = np.empty(n_total, dtype=np.intp)
+    new_id[by_graph] = np.arange(n_total)
     if node_labels is not None:
         node_labels = np.asarray(node_labels)[by_graph].tolist()
 
@@ -337,14 +337,12 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
             f"{a_path.name}:{_nth_line(a_path, k)[0]}: edge ({u}, {v}) "
             f"crosses graphs {gu + 1} and {gv + 1}")
 
-    # one closure over global ids, then a stable sort by graph, gives each
-    # graph its own closure sorted by source, then target: a node's local
-    # index keeps the order of its global id within its graph
-    edges = undirected_closure(pairs - 1, n_total)
-    graph_of_edge = graph_of[edges[:, 0]]
-    per_graph = np.split(
-        local_index[edges[np.argsort(graph_of_edge, kind="stable")]],
-        np.cumsum(np.bincount(graph_of_edge, minlength=n_graphs))[:-1])
+    # over graph-major ids the closure's sort by source, then target, also
+    # groups the edges by graph, each group its graph's own closure
+    edges = undirected_closure(new_id[pairs - 1], n_total)
+    bounds = np.searchsorted(edges[:, 0], starts)
+    edges -= np.repeat(starts, np.diff(bounds, append=len(edges)))[:, None]
+    per_graph = np.split(edges, bounds[1:])
 
     records = []
     for g in range(n_graphs):

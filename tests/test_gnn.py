@@ -118,6 +118,10 @@ def test_weight_misalignment_rejected(tape):
     with pytest.raises(ShapeError):
         gnn.gin_layer_forward(batch, ad.constant(batch.features),
                               ad.constant(np.ones((2, 1))), phi.layers[0])
+    # aligned weights, but h lacks a node's row
+    with pytest.raises(ShapeError, match="weighted-aggregate"):
+        gnn.gin_layer_forward(batch, ad.constant(batch.features[:-1]),
+                              unit_edge_weights(batch), phi.layers[0])
 
 
 # ---------------------------------------------------------------------------

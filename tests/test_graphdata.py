@@ -40,16 +40,30 @@ def test_label_remap_preserves_sorted_order(tmp_path):
     assert [r.label for r in ds.records] == [1, 0]
 
 
-def test_unsorted_indicator_keeps_node_labels_with_their_nodes(tmp_path):
-    # nodes 1 and 3 form graph 1, node 2 is graph 2
-    folder = write_tu_fixture(tmp_path, "UNS", a_lines=["1, 3"],
-                              indicator=[1, 2, 1], graph_labels=[1, 2],
-                              node_labels=[7, 8, 7])
+@pytest.mark.parametrize(
+    "a_lines,indicator,node_labels,want_labels,local_pairs", [
+        # nodes 1 and 3 form graph 1, node 2 is graph 2
+        pytest.param(["1, 3"], [1, 2, 1], [7, 8, 7], [[7, 7], [8]],
+                     [[(0, 1)], []], id="one-edge"),
+        # graph 1 is nodes 1, 3 and 5, graph 2 nodes 2 and 4; the lines
+        # alternate between the graphs and name nodes out of order
+        pytest.param(["5, 3", "4, 2", "1, 3", "2, 4", "5, 1"],
+                     [1, 2, 1, 2, 1], [1, 2, 3, 4, 5], [[1, 3, 5], [2, 4]],
+                     [[(2, 1), (0, 1), (2, 0)], [(1, 0), (0, 1)]],
+                     id="interleaved"),
+    ])
+def test_unsorted_indicator_keeps_node_labels_with_their_nodes(
+        tmp_path, a_lines, indicator, node_labels, want_labels, local_pairs):
+    folder = write_tu_fixture(tmp_path, "UNS", a_lines=a_lines,
+                              indicator=indicator, graph_labels=[1, 2],
+                              node_labels=node_labels)
     ds = gd.parse_tu_dataset(folder, "UNS")
-    assert [r.node_labels for r in ds.records] == [[7, 7], [8]]
-    assert [r.n_nodes for r in ds.records] == [2, 1]
-    np.testing.assert_array_equal(ds.records[0].topology.edges,
-                                  [[0, 1], [1, 0]])
+    assert [r.node_labels for r in ds.records] == want_labels
+    assert [r.n_nodes for r in ds.records] == [len(l) for l in want_labels]
+    for rec, pairs in zip(ds.records, local_pairs):
+        want = gd.undirected_closure(pairs, rec.n_nodes)
+        assert rec.topology.edges.dtype == want.dtype
+        np.testing.assert_array_equal(rec.topology.edges, want)
 
 
 def test_cross_graph_edge_rejected(tmp_path):
