@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .errors import ConfigError, NumericError, ShapeError, TapeError
+from .errors import NumericError, ShapeError, TapeError, require_real
 
 LEAF = "leaf"
 
@@ -875,8 +875,7 @@ def finite_diff_gradient(f, x: Tensor, step=1e-4) -> Tensor:
     recording paused so probing never pollutes the active tape. A step that
     is not finite and positive raises ``ConfigError``.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ConfigError(f"step must be finite and positive, got {step}")
+    require_real("step", step, zero_ok=False)
     flat = x.data.reshape(-1)
     out = np.empty_like(flat)
     tape = active_tape()

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two rules that check
+each setting where it enters, ``require_count`` and ``require_real``; both
+raise ``ConfigError`` naming the setting."""
+
+import math
 
 
 class MegaError(Exception):
@@ -37,3 +41,22 @@ class DataError(MegaError):
 
 class ConfigError(MegaError):
     """Invalid configuration or command-line usage."""
+
+
+def require_count(name, value, least):
+    """Raise ``ConfigError`` unless ``value`` is an int, not a bool, of at
+    least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ConfigError(
+            f"{name} must be an int of at least {least}, got {value!r}")
+
+
+def require_real(name, value, zero_ok):
+    """Raise ``ConfigError`` unless ``value`` is an int or a float, not a
+    bool, that is finite and above 0, or 0 too when ``zero_ok``."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value)
+            and (value > 0 or zero_ok and value == 0)):
+        raise ConfigError(
+            f"{name} must be an int or a float that is finite and "
+            f"{'nonnegative' if zero_ok else 'positive'}, got {value!r}")

@@ -18,7 +18,7 @@ import numpy as np
 from . import augmenter as lga
 from . import gnn
 from . import training as tr
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_count
 from .graphdata import Dataset, batch_graphs
 
 N_FOLDS = 10
@@ -43,9 +43,8 @@ class ProbeResult:
 def embed_dataset(phi: gnn.EncoderParams, dataset: Dataset,
                   batch_size=64) -> np.ndarray:
     """One pooled encoder row per graph, in dataset order."""
-    _require_count("batch_size", batch_size)
-    if not dataset.records:
-        raise DataError(f"{dataset.name}: no graphs to embed")
+    require_count("batch_size", batch_size, 1)
+    tr.require_features(dataset)
     rows = []
     records = dataset.records
     for start in range(0, len(records), batch_size):
@@ -65,6 +64,7 @@ def stratified_folds(labels, seed):
     ``i`` goes to fold ``i % N_FOLDS``. So fold sizes differ by at most one,
     and so do each class's counts per fold.
     """
+    require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     order = np.concatenate([rng.permutation(np.flatnonzero(labels == c))
                             for c in np.unique(labels)])
@@ -109,12 +109,6 @@ def linear_probe(vectors, labels, folds) -> float:
         for k in range(N_FOLDS)]))
 
 
-def _require_count(name, value):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{name} must be an int of at least 1, "
-                          f"got {value!r}")
-
-
 def _require_folds(dataset: Dataset):
     """Raise ``DataError`` unless every fold gets a test graph and every
     class has a graph in each fold's training set."""
@@ -142,7 +136,7 @@ def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
     """
     if mode not in PROTOCOL_MODES:
         raise ConfigError(f"unknown protocol mode: {mode!r}")
-    _require_count("n_runs", n_runs)
+    require_count("n_runs", n_runs, 1)
     tr.require_features(dataset)
     _require_folds(dataset)
     dims = gnn.ModelDims(feature_dim=dataset.feature_width)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError, require_count
 from .graphdata import GraphBatch
 
 
@@ -73,11 +73,7 @@ class ModelDims:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                raise ConfigError(
-                    f"{f.name} must be an int of at least 1, got {value!r}")
+            require_count(f.name, getattr(self, f.name), 1)
 
 
 def mlp_forward(x, p: MlpParams):
@@ -139,6 +135,7 @@ def init_params(dims: ModelDims, seed):
     Returned tensors are detached constants; the training loop adopts them
     onto its tape.
     """
+    require_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     layers = []
     d_in = dims.feature_dim

@@ -10,12 +10,12 @@ read: the parser warns that they are ignored.
 
 Each file is first read by numpy's C parser (``np.loadtxt``, comma
 delimited, int64). The per-line scanners ``_edge_lines`` and ``_int_lines``
-define the accepted format and every error message: they read any file the
-C parser refuses, which covers every malformed file and the forms only the
-scanners accept (``1 2``, ``1.0``, ``1_0``, an index too large for int64,
-whitespace-only lines). On a file the C parser reads, the node-range check
-is vectorised, and a line number is found by a rescan only when an error
-message needs one.
+define the accepted format and every error message: they read, with a
+warning that it is slower, any file the C parser refuses, which covers every
+malformed file and the forms only the scanners accept (``1 2``, ``1.0``,
+``1_0``, an index too large for int64, whitespace-only lines). On a file the
+C parser reads, the node-range check is vectorised, and a line number is
+found by a rescan only when an error message needs one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import SparsePattern
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +208,15 @@ def _ints(path, what):
     """The file's one integer per non-blank line: an int64 array, or the
     scanner's list of ints for a file the C reader refuses."""
     rows = _c_rows(path, 1)
-    return _int_lines(path, what) if rows is None else rows[:, 0]
+    return _scanned(path, _int_lines, what) if rows is None else rows[:, 0]
+
+
+def _scanned(path, scanner, *args):
+    rows = scanner(path, *args)
+    if len(rows):  # an empty file costs the same on either path
+        warnings.warn(f"{path.name}: numpy's reader refused the file; it "
+                      "was read line by line, which is slower")
+    return rows
 
 
 def _int_lines(path, what):
@@ -243,7 +251,7 @@ def _edges(path, n_nodes):
     """The (E, 2) 1-indexed pairs of an edge file, each within 1..n_nodes."""
     rows = _c_rows(path, 2)
     if rows is None:
-        return _edge_lines(path, n_nodes)
+        return _scanned(path, _edge_lines, n_nodes)
     if rows.min() < 1 or rows.max() > n_nodes:
         k = np.flatnonzero(((rows < 1) | (rows > n_nodes)).any(axis=1))[0]
         raise _index_error(path, *_nth_line(path, k), n_nodes)
@@ -380,10 +388,7 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
             return np.searchsorted(vocab, rec.node_labels)
 
     elif scheme == "degree-onehot":
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-            raise ConfigError(
-                f"degree-onehot requires cap to be an int of at least 1, "
-                f"got {cap!r}")
+        require_count("cap", cap, 1)
         width = cap + 1
 
         def column(rec):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import NumericError, ShapeError, require_real
 
 
 def trace_sum(m):
@@ -49,8 +49,7 @@ def nt_xent(z, z_aug, tau):
 def nt_xent_of_cosines(sims, tau):
     """``nt_xent`` over its N x N cosine matrix ``sims`` (C_ij between z_i
     and z'_j), so a caller that also needs C builds it once."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    require_real("tau", tau, zero_ok=False)
     scaled = ad.exp(ad.scalar_scale(sims, 1.0 / tau))
     row_tot = ad.sum_rows(scaled)
     # the column totals as a column, to add to the row totals
@@ -102,8 +101,7 @@ def mega_terms(inst, feat, lam):
     The instance term tr(C) - de(C) is lowest when every positive pair is
     far apart and every pair of distinct instances is close (the
     hard-example direction)."""
-    if lam < 0:
-        raise ConfigError(f"lambda must be nonnegative, got {lam}")
+    require_real("lam", lam, zero_ok=True)
     for m in (inst, feat):
         if m.data.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError("mega-loss", [m.shape], "expected a square matrix")

@@ -9,7 +9,6 @@ One iteration is one batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +17,8 @@ from . import autodiff as ad
 from . import augmenter as lga
 from . import gnn
 from . import losses
-from .errors import ConfigError, DataError, NumericError
+from .errors import (ConfigError, DataError, NumericError, require_count,
+                     require_real)
 from .graphdata import Dataset, batch_graphs
 
 TRAINING_MODES = ("mega", "mega-il", "ccl")
@@ -26,6 +26,8 @@ TRAINING_MODES = ("mega", "mega-il", "ccl")
 
 @dataclass
 class Hyperparams:
+    """Training settings, checked when made; ``batch_size`` is at least 2."""
+
     tau: float = 0.5
     lam: float = 0.1
     inner_lr: float = 1e-3      # virtual-step rate shared by encoder and head
@@ -36,26 +38,13 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("tau", "lam", "inner_lr", "encoder_lr", "augmenter_lr"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(
-                    f"{name} must be an int or a float, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite")
         for name in ("tau", "encoder_lr", "augmenter_lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.inner_lr < 0 or self.lam < 0:
-            raise ConfigError("inner_lr and lam must be nonnegative")
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be at least 1")
+            require_real(name, getattr(self, name), zero_ok=False)
+        for name in ("lam", "inner_lr"):
+            require_real(name, getattr(self, name), zero_ok=True)
+        require_count("epochs", self.epochs, 1)
+        require_count("batch_size", self.batch_size, 2)
+        require_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -225,16 +214,13 @@ def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
     ``mega-il`` is the same with the feature term off (lam = 0); ``ccl``
     takes a contrast step on every batch, contrasting the unit-weight view
     with itself and encoding it once (the plain contrastive baseline).
-    Returns the final TrainState (its ``phi`` is the encoder; head and
-    augmenter ride along), its tensors constants off any tape, and the
-    metrics log.
+    ``hp.batch_size`` is at least 2, as ``Hyperparams`` ensures. Returns the
+    final TrainState (its ``phi`` is the encoder; head and augmenter ride
+    along), its tensors constants off any tape, and the metrics log.
     """
     if mode not in TRAINING_MODES:
         raise ConfigError(f"unknown training mode: {mode!r}")
     require_features(dataset)
-    if hp.batch_size < 2:
-        raise ConfigError("batch size must be at least 2 "
-                          "(the contrastive loss needs negatives)")
     if len(dataset.records) < 2:
         raise ConfigError(f"{dataset.name}: training needs at least 2 graphs "
                           "(the contrastive loss needs negatives)")

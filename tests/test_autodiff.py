@@ -1013,7 +1013,8 @@ def test_finite_diff_of_sum_is_all_ones(tape):
     np.testing.assert_allclose(fd.data, np.ones((2, 3)), atol=1e-8)
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
+@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf"),
+                                  "a"])
 def test_finite_diff_rejects_a_step_that_is_not_finite_and_positive(
         tape, step):
     # inf gave a silent zero gradient and nan an all-nan one

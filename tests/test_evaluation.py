@@ -58,6 +58,19 @@ def test_embed_dataset_rejects_batch_size_below_one():
             ev.embed_dataset(phi, ds, batch_size=batch_size)
 
 
+def test_embed_dataset_names_a_dataset_without_features():
+    phi, _, _ = gnn.init_params(gnn.ModelDims(feature_dim=2), seed=0)
+    bare = gd.Dataset("BARE", [gd.GraphRecord(gd.GraphTopology(2, ()), 0)], 1)
+    with pytest.raises(ConfigError, match="BARE"):
+        ev.embed_dataset(phi, bare)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_stratified_folds_rejects_a_seed_that_is_not_a_nonnegative_int(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        ev.stratified_folds(synthetic_dataset().labels, seed)
+
+
 @pytest.fixture(params=["mutag", "synthetic"])
 def labels(request):
     if request.param == "mutag":

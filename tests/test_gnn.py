@@ -312,6 +312,12 @@ def test_init_dimension_chain():
     assert sigma.w1.shape == (14, 4) and sigma.w2.shape == (4, 1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+def test_init_params_rejects_a_seed_that_is_not_a_nonnegative_int(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        gnn.init_params(gnn.ModelDims(feature_dim=7), seed)
+
+
 @pytest.mark.parametrize("name,value", [
     ("feature_dim", 0), ("hidden", 0), ("layers", 0), ("proj_dim", -1),
     ("aug_hidden", 0), ("hidden", 2.5), ("layers", True), ("proj_dim", "8")])

@@ -123,7 +123,8 @@ def test_integral_floats_and_negative_labels_accepted(tmp_path):
                               indicator=["1.0", "1", "2.0"],
                               graph_labels=["-1", "1.0"],
                               node_labels=["0", "2.0", "-1"])
-    ds = gd.parse_tu_dataset(folder, "INT")
+    with pytest.warns(UserWarning, match="numpy's reader refused"):
+        ds = gd.parse_tu_dataset(folder, "INT")
     assert [r.n_nodes for r in ds.records] == [2, 1]
     assert [r.label for r in ds.records] == [0, 1]
     assert [r.node_labels for r in ds.records] == [[0, 2], [-1]]
@@ -202,8 +203,23 @@ def test_crlf_and_spacing_tolerated(tmp_path):
 
 def _scanner_only(monkeypatch):
     """Make numpy's C reader refuse every file, as it refuses those it
-    cannot read, so the line scanners parse them."""
+    cannot read, so the line scanners parse them, without their warning."""
     monkeypatch.setattr(gd, "_c_rows", lambda path, width: None)
+    warnings.filterwarnings("ignore", ".*numpy's reader refused")
+
+
+def _record_scanned(monkeypatch):
+    """Wrap both line scanners; returns the list of the names of the files
+    they return rows for, which grows as they are called."""
+    names = []
+    for scanner in ("_edge_lines", "_int_lines"):
+        def recording(path, *args, wrapped=getattr(gd, scanner)):
+            rows = wrapped(path, *args)
+            if len(rows):
+                names.append(path.name)
+            return rows
+        monkeypatch.setattr(gd, scanner, recording)
+    return names
 
 
 def _parse_or_error(folder, name):
@@ -277,7 +293,14 @@ def _write_crafted(folder, case):
 def test_c_reader_and_scanner_agree_on_crafted_files(tmp_path, monkeypatch,
                                                      case):
     _write_crafted(tmp_path, case)
-    got = _parse_or_error(tmp_path, "T")
+    scanned = _record_scanned(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _parse_or_error(tmp_path, "T")
+    # a file warns exactly when the scanners, not the C reader, gave its rows
+    assert [str(w.message) for w in caught] == [
+        f"{name}: numpy's reader refused the file; it was read line by "
+        "line, which is slower" for name in scanned]
     _scanner_only(monkeypatch)
     _assert_same_parse(got, _parse_or_error(tmp_path, "T"))
 

@@ -161,6 +161,19 @@ def test_nt_xent_errors(tape):
     assert "row 1" in str(exc.value)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), "0.5"])
+@pytest.mark.parametrize("cosines", [False, True])
+def test_nt_xent_rejects_a_temperature_that_is_not_finite_and_positive(
+        tape, cosines, tau):
+    # inf gave log(2N - 1) and nan a nan loss
+    z = ad.constant(np.eye(2))
+    with pytest.raises(ConfigError, match="tau"):
+        if cosines:
+            losses.nt_xent_of_cosines(losses.instance_corr(z, z), tau)
+        else:
+            losses.nt_xent(z, z, tau)
+
+
 def _value_and_gradient_bytes(fn, z0, zp0):
     """Bytes of the loss (a weighted sum for a matrix result) and of its
     first-order and ``create_graph`` gradients in both feature batches."""
@@ -330,6 +343,14 @@ def test_mega_loss_errors(tape):
         losses.mega_loss(sq, sq, -0.1)
     with pytest.raises(ShapeError):
         losses.mega_loss(ad.constant(np.ones((2, 3))), sq, 0.1)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+@pytest.mark.parametrize("fn", [losses.mega_terms, losses.mega_loss])
+def test_mega_loss_rejects_a_lambda_that_is_not_finite(tape, fn, lam):
+    sq = ad.constant(np.eye(2))
+    with pytest.raises(ConfigError, match="lam"):
+        fn(sq, sq, lam)
 
 
 def test_instance_term_gradient_points_to_hard_examples(tape):

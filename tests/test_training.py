@@ -623,7 +623,7 @@ def test_hyperparams_reject_rates_that_are_not_numbers(name, value):
 
 @pytest.mark.parametrize("name,value", [
     ("epochs", 1.5), ("epochs", True), ("epochs", "2"),
-    ("batch_size", 8.0), ("batch_size", False),
+    ("batch_size", 8.0), ("batch_size", False), ("batch_size", 1),
     ("seed", 1.5), ("seed", True), ("seed", -1)])
 def test_hyperparams_reject_non_int_counts_and_negative_seed(name, value):
     with pytest.raises(ConfigError, match=name):
