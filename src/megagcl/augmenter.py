@@ -3,7 +3,7 @@
 For every directed edge (u, v) of a batch a small perceptron scores the
 concatenated endpoint features [x_u ; x_v] and a sigmoid squashes the score
 into a weight in (0, 1). Each direction is scored independently. The batch
-stores no self-loops, and a node's own row enters each GIN layer as ``+ h``
+stores no self-loops: each GIN layer's aggregation adds a node's own row
 with no weight (``gnn.gin_layer_forward``), so no node can ever be fully
 disconnected. Scores are computed from raw input features, not encoder
 state, so the augmenter's tape only meets the encoder's through the losses.

@@ -30,10 +30,10 @@ gradients are bitwise those of the ``matmul``, ``add`` and ``relu`` chain;
 ``relu`` stays as the unfused oracle the tests compare it against.
 
 ``weighted_aggregate`` is A_w @ x over edges stored in CSR order, so their
-weight column is the sparse matrix's data as it stands. GIN's self term is
-no edge but an ``add`` of ``x``. The gradient in the weights is one
-``edge_dots`` node, the column of dots ``g[dst[e]] . x[src[e]]`` summed as
-``sum_rows`` sums, and its own gradients are two more aggregations.
+weight column is the sparse matrix's data as it stands; ``self_term`` adds
+``x``, GIN's self term, into the product's fresh output. The weights'
+gradient is one ``edge_dots`` node, the dots ``g[dst[e]] . x[src[e]]``
+summed as ``sum_rows`` sums, whose own gradients are two more aggregations.
 """
 
 from __future__ import annotations
@@ -367,7 +367,7 @@ def _f_edge_dots(g, x, pattern, transposed):
     return out @ np.ones((out.shape[1], 1))
 
 
-def _f_weighted_aggregate(x, w, pattern, transposed):
+def _f_weighted_aggregate(x, w, pattern, transposed, self_term):
     _require_2d("weighted-aggregate", x)
     n_edges = pattern.src.shape[0]
     n_rows = pattern.n_out if transposed else pattern.n_in
@@ -375,10 +375,16 @@ def _f_weighted_aggregate(x, w, pattern, transposed):
         raise ShapeError("weighted-aggregate", [x.shape, w.shape],
                          f"expected ({n_edges}, 1) weights and "
                          f"{n_rows} input rows")
+    if self_term and pattern.n_out != pattern.n_in:
+        raise ShapeError("weighted-aggregate", [(pattern.n_out, pattern.n_in)],
+                         "a self term needs a square pattern")
     # every call overwrites the buffer the matrix shares with its transposed
     # view; the tape is single-threaded, so no call sees another's weights
     np.copyto(pattern.csr.data, w.data[:, 0])
-    return (pattern.csr_t if transposed else pattern.csr) @ x.data
+    out = (pattern.csr_t if transposed else pattern.csr) @ x.data
+    if self_term:  # the product is a fresh array, so x adds into it
+        out += x.data
+    return out
 
 
 def _f_scalar_scale(x, factor):
@@ -533,9 +539,9 @@ def _v_edge_dots(node, g, need):
 def _v_weighted_aggregate(node, g, need):
     # in training only the meta step's augmenter weights take the w rule
     x, w = node.inputs
-    pattern = node.extras["pattern"]
-    transposed = node.extras["transposed"]
-    gx = weighted_aggregate(g, w, pattern, not transposed) if need[0] else None
+    pattern, transposed = node.extras["pattern"], node.extras["transposed"]
+    gx = weighted_aggregate(g, w, pattern, not transposed,
+                            node.extras["self_term"]) if need[0] else None
     gw = edge_dots(g, x, pattern, transposed) if need[1] else None
     return [gx, gw]
 
@@ -692,11 +698,12 @@ def l2_normalize_rows(x):
     return primitive_forward("l2-normalize-rows", [x])
 
 
-def weighted_aggregate(x, w, pattern, transposed=False):
+def weighted_aggregate(x, w, pattern, transposed=False, self_term=False):
     """Row ``t`` of the (n_out, F) result is the sum of ``w[e] * x[src[e]]``
     over the edges ``e`` with ``dst[e] == t``: A_w @ x for the sparse
     matrix A_w with entries ``w[e]`` at (dst[e], src[e]). With ``transposed``
-    it is A_w^T @ x: ``x`` has ``n_out`` rows.
+    it is A_w^T @ x: ``x`` has ``n_out`` rows. ``self_term`` adds ``x``
+    after the neighbour sum, (A_w + I) @ x, and needs a square pattern.
 
     ``pattern`` is the ``SparsePattern`` of ``src``, ``dst``, ``n_out`` and
     ``n_in`` (the row count of ``x``), edges in CSR order; ``w`` is an (E, 1)
@@ -705,7 +712,7 @@ def weighted_aggregate(x, w, pattern, transposed=False):
     one sparse product, not a rebuild.
     """
     return primitive_forward("weighted-aggregate", [x, w], pattern=pattern,
-                             transposed=transposed)
+                             transposed=transposed, self_term=self_term)
 
 
 def edge_dots(g, x, pattern, transposed=False):

@@ -2,7 +2,7 @@
 each setting where it enters, ``require_count`` and ``require_real``; both
 raise ``ConfigError`` naming the setting."""
 
-import math
+import sys
 
 
 class MegaError(Exception):
@@ -55,8 +55,9 @@ def require_real(name, value, zero_ok):
     """Raise ``ConfigError`` unless ``value`` is an int or a float, not a
     bool, that is finite and above 0, or 0 too when ``zero_ok``."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value)
-            and (value > 0 or zero_ok and value == 0)):
+    # compared exactly, so an int too large for a float fails too
+    finite = number and abs(value) <= sys.float_info.max
+    if not (finite and (value > 0 or zero_ok and value == 0)):
         raise ConfigError(
             f"{name} must be an int or a float that is finite and "
             f"{'nonnegative' if zero_ok else 'positive'}, got {value!r}")

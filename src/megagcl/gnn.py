@@ -1,10 +1,10 @@
 """GIN-style message-passing encoder over edge-weighted aggregation.
 
 Each layer computes, for node v, MLP((1+eps) * H_v + sum_{u->v} w_uv * H_u)
-with eps fixed at 0: one sparse weighted aggregation (A_w @ H) over the
-batch's edges, plus H itself for the self term. Readout is a per-graph sum,
-the same aggregation with unit weights from nodes to their graphs. Both
-aggregate over sparse patterns the batch builds once and caches
+with eps fixed at 0: one sparse weighted aggregation over the batch's edges
+that adds H itself as the self term, (A_w + I) @ H. Readout is a per-graph
+sum, the same aggregation with unit weights from nodes to their graphs.
+Both aggregate over sparse patterns the batch builds once and caches
 (``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so every layer and
 view over one batch reuses them and only writes in its weights. Building
 them sorts nothing: the batch stores its edges in CSR order, by target,
@@ -82,15 +82,15 @@ def mlp_forward(x, p: MlpParams):
 
 def gin_layer_forward(batch: GraphBatch, h, weights, layer: MlpParams):
     """One message-passing round with per-edge weights: the perceptron of
-    A_w @ h + h, the weighted neighbour sum plus the self term.
+    (A_w + I) @ h, the weighted neighbour sum plus the self term.
 
     ``weights`` is an (n_edges, 1) column aligned with the batch's edges,
     which are stored in CSR order; no weight belongs to a node itself.
     An ``h`` without one row per node, or a misaligned ``weights``, raises
     ``weighted-aggregate``'s ``ShapeError``.
     """
-    agg = ad.add(ad.weighted_aggregate(h, weights, batch.adjacency), h)
-    return mlp_forward(agg, layer)
+    return mlp_forward(ad.weighted_aggregate(h, weights, batch.adjacency,
+                                             self_term=True), layer)
 
 
 def encode(batch: GraphBatch, weights, phi: EncoderParams):

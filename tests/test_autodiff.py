@@ -65,10 +65,11 @@ def test_weighted_aggregate_matches_add_at_oracle(tape):
         np.testing.assert_array_equal(out.data[n_out - 1], 0.0)
 
 
-def _gradient_case(seed, transposed):
+def _gradient_case(seed, transposed, self_term=False):
     """An aggregation case whose input fits the product: with
-    ``transposed`` the input has the pattern's ``n_out`` rows."""
-    x, w, src, dst, n_out = _aggregate_case(seed)
+    ``transposed`` the input has the pattern's ``n_out`` rows. With
+    ``self_term`` the pattern is square, 5 by 5, as a self term needs."""
+    x, w, src, dst, n_out = _aggregate_case(seed, n_in=5 if self_term else 6)
     pattern = ad.SparsePattern(src, dst, n_out, len(x))
     if transposed:
         x = np.random.default_rng(seed + 10).standard_normal((n_out, 3))
@@ -76,20 +77,21 @@ def _gradient_case(seed, transposed):
 
 
 def _check_first_order(transposed):
-    x0, w0, pattern = _gradient_case(1, transposed)
-    n_rows = pattern.n_in if transposed else pattern.n_out
-    c = ad.constant(np.random.default_rng(2).standard_normal((n_rows, 3)))
-    x, w = ad.variable(x0), ad.variable(w0)
+    for self_term in (False, True):
+        x0, w0, pattern = _gradient_case(1, transposed, self_term)
+        n_rows = pattern.n_in if transposed else pattern.n_out
+        c = ad.constant(np.random.default_rng(2).standard_normal((n_rows, 3)))
+        x, w = ad.variable(x0), ad.variable(w0)
 
-    def loss_of(tx, tw):
-        agg = ad.weighted_aggregate(tx, tw, pattern, transposed)
-        return ad.reduce_sum(ad.mul(ad.square(agg), c))
+        def loss_of(tx, tw):
+            agg = ad.weighted_aggregate(tx, tw, pattern, transposed, self_term)
+            return ad.reduce_sum(ad.mul(ad.square(agg), c))
 
-    grads = ad.backward(loss_of(x, w), [x, w])
-    fd_x = ad.finite_diff_gradient(lambda t: loss_of(t, w).item(), x)
-    fd_w = ad.finite_diff_gradient(lambda t: loss_of(x, t).item(), w)
-    assert ad.max_relative_error(grads[x], fd_x) < 1e-6
-    assert ad.max_relative_error(grads[w], fd_w) < 1e-6
+        grads = ad.backward(loss_of(x, w), [x, w])
+        fd_x = ad.finite_diff_gradient(lambda t: loss_of(t, w).item(), x)
+        fd_w = ad.finite_diff_gradient(lambda t: loss_of(x, t).item(), w)
+        assert ad.max_relative_error(grads[x], fd_x) < 1e-6
+        assert ad.max_relative_error(grads[w], fd_w) < 1e-6
 
 
 def test_weighted_aggregate_gradients_match_finite_differences(tape):
@@ -104,31 +106,33 @@ def _check_second_order(transposed):
     # d/dx and d/dw of <c, d/dx f> + <cw, d/dw f> for f = sum(sigmoid(A_w x)),
     # the shape of the meta step's gradient through the encoder's gradient.
     # The x rule of either product is the other one, so each case runs both
-    # w rules; d/dw f is an edge-dots node, so both of its rules run too
-    x0, w0, pattern = _gradient_case(3, transposed)
-    rng = np.random.default_rng(4)
-    c, cw = rng.standard_normal(x0.shape), rng.standard_normal(w0.shape)
+    # w rules; d/dw f is an edge-dots node, so both of its rules run too.
+    # With a self term, f = sum(sigmoid((A_w + I) x)) on a square pattern
+    for self_term in (False, True):
+        x0, w0, pattern = _gradient_case(3, transposed, self_term)
+        rng = np.random.default_rng(4)
+        c, cw = rng.standard_normal(x0.shape), rng.standard_normal(w0.shape)
 
-    def outer_of(tx, tw):
-        inner = ad.reduce_sum(ad.sigmoid(
-            ad.weighted_aggregate(tx, tw, pattern, transposed)))
-        grads = ad.backward(inner, [tx, tw], create_graph=True)
-        return ad.add(ad.reduce_sum(ad.mul(grads[tx], ad.constant(c))),
-                      ad.reduce_sum(ad.mul(grads[tw], ad.constant(cw))))
+        def outer_of(tx, tw):
+            inner = ad.reduce_sum(ad.sigmoid(ad.weighted_aggregate(
+                tx, tw, pattern, transposed, self_term)))
+            grads = ad.backward(inner, [tx, tw], create_graph=True)
+            return ad.add(ad.reduce_sum(ad.mul(grads[tx], ad.constant(c))),
+                          ad.reduce_sum(ad.mul(grads[tw], ad.constant(cw))))
 
-    def pipeline(x_data, w_data):
-        probe = ad.Tape()
-        with ad.use_tape(probe):
-            return outer_of(probe.adopt(ad.Tensor(x_data.copy())),
-                            probe.adopt(ad.Tensor(w_data.copy()))).item()
+        def pipeline(x_data, w_data):
+            probe = ad.Tape()
+            with ad.use_tape(probe):
+                return outer_of(probe.adopt(ad.Tensor(x_data.copy())),
+                                probe.adopt(ad.Tensor(w_data.copy()))).item()
 
-    x, w = ad.variable(x0), ad.variable(w0)
-    grads = ad.backward(outer_of(x, w), [x, w])
-    fd = {x: ad.finite_diff_gradient(lambda t: pipeline(t.data, w0), x),
-          w: ad.finite_diff_gradient(lambda t: pipeline(x0, t.data), w)}
-    for t in (x, w):
-        assert float(np.max(np.abs(fd[t].data))) > 1e-3
-        assert ad.max_relative_error(grads[t], fd[t]) < 1e-6
+        x, w = ad.variable(x0), ad.variable(w0)
+        grads = ad.backward(outer_of(x, w), [x, w])
+        fd = {x: ad.finite_diff_gradient(lambda t: pipeline(t.data, w0), x),
+              w: ad.finite_diff_gradient(lambda t: pipeline(x0, t.data), w)}
+        for t in (x, w):
+            assert float(np.max(np.abs(fd[t].data))) > 1e-3
+            assert ad.max_relative_error(grads[t], fd[t]) < 1e-6
 
 
 def test_weighted_aggregate_second_order_through_create_graph(tape):
@@ -153,6 +157,36 @@ def test_edge_dots_is_bitwise_the_gathered_products(mutag, transposed):
         assert out.shape == (len(rows), 1)
         assert out.data.tobytes() == \
             ((g[rows] * x[cols]) @ np.ones((7, 1))).tobytes()
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_self_term_is_bitwise_the_unfused_add(mutag, transposed):
+    # the forward adds x after the neighbour sum, as the add node did, and
+    # the x gradient A_w^T g + g is the add of g and A_w^T g, reordered
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    pattern = gd.batch_graphs(ds.records[:32]).adjacency
+    rng = np.random.default_rng(53)
+    arrays = [rng.standard_normal((pattern.n_in, 32)),
+              rng.standard_normal((pattern.src.shape[0], 1))]
+    weights = rng.standard_normal((pattern.n_out, 32))
+    fused = _forward_and_gradients(
+        lambda h, w: ad.weighted_aggregate(h, w, pattern, transposed,
+                                           self_term=True), arrays, weights)
+    assert fused == _forward_and_gradients(
+        lambda h, w: ad.add(ad.weighted_aggregate(h, w, pattern, transposed),
+                            h), arrays, weights)
+
+
+def test_self_term_on_a_non_square_pattern_raises(tape, mutag):
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    pooling = gd.batch_graphs(ds.records[:32]).pooling
+    ones = ad.constant(np.ones((pooling.src.shape[0], 1)))
+    for transposed, rows in ((False, pooling.n_in), (True, pooling.n_out)):
+        x = ad.constant(np.ones((rows, 2)))
+        ad.weighted_aggregate(x, ones, pooling, transposed)  # fits without
+        with pytest.raises(ShapeError, match="square pattern"):
+            ad.weighted_aggregate(x, ones, pooling, transposed,
+                                  self_term=True)
 
 
 def test_edge_dots_rejects_bad_shapes(tape):
