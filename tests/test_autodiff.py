@@ -571,16 +571,35 @@ def _unfused_dense(x, w, b, relu=False):
     return ad.relu(out) if relu else out
 
 
+# rows of x, and whether dense takes x as a transposed view
+DENSE_BLOCK_CASES = [(n, False) for n in (1, 8, 15, 16, 17, 33, 40)] + [
+    (40, True)]
+
+
 @pytest.mark.parametrize("relu", [False, True])
-def test_dense_is_bitwise_the_unfused_chain(relu):
-    # at (33, 17) @ (17, 9) a different kernel path would show in the bits
+@pytest.mark.parametrize(
+    "n,transposed", DENSE_BLOCK_CASES,
+    ids=[f"{n}-transposed" if t else str(n) for n, t in DENSE_BLOCK_CASES])
+def test_dense_is_bitwise_the_unfused_chain(monkeypatch, n, transposed,
+                                            relu):
+    # the (n, 9) output in 8-row blocks: the rows sit on each side of one
+    # block and of two, where the remainder joins the last block. At
+    # (n, 17) @ (17, 9) a different kernel path would show in the bits
+    monkeypatch.setattr(ad, "DENSE_BLOCK_BYTES", 8 * 9 * 8)
     rng = np.random.default_rng(29)
-    arrays = [rng.standard_normal(s) for s in ((33, 17), (17, 9), (1, 9))]
-    weights = rng.standard_normal((33, 9))
+    arrays = [rng.standard_normal(s) for s in
+              ((17, n) if transposed else (n, 17), (17, 9), (1, 9))]
+    weights = rng.standard_normal((n, 9))
+
+    def rows_of(x):
+        return ad.transpose(x) if transposed else x
+
     fused = _forward_and_gradients(
-        lambda x, w, b: ad.dense(x, w, b, relu=relu), arrays, weights)
+        lambda x, w, b: ad.dense(rows_of(x), w, b, relu=relu), arrays,
+        weights)
     assert fused == _forward_and_gradients(
-        lambda x, w, b: _unfused_dense(x, w, b, relu), arrays, weights)
+        lambda x, w, b: _unfused_dense(rows_of(x), w, b, relu), arrays,
+        weights)
 
 
 def _forward_and_gradients(op, arrays, weights):

@@ -354,6 +354,25 @@ def test_dense_steps_are_bitwise_the_unfused_perceptron(mutag, monkeypatch):
     assert fused[-1] and fused == unfused
 
 
+def test_dense_blocks_only_outputs_of_two_blocks_or_more(mutag, monkeypatch):
+    # MUTAG's layers stay one product each; a large graph's 32-wide output
+    # runs in 512-row blocks, the remainder joining the last
+    batch, state = _mutag_batch_and_state(mutag)
+    products = count_calls(monkeypatch, np, "matmul")
+    tape = ad.Tape()
+    with ad.use_tape(tape):
+        state.adopt_all(tape)
+        tr.meta_step(state, batch, tr.Hyperparams())
+    n_dense = sum(node.kind == "dense" for node in tape.nodes)
+    assert len(products) == n_dense == 34
+    products.clear()
+    rng = np.random.default_rng(0)
+    ad.dense(ad.constant(rng.standard_normal((6400, 32))),
+             ad.constant(rng.standard_normal((32, 32))),
+             ad.constant(rng.standard_normal((1, 32))), relu=True)
+    assert len(products) == 12
+
+
 def _unfused_gin_layer_forward(batch, h, weights, layer):
     """The self term as its own add node: the oracle of the fused one."""
     agg = ad.add(ad.weighted_aggregate(h, weights, batch.adjacency), h)
