@@ -8,22 +8,23 @@ The TU file convention: a dataset ``NAME`` is a directory holding
 tolerated. ``NAME_node_attributes.txt`` and ``NAME_edge_labels.txt`` are not
 read: the parser warns that they are ignored.
 
-Each file is first read by numpy's C parser (``np.loadtxt``, comma
-delimited, int64). The per-line scanners ``_edge_lines`` and ``_int_lines``
-define the accepted format and every error message: they read, with a
-warning that it is slower, any file the C parser refuses, which covers every
-malformed file and the forms only the scanners accept (``1 2``, ``1.0``,
-``1_0``, an index too large for int64, whitespace-only lines). On a file the
-C parser reads, the node-range check is vectorised, and a line number is
-found by a rescan only when an error message needs one.
+Each file is read by numpy's C parser (``np.loadtxt``, comma delimited,
+int64) with its warnings as errors. A file of empty lines only has no rows;
+any other file the parser refuses, or one with another number of columns,
+raises ``DataError`` naming its first line that is not that many
+comma-separated integers that fit int64. Among the refused forms are ``1 2``,
+``1, 2,``, ``1_0``, ``1.0``, whitespace-only lines and integers too large
+for int64. The node-range check is vectorised, and a line number is found by
+a rescan only when an error message needs one.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
-from array import array
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,7 @@ class Dataset:
 
     @property
     def feature_width(self):
-        first = self.records[0].features
+        first = self.records[0].features if self.records else None
         return None if first is None else first.shape[1]
 
     @property
@@ -173,114 +174,68 @@ def _find_dataset_dir(root_dir, name):
         f"missing mandatory file {name}_A.txt under {root} (or {root / name})")
 
 
-def _read_lines(path):
-    with path.open() as f:
-        yield from f
+# an int64 field: a sign, any leading zeros, then at most 19 digits
+_INT64 = re.compile(r"([+-]?)0*([0-9]{1,19})")
 
 
-def _c_rows(path, width):
-    """The file's rows as an (n, width) int64 array from numpy's C reader,
-    or None where it refuses the file: it raises, it warns, it finds
-    another number of columns or it finds no rows. The scanners then read
-    the file, so they alone decide what is accepted and every message."""
+def _is_int64(field):
+    m = _INT64.fullmatch(field.strip())
+    return m is not None and int(m[2]) < 2**63 + (m[1] == "-")
+
+
+def _rows(path, width):
+    """The file's rows as an (n, width) int64 array from numpy's C reader.
+
+    Warnings are errors: numpy 1.24-1.26 read ``1.0`` as an int with a
+    ``DeprecationWarning``. A file of empty lines only has zero rows; any
+    other file the reader refuses, or one with another number of columns,
+    raises ``DataError`` naming its first line that is not ``width``
+    comma-separated integers that fit int64.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rows = np.loadtxt(path, dtype=np.int64, delimiter=",",
                               comments=None, ndmin=2)
+        if rows.shape[1] == width:
+            return rows
     except (OSError, ValueError, OverflowError, Warning):
-        return None
-    return rows if rows.shape[1] == width and len(rows) else None
+        pass  # the scan below names the line, or finds no rows
+    for i, line in _lines(path):
+        fields = line.split(",")
+        if len(fields) != width or not all(map(_is_int64, fields)):
+            raise DataError(f"{path.name}:{i}: expected {width} "
+                            "comma-separated integers that fit int64: "
+                            f"{line!r}")
+    return np.empty((0, width), dtype=np.int64)
+
+
+def _lines(path):
+    """The number and stripped text of each non-empty line of the file;
+    the k-th of them holds row k of ``_rows``' array."""
+    try:
+        with path.open() as f:
+            for i, line in enumerate(f, start=1):
+                if line != "\n":
+                    yield i, line.strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path.name}: cannot be read: {exc}") from None
 
 
 def _nth_line(path, k):
-    """The number and stripped text of the file's k-th (0-based) non-blank
-    line, which holds row k of either parse."""
-    for i, line in enumerate(_read_lines(path), start=1):
-        line = line.strip()
-        if line:
-            if k == 0:
-                return i, line
-            k -= 1
-
-
-def _ints(path, what):
-    """The file's one integer per non-blank line: an int64 array, or the
-    scanner's list of ints for a file the C reader refuses."""
-    rows = _c_rows(path, 1)
-    return _scanned(path, _int_lines, what) if rows is None else rows[:, 0]
-
-
-def _scanned(path, scanner, *args):
-    rows = scanner(path, *args)
-    if len(rows):  # an empty file costs the same on either path
-        warnings.warn(f"{path.name}: numpy's reader refused the file; it "
-                      "was read line by line, which is slower")
-    return rows
-
-
-def _int_lines(path, what):
-    out = []
-    for i, line in enumerate(_read_lines(path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(int(line))
-            continue
-        except ValueError:
-            pass
-        try:
-            value = float(line)
-        except ValueError:
-            raise DataError(
-                f"{path.name}:{i}: non-numeric {what} line: {line!r}") from None
-        if not value.is_integer():  # also false for nan and inf
-            raise DataError(
-                f"{path.name}:{i}: non-integral {what} line: {line!r}")
-        out.append(int(value))
-    return out
-
-
-def _index_error(path, i, line, n_nodes):
-    return DataError(f"{path.name}:{i}: node index exceeds indicator length "
-                     f"({n_nodes} nodes): {line!r}")
+    """The number and stripped text of the line holding row k (0-based)."""
+    return next(islice(_lines(path), k, None))
 
 
 def _edges(path, n_nodes):
     """The (E, 2) 1-indexed pairs of an edge file, each within 1..n_nodes."""
-    rows = _c_rows(path, 2)
-    if rows is None:
-        return _scanned(path, _edge_lines, n_nodes)
-    if rows.min() < 1 or rows.max() > n_nodes:
+    rows = _rows(path, 2)
+    if rows.size and (rows.min() < 1 or rows.max() > n_nodes):
         k = np.flatnonzero(((rows < 1) | (rows > n_nodes)).any(axis=1))[0]
-        raise _index_error(path, *_nth_line(path, k), n_nodes)
+        i, line = _nth_line(path, k)
+        raise DataError(f"{path.name}:{i}: node index exceeds indicator "
+                        f"length ({n_nodes} nodes): {line!r}")
     return rows
-
-
-def _edge_lines(path, n_nodes):
-    """The scanner's parse of an edge file, as ``_edges`` returns it."""
-    # a flat machine-int buffer: per-pair Python objects would set the
-    # parser's peak memory
-    flat = array("q")
-    for i, line in enumerate(_read_lines(path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.replace(",", " ").split()
-        if len(fields) != 2:
-            raise DataError(f"{path.name}:{i}: edge line needs 2 node "
-                            f"indices, holds {len(fields)}: {line!r}")
-        try:
-            u, v = map(int, fields)
-        except ValueError:
-            raise DataError(
-                f"{path.name}:{i}: non-numeric edge line: {line!r}") from None
-        if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
-            raise _index_error(path, i, line, n_nodes)
-        flat.append(u)
-        flat.append(v)
-    return _edge_array(flat)
 
 
 def parse_tu_dataset(root_dir, name) -> Dataset:
@@ -297,7 +252,7 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
         if not p.exists():
             raise DataError(f"missing mandatory file {p.name} under {folder}")
 
-    indicator = _ints(ind_path, "graph indicator")
+    indicator = _rows(ind_path, 1)[:, 0]
     if len(indicator) == 0:
         raise DataError(f"{ind_path.name}: the dataset holds no graphs")
     n_total = len(indicator)
@@ -306,7 +261,7 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
         raise DataError(f"{ind_path.name}: graph ids are not 1..N")
     n_graphs = len(graph_ids)
 
-    raw_labels = _ints(lab_path, "graph label")
+    raw_labels = _rows(lab_path, 1)[:, 0]
     if len(raw_labels) != n_graphs:
         raise DataError(
             f"{lab_path.name}: {len(raw_labels)} labels for {n_graphs} graphs")
@@ -315,7 +270,7 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     node_labels = None
     nl_path = folder / f"{name}_node_labels.txt"
     if nl_path.exists():
-        node_labels = _ints(nl_path, "node label")
+        node_labels = _rows(nl_path, 1)[:, 0]
         if len(node_labels) != n_total:
             raise DataError(
                 f"{nl_path.name}: {len(node_labels)} labels for {n_total} nodes")
@@ -326,14 +281,14 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
 
     # graph-major node ids: a node's new id is its graph's start plus its
     # rank among that graph's nodes, which keeps the order of their old ids
-    graph_of = np.asarray(indicator, dtype=np.intp) - 1
+    graph_of = indicator.astype(np.intp) - 1
     counts = np.bincount(graph_of, minlength=n_graphs)
     starts = np.cumsum(counts) - counts
     by_graph = np.argsort(graph_of, kind="stable")
     new_id = np.empty(n_total, dtype=np.intp)
     new_id[by_graph] = np.arange(n_total)
     if node_labels is not None:
-        node_labels = np.asarray(node_labels)[by_graph].tolist()
+        node_labels = node_labels[by_graph].tolist()
 
     pairs = _edges(a_path, n_total)
     graph_uv = graph_of[pairs - 1]

@@ -4,12 +4,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from megagcl import autodiff as ad
 from megagcl import graphdata as gd
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_ROOT = Path(os.environ.get("MEGA_DATA_ROOT", REPO_ROOT / "data"))
+
+
+def pytest_report_header(config):
+    """The BLAS thread settings the run started with, since same-seed bits
+    can differ between thread counts. These are the settings only: the
+    count the BLAS library actually uses is not read."""
+    threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
+                        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"BLAS thread settings: {threads}; cpu_count={os.cpu_count()}; "
+            f"numpy {np.__version__}, scipy {scipy.__version__}")
 
 
 @pytest.fixture(scope="session")

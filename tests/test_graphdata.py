@@ -6,8 +6,8 @@ import pytest
 from megagcl import graphdata as gd
 from megagcl.errors import ConfigError, DataError
 
-from conftest import (DATA_ROOT, count_calls, star_record, synth_module,
-                      synthetic_dataset, two_triangles, write_tu_fixture)
+from conftest import (count_calls, star_record, synthetic_dataset,
+                      two_triangles, write_tu_fixture)
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +90,20 @@ def test_folder_without_graphs_is_rejected(tmp_path):
         gd.parse_tu_dataset(folder, "NONE")
 
 
-@pytest.mark.parametrize("line,message", [
-    pytest.param("2, x", "non-numeric edge line: '2, x'", id="non-numeric"),
-    pytest.param("2, 1, 3", "edge line needs 2 node indices, holds 3: "
-                 "'2, 1, 3'", id="three-fields")])
-def test_non_numeric_line_names_file_and_line(tmp_path, line, message):
+_EXPECTED = "expected {} comma-separated integers that fit int64: {!r}"
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param("2, x", id="non-numeric"),
+    pytest.param("2, 1, 3", id="three-fields")])
+def test_non_numeric_line_names_file_and_line(tmp_path, line):
     folder = write_tu_fixture(tmp_path, "NUM",
                               a_lines=["1, 2", line],
                               indicator=[1, 1],
                               graph_labels=[1])
     with pytest.raises(DataError) as exc:
         gd.parse_tu_dataset(folder, "NUM")
-    assert "NUM_A.txt:2" in str(exc.value)
-    assert str(exc.value) == f"NUM_A.txt:2: {message}"
+    assert str(exc.value) == "NUM_A.txt:2: " + _EXPECTED.format(2, line)
 
 
 @pytest.mark.parametrize("column,value", [
@@ -114,20 +115,30 @@ def test_non_integral_value_names_file_and_line(tmp_path, column, value):
     cols[column][1] = value
     folder = write_tu_fixture(tmp_path, "FRAC", ["1, 2", "2, 1"], **cols)
     name = "graph_indicator" if column == "indicator" else column
-    with pytest.raises(DataError, match=f"FRAC_{name}.txt:2: non-integral"):
+    with pytest.raises(DataError) as exc:
         gd.parse_tu_dataset(folder, "FRAC")
+    assert str(exc.value) == f"FRAC_{name}.txt:2: " + _EXPECTED.format(1, value)
 
 
-def test_integral_floats_and_negative_labels_accepted(tmp_path):
-    folder = write_tu_fixture(tmp_path, "INT", ["1, 2", "2, 1"],
-                              indicator=["1.0", "1", "2.0"],
-                              graph_labels=["-1", "1.0"],
-                              node_labels=["0", "2.0", "-1"])
-    with pytest.warns(UserWarning, match="numpy's reader refused"):
-        ds = gd.parse_tu_dataset(folder, "INT")
+def test_integral_floats_refused_and_negative_labels_accepted(tmp_path):
+    cols = dict(indicator=["1", "1", "2"], graph_labels=["-1", "1"],
+                node_labels=["0", "2", "-1"])
+    folder = write_tu_fixture(tmp_path, "INT", ["1, 2", "2, 1"], **cols)
+    ds = gd.parse_tu_dataset(folder, "INT")
     assert [r.n_nodes for r in ds.records] == [2, 1]
     assert [r.label for r in ds.records] == [0, 1]
     assert [r.node_labels for r in ds.records] == [[0, 2], [-1]]
+    for column, name in [("indicator", "graph_indicator"),
+                         ("graph_labels", "graph_labels"),
+                         ("node_labels", "node_labels")]:
+        floats = dict(cols)
+        floats[column] = cols[column][:-1] + [cols[column][-1] + ".0"]
+        folder = write_tu_fixture(tmp_path / column, "INT", ["1, 2", "2, 1"],
+                                  **floats)
+        with pytest.raises(DataError) as exc:
+            gd.parse_tu_dataset(folder, "INT")
+        assert str(exc.value) == f"INT_{name}.txt:{len(cols[column])}: " \
+            + _EXPECTED.format(1, floats[column][-1])
 
 
 @pytest.mark.parametrize("kind", ["node_attributes", "edge_labels"])
@@ -146,13 +157,15 @@ def test_node_index_exceeding_indicator(tmp_path):
     with pytest.raises(DataError) as exc:
         gd.parse_tu_dataset(folder, "OOB")
     assert "exceeds indicator length" in str(exc.value)
-    # an index too large for a machine integer is the same error
+    # an index too large for int64 is refused as the file's first bad line
     folder = write_tu_fixture(tmp_path / "big", "OOB",
                               a_lines=["1, 2", "1, 99999999999999999999"],
                               indicator=[1, 1],
                               graph_labels=[1])
-    with pytest.raises(DataError, match="OOB_A.txt:2: node index exceeds"):
+    with pytest.raises(DataError) as exc:
         gd.parse_tu_dataset(folder, "OOB")
+    assert str(exc.value) == "OOB_A.txt:2: " + _EXPECTED.format(
+        2, "1, 99999999999999999999")
 
 
 def test_undirected_closure_added_and_idempotent(tmp_path):
@@ -201,39 +214,7 @@ def test_crlf_and_spacing_tolerated(tmp_path):
     assert len(ds) == 1 and ds.records[0].n_nodes == 2
 
 
-def _scanner_only(monkeypatch):
-    """Make numpy's C reader refuse every file, as it refuses those it
-    cannot read, so the line scanners parse them, without their warning."""
-    monkeypatch.setattr(gd, "_c_rows", lambda path, width: None)
-    warnings.filterwarnings("ignore", ".*numpy's reader refused")
-
-
-def _record_scanned(monkeypatch):
-    """Wrap both line scanners; returns the list of the names of the files
-    they return rows for, which grows as they are called."""
-    names = []
-    for scanner in ("_edge_lines", "_int_lines"):
-        def recording(path, *args, wrapped=getattr(gd, scanner)):
-            rows = wrapped(path, *args)
-            if len(rows):
-                names.append(path.name)
-            return rows
-        monkeypatch.setattr(gd, scanner, recording)
-    return names
-
-
-def _parse_or_error(folder, name):
-    try:
-        return gd.parse_tu_dataset(folder, name)
-    except DataError as exc:
-        return str(exc)
-
-
 def _assert_same_parse(got, want):
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert isinstance(got, gd.Dataset), got
     assert (got.name, got.n_classes, len(got)) == \
         (want.name, want.n_classes, len(want))
     for a, b in zip(got.records, want.records):
@@ -245,64 +226,94 @@ def _assert_same_parse(got, want):
 
 
 # Each case replaces some of the files of a 12-node, two-graph dataset:
-# nodes 1-10 are graph 1 and nodes 11-12 graph 2.
+# nodes 1-10 are graph 1 and nodes 11-12 graph 2. Its outcome is the
+# DataError message it raises, which starts with the file's name, or the
+# lines of a plain A file that it parses the same as.
 _BASE = {"A": "1, 2\n2, 3\n10, 1\n11, 12\n",
          "graph_indicator": "1\n" * 10 + "2\n2\n",
          "graph_labels": "4\n-2\n",
          "node_labels": "0\n1\n" * 6}
 
+
+def _refused(file, line, text, width=2):
+    return f"T_{file}.txt:{line}: " + _EXPECTED.format(width, text)
+
+
 _CRAFTED = {
-    "plain": {},
-    "crlf": {k: v.replace("\n", "\r\n") for k, v in _BASE.items()},
-    "spaces-and-tabs": {"A": "1 ,2\n 2\t,\t3 \n10 , 1\t\n11,12\n"},
-    "blank-lines": {"A": "\n1, 2\n\n\n2, 3\n10, 1\n\n11, 12\n\n",
-                    "graph_indicator": "1\n" * 10 + "\n2\n\n2\n"},
-    "whitespace-only-line": {"A": "1, 2\n  \n2, 3\n"},
-    "space-only-pair": {"A": "1, 2\n2 3\n11 12\n"},
-    "plus-sign": {"A": "+1, 2\n2, +3\n"},
-    "no-break-spaces": {"A": "1\u00a0, 2\n\u00a011,\u00a012\n"},
-    "underscore": {"A": "1_0, 2\n11, 12\n"},
-    "trailing-comma": {"A": "1, 2,\n11, 12\n"},
-    "integral-float": {"graph_indicator": "1.0\n" + "1\n" * 9 + "2\n2.0\n"},
-    "no-trailing-newline": {"A": "1, 2\n11, 12"},
-    "single-edge": {"A": "3, 4\n"},
-    "oversized-index": {"A": "1, 2\n99999999999999999999, 1\n"},
-    "out-of-range-after-blanks": {"A": "1, 2\n\n\n13, 1\n"},
-    "zero-index": {"A": "1, 2\n0, 1\n"},
-    "cross-graph-after-blank": {"A": "1, 2\n\n2, 3\n\n1, 11\n"},
-    "three-fields": {"A": "1, 2\n1, 2, 3\n"},
-    "one-field": {"A": "1, 2\n\n7\n"},
-    "non-numeric": {"A": "1, 2\n1, x\n"},
-    "empty-edge-file": {"A": ""},
-    "non-integral-label": {"graph_labels": "4\n0.5\n"},
-    "oversized-label": {"graph_labels": "4\n99999999999999999999\n"},
-    "label-count": {"graph_labels": "4\n"},
-    "indicator-gap": {"graph_indicator": "1\n" * 10 + "3\n3\n"},
-    "empty-indicator": {"graph_indicator": ""},
-    "node-label-pair": {"node_labels": "0, 1\n" * 12},
+    "plain": ({}, _BASE["A"]),
+    "crlf": ({k: v.replace("\n", "\r\n") for k, v in _BASE.items()},
+             _BASE["A"]),
+    "spaces-and-tabs": ({"A": "1 ,2\n 2\t,\t3 \n10 , 1\t\n11,12\n"},
+                        _BASE["A"]),
+    "blank-lines": ({"A": "\n1, 2\n\n\n2, 3\n10, 1\n\n11, 12\n\n",
+                     "graph_indicator": "1\n" * 10 + "\n2\n\n2\n"},
+                    _BASE["A"]),
+    "whitespace-only-line": ({"A": "1, 2\n  \n2, 3\n"},
+                             _refused("A", 2, "")),
+    "space-only-pair": ({"A": "1, 2\n2 3\n11 12\n"},
+                        _refused("A", 2, "2 3")),
+    "plus-sign": ({"A": "+1, 2\n2, +3\n"}, "1, 2\n2, 3\n"),
+    "no-break-spaces": ({"A": "1\u00a0, 2\n\u00a011,\u00a012\n"},
+                        "1, 2\n11, 12\n"),
+    "underscore": ({"A": "1_0, 2\n11, 12\n"}, _refused("A", 1, "1_0, 2")),
+    "trailing-comma": ({"A": "1, 2,\n11, 12\n"}, _refused("A", 1, "1, 2,")),
+    "integral-float": ({"graph_indicator": "1.0\n" + "1\n" * 9 + "2\n2.0\n"},
+                       _refused("graph_indicator", 1, "1.0", 1)),
+    "no-trailing-newline": ({"A": "1, 2\n11, 12"}, "1, 2\n11, 12\n"),
+    "single-edge": ({"A": "3, 4\n"}, "3, 4\n"),
+    "oversized-index": ({"A": "1, 2\n99999999999999999999, 1\n"},
+                        _refused("A", 2, "99999999999999999999, 1")),
+    "out-of-range-after-blanks": (
+        {"A": "1, 2\n\n\n13, 1\n"},
+        "T_A.txt:4: node index exceeds indicator length (12 nodes): '13, 1'"),
+    "zero-index": (
+        {"A": "1, 2\n0, 1\n"},
+        "T_A.txt:2: node index exceeds indicator length (12 nodes): '0, 1'"),
+    "cross-graph-after-blank": ({"A": "1, 2\n\n2, 3\n\n1, 11\n"},
+                                "T_A.txt:5: edge (1, 11) crosses graphs 1 "
+                                "and 2"),
+    "three-fields": ({"A": "1, 2\n1, 2, 3\n"}, _refused("A", 2, "1, 2, 3")),
+    "one-field": ({"A": "1, 2\n\n7\n"}, _refused("A", 3, "7")),
+    "non-numeric": ({"A": "1, 2\n1, x\n"}, _refused("A", 2, "1, x")),
+    "empty-edge-file": ({"A": ""}, ""),
+    "non-integral-label": ({"graph_labels": "4\n0.5\n"},
+                           _refused("graph_labels", 2, "0.5", 1)),
+    "oversized-label": ({"graph_labels": "4\n99999999999999999999\n"},
+                        _refused("graph_labels", 2, "99999999999999999999",
+                                 1)),
+    "label-count": ({"graph_labels": "4\n"},
+                    "T_graph_labels.txt: 1 labels for 2 graphs"),
+    "indicator-gap": ({"graph_indicator": "1\n" * 10 + "3\n3\n"},
+                      "T_graph_indicator.txt: graph ids are not 1..N"),
+    "empty-indicator": ({"graph_indicator": ""},
+                        "T_graph_indicator.txt: the dataset holds no graphs"),
+    "node-label-pair": ({"node_labels": "0, 1\n" * 12},
+                        _refused("node_labels", 1, "0, 1", 1)),
 }
 
 
-def _write_crafted(folder, case):
-    for suffix, text in {**_BASE, **_CRAFTED[case]}.items():
+def _write_crafted(folder, files):
+    folder.mkdir(exist_ok=True)
+    for suffix, text in {**_BASE, **files}.items():
         with (folder / f"T_{suffix}.txt").open("w", newline="") as f:
             f.write(text)
+    return folder
 
 
 @pytest.mark.parametrize("case", sorted(_CRAFTED))
-def test_c_reader_and_scanner_agree_on_crafted_files(tmp_path, monkeypatch,
-                                                     case):
-    _write_crafted(tmp_path, case)
-    scanned = _record_scanned(monkeypatch)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = _parse_or_error(tmp_path, "T")
-    # a file warns exactly when the scanners, not the C reader, gave its rows
-    assert [str(w.message) for w in caught] == [
-        f"{name}: numpy's reader refused the file; it was read line by "
-        "line, which is slower" for name in scanned]
-    _scanner_only(monkeypatch)
-    _assert_same_parse(got, _parse_or_error(tmp_path, "T"))
+def test_crafted_files_parse_or_name_their_first_bad_line(tmp_path, case):
+    files, outcome = _CRAFTED[case]
+    folder = _write_crafted(tmp_path / "case", files)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if outcome.startswith("T_"):
+            with pytest.raises(DataError) as exc:
+                gd.parse_tu_dataset(folder, "T")
+            assert str(exc.value) == outcome
+            return
+        got = gd.parse_tu_dataset(folder, "T")
+    plain = _write_crafted(tmp_path / "plain", {"A": outcome})
+    _assert_same_parse(got, gd.parse_tu_dataset(plain, "T"))
 
 
 @pytest.mark.parametrize("case,message", [
@@ -310,37 +321,26 @@ def test_c_reader_and_scanner_agree_on_crafted_files(tmp_path, monkeypatch,
      "T_A.txt:4: node index exceeds indicator length (12 nodes): '13, 1'"),
     ("cross-graph-after-blank",
      "T_A.txt:5: edge (1, 11) crosses graphs 1 and 2")])
-def test_c_reader_errors_name_the_line_past_blank_lines(tmp_path, monkeypatch,
-                                                        case, message):
-    _write_crafted(tmp_path, case)
-    scans = [count_calls(monkeypatch, gd, name)
-             for name in ("_edge_lines", "_int_lines")]
+def test_c_reader_errors_name_the_line_past_blank_lines(tmp_path, case,
+                                                        message):
+    _write_crafted(tmp_path, _CRAFTED[case][0])
     with pytest.raises(DataError) as exc:
         gd.parse_tu_dataset(tmp_path, "T")
     assert str(exc.value) == message
-    assert scans == [[], []]
 
 
-def test_scanner_never_runs_on_shipped_and_benchmark_files(
-        synth_folder, monkeypatch):
-    scans = [count_calls(monkeypatch, gd, name)
-             for name in ("_edge_lines", "_int_lines")]
-    sets = [(DATA_ROOT, "MUTAG"), (synth_folder, "SYN")]
-    fast = [gd.parse_tu_dataset(*where) for where in sets]
-    assert scans == [[], []]
-    _scanner_only(monkeypatch)
-    for got, where in zip(fast, sets):
-        _assert_same_parse(got, gd.parse_tu_dataset(*where))
-    assert [len(calls) for calls in scans] == [2, 6]
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_c_reader_matches_scanner_on_synthetic_sets(tmp_path, monkeypatch,
-                                                    seed):
-    folder = synth_module().write_tu(tmp_path, "SYN", 12, seed)
-    fast = gd.parse_tu_dataset(folder, "SYN")
-    _scanner_only(monkeypatch)
-    _assert_same_parse(fast, gd.parse_tu_dataset(folder, "SYN"))
+@pytest.mark.parametrize("file", ["A", "graph_indicator"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_file_raises_data_error_naming_it(tmp_path, file, kind):
+    folder = _write_crafted(tmp_path, {})
+    path = folder / f"T_{file}.txt"
+    if kind == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe1, 2\n")
+    with pytest.raises(DataError, match=f"^T_{file}.txt: cannot be read: "):
+        gd.parse_tu_dataset(folder, "T")
 
 
 @pytest.mark.parametrize("a_text", ["", "\n", "\n\n"])
@@ -404,6 +404,7 @@ def test_degree_onehot_rejects_a_cap_that_is_not_an_int_of_at_least_1(cap):
 def test_feature_scheme_mismatch():
     topo = gd.GraphTopology(1, ())
     ds = gd.Dataset("X", [gd.GraphRecord(topo, 0)], 1)  # no node labels
+    assert gd.Dataset("E", [], 0).feature_width is None  # no records
     with pytest.raises(DataError):
         gd.build_node_features(ds, "node-label-onehot")
     with pytest.raises(ConfigError):
