@@ -830,52 +830,51 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Moment accumulators for one ordered parameter list."""
+    """Moment accumulators for one ordered parameter list: the parameters'
+    ``shapes`` and one flat buffer each, ``m`` and ``v``, holding every
+    parameter's entries in list order."""
 
     step_count: int = 0
-    m: list = field(default=None)
-    v: list = field(default=None)
+    shapes: list = field(default=None)
+    m: np.ndarray = field(default=None)
+    v: np.ndarray = field(default=None)
 
 
 def adam_step(params, grads: dict, state: AdamState, lr):
-    """Adam update with bias correction.
+    """Adam update with bias correction, over all parameters at once.
 
-    Returns the updated parameters as detached constants, which the caller
-    adopts onto its tape before the next step, together with the mutated
-    state. The parameter count and every moment, parameter and gradient
-    shape are checked before the state is touched, so a step that raises
-    ``ShapeError`` (or ``KeyError`` for a missing gradient) leaves the
-    state as it was.
+    The gradients and parameters are concatenated into flat arrays, updated
+    in one pass, and returned split into per-parameter views of one array,
+    as detached constants that the caller adopts onto its tape before the
+    next step, together with the mutated state. The held, parameter and
+    gradient shapes are compared before the state is touched, so a step
+    that raises ``ShapeError`` (or ``KeyError`` for a missing gradient)
+    leaves the state as it was.
     """
     params = list(params)
     gs = [grads[p] for p in params]
-    held = ([p.shape for p in params] if state.m is None
-            else [m.shape for m in state.m])
-    if len(held) != len(params):
-        raise ShapeError("adam-step", [(len(held),), (len(params),)],
-                         f"state holds {len(held)} moments for "
-                         f"{len(params)} parameters")
-    for h, p, g in zip(held, params, gs):
-        if not h == p.shape == g.shape:
-            raise ShapeError("adam-step", [h, p.shape, g.shape],
-                             "moment/parameter/gradient shape mismatch")
-    if state.m is None:
-        state.m = [np.zeros(p.shape) for p in params]
-        state.v = [np.zeros(p.shape) for p in params]
+    shapes = [p.shape for p in params]
+    held = shapes if state.shapes is None else state.shapes
+    if not held == shapes == [g.shape for g in gs]:
+        raise ShapeError("adam-step", [held, shapes, [g.shape for g in gs]],
+                         "held/parameter/gradient shapes differ")
+    gd = np.concatenate([g.data.ravel() for g in gs])
+    flat = np.concatenate([p.data.ravel() for p in params])
+    if state.shapes is None:
+        state.shapes = shapes
+        state.m, state.v = np.zeros(gd.size), np.zeros(gd.size)
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    new_params = []
-    for i, (p, g) in enumerate(zip(params, gs)):
-        gd = g.data
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1.0 - ADAM_BETA1) * gd
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1.0 - ADAM_BETA2) * gd * gd
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        new_params.append(
-            Tensor(p.data - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)))
-    return new_params, state
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * gd
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * gd * gd
+    m_hat = state.m / bc1
+    v_hat = state.v / bc2
+    flat = flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    ends = np.cumsum([p.data.size for p in params])
+    return [Tensor(part.reshape(shape)) for part, shape
+            in zip(np.split(flat, ends[:-1]), shapes)], state
 
 
 def sgd_virtual_step(params, grads: dict, lr):

@@ -110,12 +110,19 @@ def linear_probe(vectors, labels, folds) -> float:
 
 
 def _require_folds(dataset: Dataset):
-    """Raise ``DataError`` unless every fold gets a test graph and every
-    class has a graph in each fold's training set."""
+    """Raise ``DataError`` unless every label is a class index (an int, not
+    a bool, of at least 0), every fold gets a test graph and every class
+    has a graph in each fold's training set."""
     n = len(dataset)
     if n < N_FOLDS:
         raise DataError(f"{dataset.name}: {n} graphs are too few for "
                         f"{N_FOLDS}-fold cross-validation")
+    for i, r in enumerate(dataset.records):
+        if not isinstance(r.label, int) or isinstance(r.label, bool) \
+                or r.label < 0:
+            raise DataError(f"{dataset.name}: graph {i} has label "
+                            f"{r.label!r}; a label must be an int of at "
+                            "least 0")
     classes, counts = np.unique(dataset.labels, return_counts=True)
     if counts.min() < 2:
         c = classes[counts.argmin()]
@@ -132,7 +139,8 @@ def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
     Everything is checked before the first run: an unknown mode, a run
     count that is not an int of at least 1, or a dataset without node
     features raises ``ConfigError``; a dataset without graphs, fewer graphs
-    than folds, or a class with a single graph raises ``DataError``.
+    than folds, a label that is not an int of at least 0, or a class with a
+    single graph raises ``DataError``.
     """
     if mode not in PROTOCOL_MODES:
         raise ConfigError(f"unknown protocol mode: {mode!r}")

@@ -8,9 +8,9 @@ Both aggregate over sparse patterns the batch builds once and caches
 (``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so every layer and
 view over one batch reuses them and only writes in its weights. Building
 them sorts nothing: the batch stores its edges in CSR order, by target,
-from each graph's once-sorted edges (``GraphTopology.csr_edges``), and its
-nodes ascend by graph. Backward passes run the transposed products over
-the same patterns, building none.
+from each graph's undirected closure, computed once in that order
+(``GraphTopology.csr_edges``), and its nodes ascend by graph. Backward
+passes run the transposed products over the same patterns, building none.
 
 Each layer's perceptron, the projection head and the augmenter's edge scorer
 are the same two-layer perceptron, ``mlp_forward``: two ``autodiff.dense``

@@ -8,6 +8,11 @@ The TU file convention: a dataset ``NAME`` is a directory holding
 tolerated. ``NAME_node_attributes.txt`` and ``NAME_edge_labels.txt`` are not
 read: the parser warns that they are ignored.
 
+A graph's edges have one rule, ``undirected_closure`` (no self-loops or
+duplicates, every reverse present), and one order, CSR (by target, then
+source). A parsed graph's ``edges`` already is its closure; ``csr_edges``
+closes any topology, so a hand-built one batches like a TU file of its pairs.
+
 Each file is read by numpy's C parser (``np.loadtxt``, comma delimited,
 int64) with its warnings as errors. A file of empty lines only has no rows;
 any other file the parser refuses, or one with another number of columns,
@@ -35,17 +40,14 @@ from .errors import ConfigError, DataError, require_count
 
 @dataclass(frozen=True, eq=False)
 class GraphTopology:
-    """Undirected topology stored as directed pairs, both directions present.
+    """A graph of ``n_nodes`` nodes and its directed (u, v) pairs, ``edges``:
+    an (E, 2) ``intp`` array made from an empty sequence or an (E, 2) integer
+    array. Arrays do not compare with ``==``, so neither do topologies;
+    compare ``edges`` with ``np.array_equal``.
 
-    ``edges`` is an (E, 2) ``intp`` array of (u, v) rows with u != v and
-    both in 0..n_nodes-1, coerced at construction from any sequence of pairs
-    (``()`` gives shape (0, 2)). Arrays do not compare with ``==``, so
-    neither do topologies; compare ``edges`` with ``np.array_equal``.
-    There are no self-loops: the encoder adds each node's own row itself.
-
-    ``csr_edges`` is computed on first use, which is also where the edges
-    are checked: construction stays a plain coercion, so parsing pays for
-    neither.
+    ``csr_edges``, the graph the encoder aggregates over, is computed on
+    first use, which is also where a pair outside 0..n_nodes-1 raises
+    ``DataError``, so parsing pays for neither.
     """
 
     n_nodes: int
@@ -56,21 +58,9 @@ class GraphTopology:
 
     @cached_property
     def csr_edges(self):
-        """The edges sorted by target, then source (CSR order), computed
-        once and kept, read-only. Raises ``DataError`` for a stored
-        self-loop or an edge outside 0..n_nodes-1, which would count a
-        node's own row twice or reach into the next graph of a batch."""
-        n, e = self.n_nodes, self.edges
-        bad = np.flatnonzero(((e < 0) | (e >= n)).any(axis=1)
-                             | (e[:, 0] == e[:, 1]))
-        if bad.size:
-            u, v = e[bad[0]]
-            what = ("is a stored self-loop"
-                    if u == v else f"is outside node range 0..{n - 1}")
-            raise DataError(f"edge {bad[0]} ({u}, {v}) {what}")
-        # one key, target-major and below n * n, sorts as (target, source)
-        dst, src = np.divmod(np.sort(e[:, 1] * n + e[:, 0]), max(n, 1))
-        edges = np.stack([src, dst], axis=1)
+        """The edges' undirected closure in CSR order, computed once and
+        kept, read-only."""
+        edges = undirected_closure(self.edges, self.n_nodes)
         edges.flags.writeable = False
         return edges
 
@@ -143,26 +133,40 @@ class GraphBatch:
 
 
 def _edge_array(pairs):
-    return np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    """``pairs`` as an (E, 2) ``intp`` array: an empty sequence, or an
+    (E, 2) integer array; anything else raises ``DataError``."""
+    try:
+        e = np.asarray(pairs)
+    except ValueError:  # rows of different lengths
+        e = np.asarray(pairs, dtype=object)
+    e = np.empty((0, 2), dtype=np.intp) if e.shape == (0,) else e
+    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+        raise DataError("edges must be an (E, 2) integer array, got shape "
+                        f"{e.shape} of dtype {e.dtype}")
+    return e.astype(np.intp, copy=False)
 
 
 def undirected_closure(edges, n_nodes):
-    """Deduplicate directed pairs, drop self-loops, add missing reverses.
+    """Drop self-loops and duplicate pairs, add missing reverses.
 
-    Returns an (E, 2) array of the distinct pairs sorted by source, then
-    target, so parsing is deterministic; idempotent.
+    Returns an (E, 2) ``intp`` array of the distinct (source, target) pairs
+    in CSR order, by target, then source; idempotent. A pair outside
+    0..n_nodes-1, a self-loop too, raises ``DataError`` naming its row.
     """
     e = _edge_array(edges)
-    e = e[e[:, 0] != e[:, 1]]
     if e.size and (e.min() < 0 or e.max() >= n_nodes):
-        u, v = e[((e < 0) | (e >= n_nodes)).any(axis=1)][0]
-        raise DataError(f"edge ({u}, {v}) outside node range 0..{n_nodes - 1}")
+        k = np.flatnonzero(((e < 0) | (e >= n_nodes)).any(axis=1))[0]
+        raise DataError(f"edge {k} ({e[k, 0]}, {e[k, 1]}) is outside node "
+                        f"range 0..{n_nodes - 1}")
+    e = e[e[:, 0] != e[:, 1]]
     keys = np.concatenate([e[:, 0], e[:, 1]]) * n_nodes
     keys += np.concatenate([e[:, 1], e[:, 0]])
     keys.sort()
     first = np.ones(keys.shape, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return np.stack(np.divmod(keys[first], max(n_nodes, 1)), axis=1)
+    # a symmetric set sorted by (a, b) is in CSR order read as (dst, src)
+    dst, src = np.divmod(keys[first], max(n_nodes, 1))
+    return np.stack([src, dst], axis=1)
 
 
 def _find_dataset_dir(root_dir, name):
@@ -300,28 +304,23 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
             f"{a_path.name}:{_nth_line(a_path, k)[0]}: edge ({u}, {v}) "
             f"crosses graphs {gu + 1} and {gv + 1}")
 
-    # over graph-major ids the closure's sort by source, then target, also
-    # groups the edges by graph, each group its graph's own closure
+    # over graph-major ids the closure's CSR order, by target, also groups
+    # the edges by graph, each group its graph's own closure in CSR order
     edges = undirected_closure(new_id[pairs - 1], n_total)
-    bounds = np.searchsorted(edges[:, 0], starts)
+    bounds = np.searchsorted(edges[:, 1], starts)
     edges -= np.repeat(starts, np.diff(bounds, append=len(edges)))[:, None]
-    per_graph = np.split(edges, bounds[1:])
-
-    records = []
-    for g in range(n_graphs):
-        n, start = int(counts[g]), int(starts[g])
-        labels_g = None
-        if node_labels is not None:
-            labels_g = node_labels[start:start + n]
-        records.append(GraphRecord(GraphTopology(n, per_graph[g]),
-                                   int(labels[g]), labels_g))
+    records = [GraphRecord(
+        GraphTopology(int(n), e), int(label),
+        None if node_labels is None else node_labels[start:start + n])
+        for n, start, e, label in zip(counts, starts,
+                                      np.split(edges, bounds[1:]), labels)]
 
     return Dataset(name=name, records=records, n_classes=len(classes))
 
 
 def degree_sequence(topology: GraphTopology):
-    """Out-degree per node over the stored directed pairs (self-loops excluded)."""
-    return np.bincount(topology.edges[:, 0], minlength=topology.n_nodes)
+    """Neighbour count per node over the closure, ``csr_edges``."""
+    return np.bincount(topology.csr_edges[:, 0], minlength=topology.n_nodes)
 
 
 def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
@@ -360,9 +359,9 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
 def batch_graphs(records) -> GraphBatch:
     """Concatenate graphs block-diagonally.
 
-    The global edge list is every graph's ``csr_edges`` shifted by its node
-    offset. Each graph's edges are in CSR order and the offsets ascend, so
-    the batch's edges are in CSR order as they stand.
+    The global edge list is every graph's ``csr_edges``, its undirected
+    closure in CSR order, shifted by its node offset. The offsets ascend,
+    so the batch's edges are in CSR order as they stand.
     """
     if not records:
         raise DataError("cannot batch an empty record list")

@@ -1014,12 +1014,13 @@ def test_adam_missing_gradient_entry_raises(tape):
 
 
 def _adam_snapshot(state):
-    return (state.step_count, [m.copy() for m in state.m],
-            [v.copy() for v in state.v])
+    return (state.step_count, list(state.shapes), state.m.copy(),
+            state.v.copy())
 
 
 @pytest.mark.parametrize("case", ["wrong-shape", "wrong-gradient-shape",
-                                  "extra-parameter", "missing-parameter"])
+                                  "extra-parameter", "missing-parameter",
+                                  "same-size-other-shape"])
 def test_adam_failed_step_leaves_state_unchanged(tape, case):
     p, q = ad.variable([1.0, 2.0]), ad.variable([[3.0]])
     grads = {p: ad.constant([0.5, -0.5]), q: ad.constant([[1.0]])}
@@ -1037,15 +1038,50 @@ def test_adam_failed_step_leaves_state_unchanged(tape, case):
         r = ad.variable([5.0])
         grads[r] = ad.constant([1.0])
         params = [p, q, r]
-    else:
+    elif case == "missing-parameter":
         params = [p]
+    else:  # as many entries as the held (2,), but laid out as (1, 2)
+        p = ad.variable([[1.0, 2.0]])
+        grads[p] = ad.constant([[0.5, -0.5]])
+        params = [p, q]
     with pytest.raises(ShapeError, match="adam-step"):
         ad.adam_step(params, grads, state, lr=0.1)
     after = _adam_snapshot(state)
     assert after[0] == before[0] == 1
-    for got, want in zip(after[1] + after[2], before[1] + before[2]):
+    assert after[1] == before[1] == [(2,), (1, 1)]
+    for got, want in zip(after[2:], before[2:]):
+        assert got.shape == (3,)
         np.testing.assert_array_equal(got, want)
-    assert len(after[1]) == len(after[2]) == 2
+
+
+def test_adam_flat_update_equals_a_per_tensor_update_bitwise(tape):
+    rng = np.random.default_rng(11)
+    shapes = [(3, 4), (4,), (1, 1), (2, 5)]
+    params = [ad.variable(rng.standard_normal(s)) for s in shapes]
+    want = [p.data.copy() for p in params]
+    ms = [np.zeros(s) for s in shapes]
+    vs = [np.zeros(s) for s in shapes]
+    state = ad.AdamState()
+    for t in (1, 2, 3):
+        raw = [rng.standard_normal(s) for s in shapes]
+        raw[3] = rng.standard_normal((5, 2)).T  # a transposed view
+        grads = {p: ad.constant(g) for p, g in zip(params, raw)}
+        params, state = ad.adam_step(params, grads, state, lr=0.01)
+        # the reference: Adam's arithmetic, one tensor at a time
+        for i, g in enumerate(raw):
+            ms[i] = 0.9 * ms[i] + (1.0 - 0.9) * g
+            vs[i] = 0.999 * vs[i] + (1.0 - 0.999) * g * g
+            m_hat = ms[i] / (1.0 - 0.9 ** t)
+            v_hat = vs[i] / (1.0 - 0.999 ** t)
+            want[i] = want[i] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        for p, w in zip(params, want):
+            assert p.data.shape == w.shape
+            assert p.data.tobytes() == w.tobytes()
+        assert state.shapes == shapes and state.step_count == t
+        assert state.m.tobytes() == np.concatenate(
+            [m.ravel() for m in ms]).tobytes()
+        assert state.v.tobytes() == np.concatenate(
+            [v.ravel() for v in vs]).tobytes()
 
 
 def test_adam_failed_first_step_leaves_state_empty(tape):
@@ -1053,7 +1089,8 @@ def test_adam_failed_first_step_leaves_state_empty(tape):
     state = ad.AdamState()
     with pytest.raises(ShapeError, match="adam-step"):
         ad.adam_step([p], {p: ad.constant([1.0])}, state, lr=0.1)
-    assert state.step_count == 0 and state.m is None and state.v is None
+    assert state.step_count == 0 and state.shapes is None
+    assert state.m is None and state.v is None
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,27 @@ def test_run_protocol_rejects_bad_input_before_any_split(monkeypatch,
                         n_runs=1)
 
 
+@pytest.mark.parametrize("labels, message", [
+    # -1 would index the last one-hot class of a one-class probe
+    ([-1, 0] * 10, r"^TWO: graph 0 has label -1; a label must be an int"),
+    ([0, 1] * 5 + [1.7] + [0, 1] * 4 + [0], r"^TWO: graph 10 has label 1\.7;"),
+    ([0, 1] * 5 + [True] + [0, 1] * 4 + [0], r"^TWO: graph 10 has label True;"),
+], ids=["negative", "float", "bool"])
+def test_run_protocol_rejects_labels_that_are_not_class_indices(
+        monkeypatch, labels, message):
+    records = [gd.GraphRecord(gd.GraphTopology(2, [(0, 1)]), label, [0, 1])
+               for label in labels]
+    ds = gd.build_node_features(gd.Dataset("TWO", records, 2),
+                                "node-label-onehot")
+
+    def never(*args, **kwargs):
+        raise AssertionError("reached before the labels were checked")
+
+    monkeypatch.setattr(ev, "stratified_folds", never)
+    with pytest.raises(DataError, match=message):
+        ev.run_protocol(ds, tr.Hyperparams(), mode="gin-riu", n_runs=1)
+
+
 def test_embed_dataset_rejects_an_empty_dataset():
     phi, _, _ = gnn.init_params(gnn.ModelDims(feature_dim=3), seed=0)
     with pytest.raises(DataError, match="no graphs"):

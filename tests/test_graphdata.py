@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -182,11 +183,11 @@ def test_undirected_closure_added_and_idempotent(tmp_path):
 
 def _closure_reference(edges):
     """Pair-at-a-time closure: the distinct non-self pairs and their
-    reverses, sorted by source, then target."""
+    reverses, in CSR order (by target, then source)."""
     seen = dict.fromkeys((u, v) for u, v in edges if u != v)
     for u, v in list(seen):
         seen.setdefault((v, u))
-    return sorted(list(pair) for pair in seen)
+    return sorted((list(pair) for pair in seen), key=lambda e: (e[1], e[0]))
 
 
 def test_undirected_closure_matches_pairwise_reference():
@@ -200,8 +201,42 @@ def test_undirected_closure_matches_pairwise_reference():
 
 
 def test_undirected_closure_names_first_edge_out_of_range():
-    with pytest.raises(DataError, match=r"edge \(2, 5\) outside node range 0\.\.2"):
+    # a self-loop is checked too, as a TU file's line is
+    with pytest.raises(DataError, match=r"^edge 1 \(4, 4\) is outside node "
+                       r"range 0\.\.2$"):
         gd.undirected_closure([(0, 1), (4, 4), (2, 5), (-1, 0)], 3)
+    with pytest.raises(DataError, match=r"^edge 2 \(2, 5\) is outside"):
+        gd.undirected_closure([(0, 1), (1, 1), (2, 5), (-1, 0)], 3)
+
+
+@pytest.mark.parametrize("pairs, shape, dtype", [
+    ([(0, 1, 2), (3, 4, 5)], (2, 3), "int64"),  # would re-pair as 3 rows
+    ([(0, 1, 2)], (1, 3), "int64"),
+    ([(0.5, 1.7)], (1, 2), "float64"),          # would truncate to (0, 1)
+    ([(0, 1), (2,)], (2,), "object"),           # rows of different lengths
+    ((0, 1), (2,), "int64"),                    # one pair, not a list of them
+    ([(True, False)], (1, 2), "bool"),
+    ([[]], (1, 0), "float64"),
+])
+@pytest.mark.parametrize("entry", ["topology", "closure"])
+def test_edges_that_are_not_an_e_by_2_integer_array_are_refused(
+        pairs, shape, dtype, entry):
+    message = re.escape(f"edges must be an (E, 2) integer array, got shape "
+                        f"{shape} of dtype {dtype}")
+    with pytest.raises(DataError, match=f"^{message}$"):
+        if entry == "topology":
+            gd.GraphTopology(6, pairs)
+        else:
+            gd.undirected_closure(pairs, 6)
+
+
+@pytest.mark.parametrize("pairs", [(), [], np.empty((0, 2), dtype=np.int32),
+                                   np.array([[0, 1]], dtype=np.uint8)])
+def test_empty_sequences_and_integer_arrays_are_edges(pairs):
+    edges = gd.GraphTopology(2, pairs).edges
+    assert edges.dtype == np.intp and edges.shape == (len(pairs), 2)
+    np.testing.assert_array_equal(edges, np.reshape(pairs, (-1, 2)))
+    assert gd.undirected_closure(pairs, 2).dtype == np.intp
 
 
 def test_crlf_and_spacing_tolerated(tmp_path):
@@ -483,7 +518,6 @@ def test_batch_rejects_feature_rows_unequal_to_node_count():
 @pytest.mark.parametrize("edges, message", [
     (((0, 1), (1, 0), (0, 3)), r"edge 2 \(0, 3\) is outside node range 0\.\.1"),
     (((0, 1), (1, 0), (-1, 0)), r"edge 2 \(-1, 0\) is outside node range"),
-    (((0, 1), (1, 1), (1, 0)), r"edge 1 \(1, 1\) is a stored self-loop"),
 ])
 def test_topology_rejects_bad_edges_where_its_order_is_first_computed(
         edges, message):
@@ -503,15 +537,48 @@ def test_csr_edges_are_the_edges_in_lexsort_order_and_read_only(mutag):
     for topo in [r.topology for r in mutag.records[:20]] + [
             gd.GraphTopology(5, shuffled[:0]), gd.GraphTopology(0, ()),
             gd.GraphTopology(mutag.records[0].n_nodes, shuffled),
-            gd.GraphTopology(3, ((2, 0), (1, 0), (2, 0), (0, 1)))]:
-        e = topo.edges
-        want = e[np.lexsort((e[:, 0], e[:, 1]))]
+            gd.GraphTopology(3, ((2, 0), (1, 0), (2, 0), (0, 1), (1, 1)))]:
+        # the closure, lexsorted by (target, source)
+        want = np.array(_closure_reference(topo.edges.tolist()),
+                        dtype=np.intp).reshape(-1, 2)
         assert topo.csr_edges.dtype == np.intp
         np.testing.assert_array_equal(topo.csr_edges, want)
-        assert topo.csr_edges.shape == (len(e), 2)
         assert not topo.csr_edges.flags.writeable
         with pytest.raises(ValueError):
             topo.csr_edges[:1] = 0
+
+
+def test_hand_built_topologies_batch_like_their_tu_files(tmp_path):
+    # two graphs of 4 and 3 nodes; their pairs hold a duplicate, self-loops
+    # and one-way pairs, and are shuffled
+    graphs = [[(0, 1), (1, 0), (2, 1), (0, 1), (3, 3), (2, 3), (0, 2)],
+              [(2, 0), (1, 1), (1, 2), (2, 1)]]
+    rng = np.random.default_rng(7)
+    graphs = [[pairs[i] for i in rng.permutation(len(pairs))]
+              for pairs in graphs]
+    sizes, node_labels = [4, 3], [[0, 1, 2, 0], [1, 1, 0]]
+    a_lines = [f"{u + 1 + off}, {v + 1 + off}"
+               for pairs, off in zip(graphs, (0, 4)) for u, v in pairs]
+    folder = write_tu_fixture(tmp_path, "HAND", a_lines,
+                              indicator=[1] * 4 + [2] * 3,
+                              graph_labels=[0, 1],
+                              node_labels=node_labels[0] + node_labels[1])
+    parsed = gd.parse_tu_dataset(folder, "HAND")
+    hand = gd.Dataset("HAND", [
+        gd.GraphRecord(gd.GraphTopology(n, pairs), label, labels)
+        for n, pairs, label, labels in zip(sizes, graphs, (0, 1), node_labels)
+    ], 2)
+    for scheme, cap in (("node-label-onehot", None), ("degree-onehot", 2)):
+        got, want = (gd.batch_graphs(gd.build_node_features(
+            ds, scheme, cap).records) for ds in (hand, parsed))
+        for name in ("graph_of_node", "edge_src", "edge_dst", "features"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == \
+                (b.dtype, b.shape, b.tobytes()), name
+    for h, p in zip(hand.records, parsed.records):
+        assert h.topology.csr_edges.tobytes() == p.topology.csr_edges.tobytes()
+        np.testing.assert_array_equal(gd.degree_sequence(h.topology),
+                                      gd.degree_sequence(p.topology))
 
 
 def _check_batch_orders(records):
@@ -558,7 +625,9 @@ def test_topology_order_is_computed_once_and_shared(mutag, monkeypatch):
     orders = [r.topology.csr_edges for r in ds.records[:8]]
     sorts = [count_calls(monkeypatch, np, name)
              for name in ("sort", "argsort", "lexsort")]
+    closures = count_calls(monkeypatch, gd, "undirected_closure")
     second = gd.batch_graphs(ds.records[:8])
+    assert closures == []  # the closure sorts with the ndarray method
     again = gd.build_node_features(ds, "degree-onehot", cap=4)
     for rec, rec_again, order in zip(ds.records, again.records, orders):
         assert rec.topology.csr_edges is order
