@@ -26,9 +26,8 @@ def lga_edge_weights(batch: GraphBatch, sigma: AugmenterParams):
     scores, on the tape whenever sigma is, aligned with the batch's edges
     in their CSR order. A scorer whose input width is not twice the
     feature width raises ``dense``'s ``ShapeError``."""
-    f = batch.features
-    xuv = ad.constant(np.concatenate([f[batch.edge_src], f[batch.edge_dst]],
-                                     axis=1))
+    f, edges = batch.features, batch.adjacency
+    xuv = ad.constant(np.concatenate([f[edges.src], f[edges.dst]], axis=1))
     # the features are one-hot, so each entry of xuv @ w1 sums exactly two
     # nonzero products 1.0 * w: every summation order rounds it the same
     return ad.sigmoid(gnn.mlp_forward(xuv, sigma))

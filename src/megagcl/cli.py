@@ -92,8 +92,7 @@ def main(argv=None):
         print(json.dumps(log.summary))
     else:
         result = evaluation.run_protocol(dataset, hp, mode=args.mode)
-        seeds = [hp.seed + i for i in range(len(result.accuracies))]
-        print(json.dumps({"mode": args.mode, "seeds": seeds,
+        print(json.dumps({"mode": args.mode, "seeds": result.seeds,
                           "accuracies": result.accuracies,
                           "mean": result.mean, "std": result.std}))
     return 0

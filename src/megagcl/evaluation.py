@@ -30,14 +30,15 @@ PROTOCOL_MODES = tr.TRAINING_MODES + ("gin-riu",)
 
 @dataclass
 class ProbeResult:
+    seeds: list  # run i's seed, for both its folds and its training
     accuracies: list
     mean: float
     std: float  # population
 
     @classmethod
-    def from_accuracies(cls, accs):
+    def from_runs(cls, seeds, accs):
         accs = [float(a) for a in accs]
-        return cls(accs, float(np.mean(accs)), float(np.std(accs)))
+        return cls(seeds, accs, float(np.mean(accs)), float(np.std(accs)))
 
 
 def embed_dataset(phi: gnn.EncoderParams, dataset: Dataset,
@@ -133,7 +134,8 @@ def _require_folds(dataset: Dataset):
 def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
                  n_runs=10) -> ProbeResult:
     """Seeded runs of train / embed / cross-validated probe; run ``i`` uses
-    seed ``hp.seed + i`` for both its folds and its training.
+    seed ``hp.seed + i`` for both its folds and its training, and the
+    result lists those seeds.
 
     ``gin-riu`` skips training and probes a freshly initialized encoder.
     Everything is checked before the first run: an unknown mode, a run
@@ -149,9 +151,9 @@ def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
     _require_folds(dataset)
     dims = gnn.ModelDims(feature_dim=dataset.feature_width)
     labels = dataset.labels
+    seeds = [hp.seed + run for run in range(n_runs)]
     accuracies = []
-    for run in range(n_runs):
-        seed = hp.seed + run
+    for seed in seeds:
         folds = stratified_folds(labels, seed)
         if mode == "gin-riu":
             phi, _, _ = gnn.init_params(dims, seed)
@@ -159,4 +161,4 @@ def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
             phi = tr.train(dataset, replace(hp, seed=seed), dims, mode)[0].phi
         accuracies.append(
             linear_probe(embed_dataset(phi, dataset), labels, folds))
-    return ProbeResult.from_accuracies(accuracies)
+    return ProbeResult.from_runs(seeds, accuracies)

@@ -4,12 +4,12 @@ Each layer computes, for node v, MLP((1+eps) * H_v + sum_{u->v} w_uv * H_u)
 with eps fixed at 0: one sparse weighted aggregation over the batch's edges
 that adds H itself as the self term, (A_w + I) @ H. Readout is a per-graph
 sum, the same aggregation with unit weights from nodes to their graphs.
-Both aggregate over sparse patterns the batch builds once and caches
-(``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so every layer and
-view over one batch reuses them and only writes in its weights. Building
-them sorts nothing: the batch stores its edges in CSR order, by target,
-from each graph's undirected closure, computed once in that order
-(``GraphTopology.csr_edges``), and its nodes ascend by graph. Backward
+Both aggregate over the sparse patterns ``graphdata.batch_graphs`` builds
+with the batch (``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so
+every layer and view over one batch reuses them and only writes in its
+weights. Building them sorts nothing: the batch's edges come in CSR order,
+by target, from each graph's undirected closure, computed once in that
+order (``GraphTopology.csr_edges``), and its nodes ascend by graph. Backward
 passes run the transposed products over the same patterns, building none.
 
 Each layer's perceptron, the projection head and the augmenter's edge scorer

@@ -12,6 +12,7 @@ A graph's edges have one rule, ``undirected_closure`` (no self-loops or
 duplicates, every reverse present), and one order, CSR (by target, then
 source). A parsed graph's ``edges`` already is its closure; ``csr_edges``
 closes any topology, so a hand-built one batches like a TU file of its pairs.
+``batch_graphs`` builds a batch together with its aggregation patterns.
 
 Each file is read by numpy's C parser (``np.loadtxt``, comma delimited,
 int64) with its warnings as errors. A file of empty lines only has no rows;
@@ -40,10 +41,12 @@ from .errors import ConfigError, DataError, require_count
 
 @dataclass(frozen=True, eq=False)
 class GraphTopology:
-    """A graph of ``n_nodes`` nodes and its directed (u, v) pairs, ``edges``:
-    an (E, 2) ``intp`` array made from an empty sequence or an (E, 2) integer
-    array. Arrays do not compare with ``==``, so neither do topologies;
-    compare ``edges`` with ``np.array_equal``.
+    """A graph of ``n_nodes`` nodes, an int of at least 0, and its directed
+    (u, v) pairs, ``edges``: a read-only (E, 2) ``intp`` array made from an
+    empty sequence or an (E, 2) integer array, copied unless it is read-only
+    down to the memory it views. Anything else raises ``DataError``. Arrays
+    do not compare with ``==``, so neither do topologies; compare ``edges``
+    with ``np.array_equal``.
 
     ``csr_edges``, the graph the encoder aggregates over, is computed on
     first use, which is also where a pair outside 0..n_nodes-1 raises
@@ -54,7 +57,17 @@ class GraphTopology:
     edges: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", _edge_array(self.edges))
+        n = self.n_nodes
+        if type(n) is bool or not isinstance(n, (int, np.integer)) or n < 0:
+            raise DataError(f"n_nodes must be an int of at least 0, got {n!r}")
+        edges = held = _edge_array(self.edges)
+        while isinstance(held, np.ndarray) and not held.flags.writeable:
+            held = held.base
+        if held is not None:  # no read-only array owns the data
+            edges = edges.copy()
+            edges.flags.writeable = False
+        object.__setattr__(self, "n_nodes", int(n))
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def csr_edges(self):
@@ -98,38 +111,22 @@ class Dataset:
 
 @dataclass
 class GraphBatch:
-    """Block-diagonal concatenation of graphs.
-
-    ``edge_src``/``edge_dst`` hold every graph's directed edges, shifted by
-    its node offset, in CSR order (by target, then source), so both
-    patterns take their edges as they stand: ``graph_of_node`` never
-    decreases either. An edge weight vector is an aligned (n_edges, 1) column.
+    """Block-diagonal concatenation of graphs: their stacked ``features``,
+    ``adjacency`` from nodes to nodes over every graph's directed edges,
+    shifted by its node offset, in CSR order (by target, then source), and
+    ``pooling`` from each node to its graph (readout). ``batch_graphs``
+    builds both patterns; an edge weight is an aligned (n_edges, 1) column.
     """
 
     n_graphs: int
     n_nodes: int
-    graph_of_node: np.ndarray
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
     features: np.ndarray
+    adjacency: SparsePattern
+    pooling: SparsePattern
 
     @property
     def n_edges(self):
-        return self.edge_src.shape[0]
-
-    @cached_property
-    def adjacency(self):
-        """The edge list as an aggregation pattern from nodes to nodes,
-        built on first use and kept for the life of the batch."""
-        return SparsePattern(self.edge_src, self.edge_dst, self.n_nodes,
-                             self.n_nodes)
-
-    @cached_property
-    def pooling(self):
-        """The aggregation pattern from each node to its graph (readout),
-        built on first use and kept for the life of the batch."""
-        return SparsePattern(np.arange(self.n_nodes), self.graph_of_node,
-                             self.n_graphs, self.n_nodes)
+        return self.adjacency.src.shape[0]
 
 
 def _edge_array(pairs):
@@ -309,8 +306,9 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     edges = undirected_closure(new_id[pairs - 1], n_total)
     bounds = np.searchsorted(edges[:, 1], starts)
     edges -= np.repeat(starts, np.diff(bounds, append=len(edges)))[:, None]
+    edges.flags.writeable = False  # so each graph's view is taken uncopied
     records = [GraphRecord(
-        GraphTopology(int(n), e), int(label),
+        GraphTopology(n, e), int(label),
         None if node_labels is None else node_labels[start:start + n])
         for n, start, e, label in zip(counts, starts,
                                       np.split(edges, bounds[1:]), labels)]
@@ -357,11 +355,11 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
 
 
 def batch_graphs(records) -> GraphBatch:
-    """Concatenate graphs block-diagonally.
+    """Concatenate graphs block-diagonally and build both patterns.
 
-    The global edge list is every graph's ``csr_edges``, its undirected
+    The adjacency's edges are every graph's ``csr_edges``, its undirected
     closure in CSR order, shifted by its node offset. The offsets ascend,
-    so the batch's edges are in CSR order as they stand.
+    so the edges are in CSR order as they stand, and so are pooling's.
     """
     if not records:
         raise DataError("cannot batch an empty record list")
@@ -379,11 +377,12 @@ def batch_graphs(records) -> GraphBatch:
     per_graph = [r.topology.csr_edges for r in records]
     edges = np.concatenate(per_graph)
     shift = np.repeat(np.cumsum(sizes) - sizes, [len(e) for e in per_graph])
+    n_graphs, n_nodes = len(records), int(sizes.sum())
     return GraphBatch(
-        n_graphs=len(records),
-        n_nodes=int(sizes.sum()),
-        graph_of_node=np.repeat(np.arange(len(records), dtype=np.intp), sizes),
-        edge_src=edges[:, 0] + shift,
-        edge_dst=edges[:, 1] + shift,
+        n_graphs=n_graphs,
+        n_nodes=n_nodes,
         features=np.concatenate([r.features for r in records], axis=0),
-    )
+        adjacency=SparsePattern(edges[:, 0] + shift, edges[:, 1] + shift,
+                                n_nodes, n_nodes),
+        pooling=SparsePattern(np.arange(n_nodes), np.repeat(
+            np.arange(n_graphs), sizes), n_graphs, n_nodes))

@@ -42,6 +42,16 @@ def test_run_protocol_gives_one_accuracy_per_run(mode):
     assert result.mean == pytest.approx(np.mean(result.accuracies))
 
 
+def test_run_protocol_reports_the_seed_of_each_run():
+    ds = synthetic_dataset()
+    result = ev.run_protocol(ds, tr.Hyperparams(epochs=1, seed=5),
+                             mode="gin-riu", n_runs=2)
+    assert result.seeds == [5, 6]
+    alone = ev.run_protocol(ds, tr.Hyperparams(epochs=1, seed=6),
+                            mode="gin-riu", n_runs=1)
+    assert alone.seeds == [6] and alone.accuracies == result.accuracies[1:]
+
+
 @pytest.mark.parametrize("n_runs", [0, -1, 2.5, True])
 def test_run_protocol_rejects_fewer_than_one_run(n_runs):
     with pytest.raises(ConfigError, match="n_runs"):

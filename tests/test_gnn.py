@@ -57,13 +57,13 @@ def _dense_gin_layer(batch, h, w, layer):
     """The oracle: MLP((A_w + I) @ H), with each graph's block of A_w built
     densely (the batch is block-diagonal)."""
     nodes = np.concatenate([[0], np.cumsum(np.bincount(
-        batch.graph_of_node, minlength=batch.n_graphs))])
+        batch.pooling.dst, minlength=batch.n_graphs))])
+    src, dst = batch.adjacency.src, batch.adjacency.dst
     rows = []
     for lo, hi in zip(nodes[:-1], nodes[1:]):
         a = np.eye(hi - lo)
-        inside = (batch.edge_dst >= lo) & (batch.edge_dst < hi)
-        for e in np.flatnonzero(inside):
-            a[batch.edge_dst[e] - lo, batch.edge_src[e] - lo] += w[e, 0]
+        for e in np.flatnonzero((dst >= lo) & (dst < hi)):
+            a[dst[e] - lo, src[e] - lo] += w[e, 0]
         rows.append(a @ h[lo:hi])
     return gnn.mlp_forward(ad.constant(np.concatenate(rows)), layer).data
 
@@ -76,7 +76,7 @@ def test_unit_weight_aggregation_matches_dense_adjacency(tape):
                                 unit_edge_weights(batch), phi.layers[0])
     # dense oracle: (A + I) @ H through the same mlp
     a = np.eye(3)
-    for u, v in zip(batch.edge_src, batch.edge_dst):
+    for u, v in zip(batch.adjacency.src, batch.adjacency.dst):
         a[v, u] += 1.0
     want = gnn.mlp_forward(ad.constant(a @ batch.features), phi.layers[0])
     np.testing.assert_allclose(out.data, want.data, atol=1e-12)

@@ -1,5 +1,6 @@
 import re
 import warnings
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -239,6 +240,42 @@ def test_empty_sequences_and_integer_arrays_are_edges(pairs):
     assert gd.undirected_closure(pairs, 2).dtype == np.intp
 
 
+def test_a_topology_keeps_its_own_read_only_edges(mutag):
+    e = np.array([[0, 1]])
+    t = gd.GraphTopology(3, e)
+    t.csr_edges
+    e[0] = [1, 2]  # the caller's array no longer reaches the graph
+    np.testing.assert_array_equal(t.edges, [[0, 1]])
+    np.testing.assert_array_equal(t.csr_edges, [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="read-only"):
+        t.edges[0] = [1, 2]
+    frozen = np.array([[0, 1]])
+    frozen.flags.writeable = False
+    assert gd.GraphTopology(3, frozen).edges is frozen
+    view = e.view()  # read-only, but its array is not
+    view.flags.writeable = False
+    t = gd.GraphTopology(3, view)
+    e[0] = [0, 2]
+    np.testing.assert_array_equal(t.edges, [[1, 2]])
+    # parsed graphs take uncopied read-only views of one closure array
+    assert len({id(r.topology.edges.base) for r in mutag.records}) == 1
+    assert not any(r.topology.edges.flags.writeable for r in mutag.records)
+
+
+@pytest.mark.parametrize("n_nodes", ["3", 2.0, True, -1, None])
+def test_a_node_count_that_is_not_an_int_of_at_least_0_is_refused(n_nodes):
+    message = f"n_nodes must be an int of at least 0, got {n_nodes!r}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        gd.GraphTopology(n_nodes, [(0, 1)])
+
+
+@pytest.mark.parametrize("n_nodes", [np.int64(3), np.uint8(3), np.intp(3)])
+def test_a_numpy_node_count_is_stored_as_an_int(n_nodes):
+    t = gd.GraphTopology(n_nodes, [(0, 1)])
+    assert type(t.n_nodes) is int and t.n_nodes == 3
+    np.testing.assert_array_equal(gd.degree_sequence(t), [1, 1, 0])
+
+
 def test_crlf_and_spacing_tolerated(tmp_path):
     folder = tmp_path / "crlf"
     folder.mkdir()
@@ -462,8 +499,8 @@ def test_single_graph_batch(tmp_path):
     batch = gd.batch_graphs(ds.records[:1])
     assert batch.n_edges == 6  # 6 directed edges, no self loops
     # CSR order: by target, then source
-    np.testing.assert_array_equal(batch.edge_src, [1, 2, 0, 2, 0, 1])
-    np.testing.assert_array_equal(batch.edge_dst, [0, 0, 1, 1, 2, 2])
+    np.testing.assert_array_equal(batch.adjacency.src, [1, 2, 0, 2, 0, 1])
+    np.testing.assert_array_equal(batch.adjacency.dst, [0, 0, 1, 1, 2, 2])
 
 
 def test_offsets_shift_second_graph(tmp_path):
@@ -473,9 +510,9 @@ def test_offsets_shift_second_graph(tmp_path):
         features=np.ones((2, 5)))
     batch = gd.batch_graphs([ds.records[0], rec2])
     # second graph's nodes 0 and 1 appear as global nodes 3 and 4
-    np.testing.assert_array_equal(batch.edge_src[6:], [4, 3])
-    np.testing.assert_array_equal(batch.edge_dst[6:], [3, 4])
-    np.testing.assert_array_equal(batch.graph_of_node, [0, 0, 0, 1, 1])
+    np.testing.assert_array_equal(batch.adjacency.src[6:], [4, 3])
+    np.testing.assert_array_equal(batch.adjacency.dst[6:], [3, 4])
+    np.testing.assert_array_equal(batch.pooling.dst, [0, 0, 0, 1, 1])
 
 
 def test_batch_of_single_node_graphs():
@@ -484,14 +521,15 @@ def test_batch_of_single_node_graphs():
     batch = gd.batch_graphs(recs)
     assert batch.n_nodes == 4
     assert batch.n_edges == 0
-    assert batch.edge_src.shape == batch.edge_dst.shape == (0,)
+    assert batch.adjacency.src.shape == batch.adjacency.dst.shape == (0,)
 
 
 def test_batch_block_diagonality(tmp_path):
     ds = synthetic_dataset(n_per_class=6, seed=3)
     batch = gd.batch_graphs(ds.records)
-    assert np.array_equal(batch.graph_of_node[batch.edge_src],
-                          batch.graph_of_node[batch.edge_dst])
+    graph_of_node = batch.pooling.dst
+    assert np.array_equal(graph_of_node[batch.adjacency.src],
+                          graph_of_node[batch.adjacency.dst])
 
 
 def test_batch_feature_width_mismatch():
@@ -571,8 +609,9 @@ def test_hand_built_topologies_batch_like_their_tu_files(tmp_path):
     for scheme, cap in (("node-label-onehot", None), ("degree-onehot", 2)):
         got, want = (gd.batch_graphs(gd.build_node_features(
             ds, scheme, cap).records) for ds in (hand, parsed))
-        for name in ("graph_of_node", "edge_src", "edge_dst", "features"):
-            a, b = getattr(got, name), getattr(want, name)
+        for name in ("pooling.dst", "adjacency.src", "adjacency.dst",
+                     "features"):
+            a, b = map(attrgetter(name), (got, want))
             assert (a.dtype, a.shape, a.tobytes()) == \
                 (b.dtype, b.shape, b.tobytes()), name
     for h, p in zip(hand.records, parsed.records):
@@ -584,19 +623,19 @@ def test_hand_built_topologies_batch_like_their_tu_files(tmp_path):
 def _check_batch_orders(records):
     batch = gd.batch_graphs(records)
     nodes = np.arange(batch.n_nodes)
+    src, dst = batch.adjacency.src, batch.adjacency.dst
     # the batch's edges are in CSR order as stored, and so are its nodes
     # by graph: both lexsorts are the identity
     np.testing.assert_array_equal(
-        np.lexsort((batch.edge_src, batch.edge_dst)), np.arange(batch.n_edges))
+        np.lexsort((src, dst)), np.arange(batch.n_edges))
     np.testing.assert_array_equal(
-        np.lexsort((nodes, batch.graph_of_node)), nodes)
-    assert batch.adjacency.src is batch.edge_src
-    assert batch.adjacency.dst is batch.edge_dst
+        np.lexsort((nodes, batch.pooling.dst)), nodes)
+    np.testing.assert_array_equal(batch.pooling.src, nodes)
     # the same edges as the graphs' own, shifted by the node offsets
     want = set()
     for r, off in zip(records, np.cumsum([0] + [r.n_nodes for r in records])):
         want |= {(u + off, v + off) for u, v in r.topology.edges.tolist()}
-    got = set(zip(batch.edge_src.tolist(), batch.edge_dst.tolist()))
+    got = set(zip(src.tolist(), dst.tolist()))
     assert got == want and len(got) == batch.n_edges
 
 
@@ -634,5 +673,5 @@ def test_topology_order_is_computed_once_and_shared(mutag, monkeypatch):
         assert rec_again.topology.csr_edges is order
         assert not order.flags.writeable
     assert sorts == [[], [], []]
-    np.testing.assert_array_equal(first.edge_src, second.edge_src)
-    np.testing.assert_array_equal(first.edge_dst, second.edge_dst)
+    np.testing.assert_array_equal(first.adjacency.src, second.adjacency.src)
+    np.testing.assert_array_equal(first.adjacency.dst, second.adjacency.dst)

@@ -465,6 +465,27 @@ def test_steps_and_embedding_sort_nothing(mutag, monkeypatch):
                      "embed": (0,) * 5, "meta": (0,) * 5}
 
 
+def test_patterns_are_built_by_batch_graphs_alone(mutag, monkeypatch):
+    # a batch's two patterns are built with it; no step and no embedding
+    # over a built batch builds another
+    ds = gd.build_node_features(mutag, "node-label-onehot")
+    state = tr.init_train_state(gnn.ModelDims(feature_dim=ds.feature_width), 0)
+    built = count_calls(monkeypatch, ad.SparsePattern, "__init__")
+    batch = gd.batch_graphs(ds.records[:32])
+    assert len(built) == 2
+    tape = ad.Tape()
+    with ad.use_tape(tape):
+        for step in (tr.contrast_step, tr.meta_step,
+                     partial(tr.contrast_step, unit_weights=True)):
+            tape.reset()
+            state.adopt_all(tape)
+            step(state, batch, tr.Hyperparams())
+    assert len(built) == 2
+    batches = count_calls(monkeypatch, evaluation, "batch_graphs")
+    evaluation.embed_dataset(state.phi, ds)
+    assert len(batches) == 3 and len(built) == 2 + 2 * len(batches)
+
+
 def test_a_meta_step_writes_into_no_array_it_is_given(mutag, monkeypatch):
     # a transpose is a view of its input and a flagged matmul operand goes to
     # BLAS as one, so a write into any array would reach others. Through one
