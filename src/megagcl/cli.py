@@ -1,22 +1,26 @@
-"""Command line: ``megagcl train`` and ``megagcl eval``.
+"""Command line: ``megagcl train``, ``eval`` and ``compare``.
 
-Both read a TU-format dataset (``FOLDER`` holding ``NAME_A.txt`` and its
-companions, directly or in a ``NAME`` subdirectory) with one-hot node-label
-features. ``train`` runs the alternating schedule and prints the run summary
-as JSON; ``eval`` runs the seeded protocol, a linear probe under stratified
-10-fold cross-validation, and prints as JSON each seed's mean test accuracy
-over the folds (``accuracies``), their mean and their population standard
-deviation, with the run seeds (``seeds``). ``compare BEFORE AFTER`` prints,
-for two ``eval`` outputs over the same seeds, the mean of AFTER - BEFORE per
-seed, its 95% t-interval and the seeds up and down. Misuse, including two
-outputs over different seeds, raises ``ConfigError`` instead of exiting; a
-file that is not an ``eval`` output raises ``DataError``.
+``train FOLDER NAME`` and ``eval FOLDER NAME`` read a TU-format dataset
+(``NAME_A.txt`` and its companions, in ``FOLDER`` or ``FOLDER/NAME``) with
+one-hot node-label features. They take ``--mode mega`` or ``ccl`` and one
+flag per ``training.Hyperparams`` field, with its type, default and check:
+``--tau``, ``--lam``, ``--inner-lr``, ``--encoder-lr``, ``--augmenter-lr``,
+``--epochs``, ``--batch-size``, ``--seed``. ``--lam 0`` is MEGA's
+feature-term ablation, ``--epochs 0`` the untrained encoder (GIN-RIU).
+``train`` prints the run summary as JSON. ``eval`` prints the mode, settings,
+run seeds, each seed's mean test accuracy of a linear probe under stratified
+10-fold cross-validation (``accuracies``), their mean and population std.
+``compare BEFORE AFTER`` prints both outputs' mode and settings (``null``
+where absent) and, over the same seeds, the mean of AFTER - BEFORE, its 95%
+t-interval and the seeds up and down. Misuse raises ``ConfigError``, not an
+exit; a file that is not an ``eval`` output raises ``DataError``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +28,8 @@ import scipy.stats
 
 from . import evaluation, graphdata, training
 from .errors import ConfigError, DataError
+
+_SETTINGS = [f.name for f in fields(training.Hyperparams)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,26 +40,25 @@ class _Parser(argparse.ArgumentParser):
 def _parser():
     parser = _Parser(prog="megagcl")
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, modes, text in (
-            ("train", training.TRAINING_MODES,
-             "train and print the run summary"),
-            ("eval", evaluation.PROTOCOL_MODES,
-             "run the linear-probe protocol and print its accuracy")):
+    for name, text in (
+            ("train", "train and print the run summary"),
+            ("eval", "run the linear-probe protocol and print its accuracy")):
         cmd = commands.add_parser(name, help=text)
         cmd.add_argument("folder", help="directory holding the TU files")
         cmd.add_argument("name", help="dataset name, NAME in NAME_A.txt")
-        cmd.add_argument("--mode", choices=modes, default="mega")
-        cmd.add_argument("--epochs", type=int,
-                         default=training.Hyperparams.epochs)
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--mode", choices=training.TRAINING_MODES,
+                         default="mega")
+        for f in fields(training.Hyperparams):
+            cmd.add_argument("--" + f.name.replace("_", "-"),
+                             type=type(f.default), default=f.default)
     cmd = commands.add_parser("compare", help="print AFTER - BEFORE")
     cmd.add_argument("outputs", nargs=2, metavar="JSON", help="eval outputs")
     return parser
 
 
 def _read_eval_output(path):
-    """The accuracies and seeds of an ``eval`` output file; ``DataError``
-    naming the file for one that cannot be read or holds no accuracies."""
+    """An ``eval`` output's accuracies, seeds, and mode and settings; a
+    ``DataError`` names a file that cannot be read or holds no accuracies."""
     try:
         output = json.loads(Path(path).read_text())
         accuracies = np.asarray(output["accuracies"], dtype=np.float64)
@@ -62,13 +67,14 @@ def _read_eval_output(path):
                         f"({type(exc).__name__}: {exc})") from None
     if accuracies.ndim != 1 or not np.all(np.isfinite(accuracies)):
         raise DataError(f"{path}: accuracies must be a list of finite numbers")
-    return accuracies, output.get("seeds")
+    return (accuracies, output.get("seeds"),
+            {key: output.get(key) for key in ["mode", *_SETTINGS]})
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     if args.command == "compare":
-        (before, before_seeds), (after, after_seeds) = (
+        (before, before_seeds, ran_before), (after, after_seeds, ran_after) = (
             _read_eval_output(p) for p in args.outputs)
         if len(before) != len(after) or len(before) < 2:
             raise ConfigError("compare needs equal seed counts of at least "
@@ -79,11 +85,12 @@ def main(argv=None):
         d = after - before
         mean = d.mean()
         half = scipy.stats.t.ppf(0.975, d.size - 1) * scipy.stats.sem(d)
-        print(json.dumps({"n": d.size, "mean": mean,
+        print(json.dumps({"before": ran_before, "after": ran_after,
+                          "n": d.size, "mean": mean,
                           "ci95": [mean - half, mean + half],
                           "up": int(sum(d > 0)), "down": int(sum(d < 0))}))
         return 0
-    hp = training.Hyperparams(epochs=args.epochs, seed=args.seed)
+    hp = training.Hyperparams(**{k: getattr(args, k) for k in _SETTINGS})
     dataset = graphdata.build_node_features(
         graphdata.parse_tu_dataset(args.folder, args.name),
         "node-label-onehot")
@@ -92,9 +99,8 @@ def main(argv=None):
         print(json.dumps(log.summary))
     else:
         result = evaluation.run_protocol(dataset, hp, mode=args.mode)
-        print(json.dumps({"mode": args.mode, "seeds": result.seeds,
-                          "accuracies": result.accuracies,
-                          "mean": result.mean, "std": result.std}))
+        print(json.dumps({"mode": args.mode, **asdict(hp),
+                          **asdict(result)}))
     return 0
 
 

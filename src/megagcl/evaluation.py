@@ -6,7 +6,7 @@ accuracy of a multinomial logistic probe over stratified 10-fold
 cross-validation, the graph-level protocol of InfoGraph and GraphCL: each
 fold's probe is standardised and trained on the other nine folds, with no
 validation split and no early stopping. The ten-run protocol reports the
-per-seed accuracies, their mean and their population standard deviation.
+per-seed accuracies, their mean and population std. GIN-RIU is ``epochs=0``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ N_FOLDS = 10
 PROBE_STEPS = 500
 PROBE_LR = 0.1
 PROBE_L2 = 1e-3
-PROTOCOL_MODES = tr.TRAINING_MODES + ("gin-riu",)
 
 
 @dataclass
@@ -135,30 +134,25 @@ def run_protocol(dataset: Dataset, hp: tr.Hyperparams, mode="mega",
                  n_runs=10) -> ProbeResult:
     """Seeded runs of train / embed / cross-validated probe; run ``i`` uses
     seed ``hp.seed + i`` for both its folds and its training, and the
-    result lists those seeds.
+    result lists those seeds. GIN-RIU is ``epochs=0``.
 
-    ``gin-riu`` skips training and probes a freshly initialized encoder.
     Everything is checked before the first run: an unknown mode, a run
     count that is not an int of at least 1, or a dataset without node
     features raises ``ConfigError``; a dataset without graphs, fewer graphs
     than folds, a label that is not an int of at least 0, or a class with a
     single graph raises ``DataError``.
     """
-    if mode not in PROTOCOL_MODES:
-        raise ConfigError(f"unknown protocol mode: {mode!r}")
+    if mode not in tr.TRAINING_MODES:
+        raise ConfigError(f"unknown training mode: {mode!r}")
     require_count("n_runs", n_runs, 1)
     tr.require_features(dataset)
     _require_folds(dataset)
-    dims = gnn.ModelDims(feature_dim=dataset.feature_width)
     labels = dataset.labels
     seeds = [hp.seed + run for run in range(n_runs)]
     accuracies = []
     for seed in seeds:
         folds = stratified_folds(labels, seed)
-        if mode == "gin-riu":
-            phi, _, _ = gnn.init_params(dims, seed)
-        else:
-            phi = tr.train(dataset, replace(hp, seed=seed), dims, mode)[0].phi
+        phi = tr.train(dataset, replace(hp, seed=seed), mode=mode)[0].phi
         accuracies.append(
             linear_probe(embed_dataset(phi, dataset), labels, folds))
     return ProbeResult.from_runs(seeds, accuracies)

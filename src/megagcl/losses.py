@@ -40,7 +40,8 @@ def nt_xent(z, z_aug, tau):
 
     For anchor i the positive is (z_i, z'_i); the negatives are the pairs
     (z_i, z'_j) and (z'_i, z_j) for j != i. Similarity is cosine. With a
-    single pair there are no negatives and the loss is exactly 0. This is
+    single pair there are no negatives and the loss is 0 up to rounding
+    (``log(exp(x)) - x`` need not be exactly 0). This is
     ``nt_xent_of_cosines`` over ``instance_corr(z, z_aug)``.
     """
     return nt_xent_of_cosines(instance_corr(z, z_aug), tau)

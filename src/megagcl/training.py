@@ -1,15 +1,16 @@
-"""Alternating bilevel training.
+"""Bilevel training in two schedules, one iteration per batch.
 
-Even iterations train the encoder and projection head by backpropagating the
-contrastive loss through a frozen augmenter; odd iterations train the
-augmenter by differentiating the combined correlation objective through a
-one-step virtual update of the encoder (gradients of gradients on the tape).
-One iteration is one batch.
+``mega`` alternates: even iterations train the encoder and projection head
+by backpropagating the contrastive loss through a frozen augmenter; odd
+iterations train the augmenter by differentiating the combined correlation
+objective through a one-step virtual update of the encoder (gradients of
+gradients on the tape). ``ccl`` takes a contrast step on every batch. All
+else is a ``Hyperparams`` field: ``lam=0`` is MEGA's feature-term ablation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,12 +22,12 @@ from .errors import (ConfigError, DataError, NumericError, require_count,
                      require_real)
 from .graphdata import Dataset, batch_graphs
 
-TRAINING_MODES = ("mega", "mega-il", "ccl")
+TRAINING_MODES = ("mega", "ccl")
 
 
 @dataclass
 class Hyperparams:
-    """Training settings, checked when made; ``batch_size`` is at least 2."""
+    """Settings checked when made; ``epochs`` >= 0 and ``batch_size`` >= 2."""
 
     tau: float = 0.5
     lam: float = 0.1
@@ -42,7 +43,7 @@ class Hyperparams:
             require_real(name, getattr(self, name), zero_ok=False)
         for name in ("lam", "inner_lr"):
             require_real(name, getattr(self, name), zero_ok=True)
-        require_count("epochs", self.epochs, 1)
+        require_count("epochs", self.epochs, 0)
         require_count("batch_size", self.batch_size, 2)
         require_count("seed", self.seed, 0)
 
@@ -208,15 +209,15 @@ def _iter_batches(dataset, rng, batch_size):
 
 def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
           mode="mega"):
-    """Run the alternating schedule for the configured number of epochs.
+    """Run the mode's schedule for ``hp.epochs`` epochs.
 
     Modes: ``mega`` alternates contrast and meta steps strictly 1:1;
-    ``mega-il`` is the same with the feature term off (lam = 0); ``ccl``
-    takes a contrast step on every batch, contrasting the unit-weight view
-    with itself and encoding it once (the plain contrastive baseline).
-    ``hp.batch_size`` is at least 2, as ``Hyperparams`` ensures. Returns the
+    ``ccl`` takes a contrast step on every batch, contrasting the unit-weight
+    view with itself and encoding it once (the plain contrastive baseline).
+    With ``hp.epochs`` 0 the parameters stay as initialised. Returns the
     final TrainState (its ``phi`` is the encoder; head and augmenter ride
-    along), its tensors constants off any tape, and the metrics log.
+    along), its tensors constants off any tape, and the metrics log, whose
+    summary holds the mode, the settings and the steps of each kind.
     """
     if mode not in TRAINING_MODES:
         raise ConfigError(f"unknown training mode: {mode!r}")
@@ -224,8 +225,6 @@ def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
     if len(dataset.records) < 2:
         raise ConfigError(f"{dataset.name}: training needs at least 2 graphs "
                           "(the contrastive loss needs negatives)")
-    if mode == "mega-il":
-        hp = replace(hp, lam=0.0)
 
     dims = dims or gnn.ModelDims(feature_dim=dataset.feature_width)
     if dims.feature_dim != dataset.feature_width:
@@ -258,10 +257,10 @@ def train(dataset: Dataset, hp: Hyperparams, dims: gnn.ModelDims = None,
 
     last = log.records[-1] if log.records else {}
     log.summary = {
-        "mode": mode,
-        "seed": hp.seed,
-        "epochs": hp.epochs,
+        "mode": mode, **asdict(hp),
         "iterations": state.iteration,
+        "contrast_steps": sum(r["step"] == "contrast" for r in log.records),
+        "meta_steps": sum(r["step"] == "meta" for r in log.records),
         "final_l_contrast": last.get("l_contrast"),
         "final_l_mega": last.get("l_mega"),
     }

@@ -1,5 +1,6 @@
 import importlib
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ def test_train_prints_the_run_summary(tmp_path, capsys):
                       mode="ccl")
     assert printed == log.summary
     assert printed["iterations"] == 2 and np.isfinite(printed["final_l_mega"])
+    assert printed["mode"] == "ccl" and printed["epochs"] == 2
+    assert printed["lam"] == tr.Hyperparams.lam  # a default, printed
 
 
 def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
@@ -51,14 +54,63 @@ def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
         labels.append(g % 2)
     folder = write_tu_fixture(tmp_path, "TP", a_lines, indicator, labels,
                               node_labels=[0, 1, 0] * 20)
-    assert cli.main(["eval", str(folder), "TP", "--mode", "gin-riu",
+    assert cli.main(["eval", str(folder), "TP", "--epochs", "0",
                      "--seed", "1"]) == 0
     printed = json.loads(capsys.readouterr().out)
-    want = ev.run_protocol(_load(folder, "TP"), tr.Hyperparams(seed=1),
-                           mode="gin-riu")
-    assert printed == {"mode": "gin-riu", "seeds": list(range(1, 11)),
+    hp = tr.Hyperparams(epochs=0, seed=1)
+    want = ev.run_protocol(_load(folder, "TP"), hp)
+    assert printed == {"mode": "mega", **asdict(hp),
+                       "seeds": list(range(1, 11)),
                        "accuracies": want.accuracies,
                        "mean": want.mean, "std": want.std}
+
+
+def _stub_runs(monkeypatch):
+    """Stub ``train`` and ``run_protocol``; the list of (settings, mode)
+    each call was given."""
+    ran = []
+
+    def train(dataset, hp, mode):
+        ran.append((hp, mode))
+        return None, tr.MetricsLog()
+
+    def run_protocol(dataset, hp, mode):
+        ran.append((hp, mode))
+        return ev.ProbeResult.from_runs([0], [1.0])
+
+    monkeypatch.setattr(tr, "train", train)
+    monkeypatch.setattr(ev, "run_protocol", run_protocol)
+    return ran
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_no_options_give_the_default_settings(tmp_path, monkeypatch,
+                                              command):
+    ran = _stub_runs(monkeypatch)
+    assert cli.main([command, str(two_triangles(tmp_path)), "TRI"]) == 0
+    assert ran == [(tr.Hyperparams(), "mega")]
+
+
+def test_each_flag_sets_its_field(tmp_path, monkeypatch):
+    ran = _stub_runs(monkeypatch)
+    values = dict(tau=0.25, lam=0.0, inner_lr=0.02, encoder_lr=0.03,
+                  augmenter_lr=0.04, epochs=7, batch_size=5, seed=9)
+    assert set(values) == {f.name for f in fields(tr.Hyperparams)}
+    flags = [arg for name, value in values.items()
+             for arg in ("--" + name.replace("_", "-"), str(value))]
+    cli.main(["train", str(two_triangles(tmp_path)), "TRI", *flags])
+    assert ran == [(tr.Hyperparams(**values), "mega")]
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tau", "nan", "tau"), ("--augmenter-lr", "inf", "augmenter_lr"),
+    ("--batch-size", "1", "batch_size"), ("--epochs", "-1", "epochs")])
+def test_a_bad_flag_names_its_field(tmp_path, flag, value, field):
+    # checked by Hyperparams before any file is read
+    missing = str(tmp_path / "missing")
+    for command in ("train", "eval"):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            cli.main([command, missing, "NONE", flag, value])
 
 
 def test_misuse_raises_config_error(tmp_path):
@@ -69,21 +121,22 @@ def test_misuse_raises_config_error(tmp_path):
                                [1, 1], [1], node_labels=[0, 1]))
     for argv in ([], ["bench"], ["train"], ["train", folder],
                  ["train", folder, "TRI", "--mode", "gin-riu"],
+                 ["eval", folder, "TRI", "--mode", "mega-il"],
                  ["eval", folder, "TRI", "--mode", "nope"],
                  ["train", folder, "TRI", "--epochs", "two"],
-                 ["train", folder, "TRI", "--epochs", "0"],
+                 ["train", folder, "TRI", "--epochs", "-1"],
                  ["train", folder, "TRI", "--seed", "-1"],
                  ["train", one, "ONE"]):
         with pytest.raises(ConfigError):
             cli.main(argv)
     # a folder with no graphs is bad input data, rejected by the parser
     with pytest.raises(DataError, match="no graphs"):
-        cli.main(["eval", empty, "E", "--mode", "gin-riu"])
+        cli.main(["eval", empty, "E", "--epochs", "0"])
 
 
-def _eval_output(path, accuracies, first_seed=0):
+def _eval_output(path, accuracies, first_seed=0, **settings):
     seeds = list(range(first_seed, first_seed + len(accuracies)))
-    path.write_text(json.dumps({"mode": "mega", "seeds": seeds,
+    path.write_text(json.dumps({"mode": "mega", **settings, "seeds": seeds,
                                 "accuracies": accuracies,
                                 "mean": float(np.mean(accuracies)),
                                 "std": float(np.std(accuracies))}))
@@ -102,6 +155,23 @@ def test_compare_prints_the_paired_difference(tmp_path, capsys):
     assert printed["mean"] == 0.5
     np.testing.assert_allclose(printed["ci95"], [0.5 - half, 0.5 + half],
                                rtol=0, atol=1e-6)
+    # outputs that hold no settings still compare, their settings null
+    unknown = {"mode": "mega", **dict.fromkeys(asdict(tr.Hyperparams()))}
+    assert printed["before"] == printed["after"] == unknown
+
+
+def test_compare_prints_the_settings_of_both_outputs(tmp_path, capsys):
+    hp = tr.Hyperparams(epochs=20)
+    ablation = tr.Hyperparams(epochs=20, lam=0.0)
+    before = _eval_output(tmp_path / "before.json", [80.0, 82.0],
+                          **asdict(hp))
+    after = _eval_output(tmp_path / "after.json", [81.0, 82.0],
+                         **asdict(ablation))
+    assert cli.main(["compare", before, after]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["before"] == {"mode": "mega", **asdict(hp)}
+    assert printed["after"] == {"mode": "mega", **asdict(ablation)}
+    assert printed["n"] == 2 and printed["mean"] == 0.5
 
 
 def test_compare_needs_equal_seed_counts_of_at_least_two(tmp_path):

@@ -32,9 +32,10 @@ def test_batched_embeddings_equal_one_graph_at_a_time():
     np.testing.assert_allclose(batched, alone, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("mode", ["mega", "ccl", "gin-riu"])
-def test_run_protocol_gives_one_accuracy_per_run(mode):
-    hp = tr.Hyperparams(epochs=2, batch_size=8)
+@pytest.mark.parametrize("mode, epochs", [
+    ("mega", 2), ("ccl", 2), ("mega", 0)], ids=["mega", "ccl", "gin-riu"])
+def test_run_protocol_gives_one_accuracy_per_run(mode, epochs):
+    hp = tr.Hyperparams(epochs=epochs, batch_size=8)
     result = ev.run_protocol(synthetic_dataset(), hp, mode=mode, n_runs=2)
     assert len(result.accuracies) == 2
     for acc in result.accuracies:
@@ -44,19 +45,27 @@ def test_run_protocol_gives_one_accuracy_per_run(mode):
 
 def test_run_protocol_reports_the_seed_of_each_run():
     ds = synthetic_dataset()
-    result = ev.run_protocol(ds, tr.Hyperparams(epochs=1, seed=5),
-                             mode="gin-riu", n_runs=2)
+    result = ev.run_protocol(ds, tr.Hyperparams(epochs=0, seed=5), n_runs=2)
     assert result.seeds == [5, 6]
-    alone = ev.run_protocol(ds, tr.Hyperparams(epochs=1, seed=6),
-                            mode="gin-riu", n_runs=1)
+    alone = ev.run_protocol(ds, tr.Hyperparams(epochs=0, seed=6), n_runs=1)
     assert alone.seeds == [6] and alone.accuracies == result.accuracies[1:]
 
 
 @pytest.mark.parametrize("n_runs", [0, -1, 2.5, True])
 def test_run_protocol_rejects_fewer_than_one_run(n_runs):
     with pytest.raises(ConfigError, match="n_runs"):
-        ev.run_protocol(synthetic_dataset(), tr.Hyperparams(epochs=1),
-                        mode="gin-riu", n_runs=n_runs)
+        ev.run_protocol(synthetic_dataset(), tr.Hyperparams(epochs=0),
+                        n_runs=n_runs)
+
+
+def test_gin_riu_is_the_probe_of_each_seeds_initial_encoder():
+    ds = synthetic_dataset()
+    result = ev.run_protocol(ds, tr.Hyperparams(epochs=0, seed=3), n_runs=2)
+    dims = gnn.ModelDims(feature_dim=ds.feature_width)
+    oracle = [ev.linear_probe(
+        ev.embed_dataset(gnn.init_params(dims, seed)[0], ds), ds.labels,
+        ev.stratified_folds(ds.labels, seed)) for seed in (3, 4)]
+    assert result.accuracies == oracle
 
 
 def test_embed_dataset_rejects_batch_size_below_one():
@@ -112,7 +121,7 @@ def test_folds_are_fixed_by_the_seed(labels):
 def test_mutag_probe_beats_the_majority_rate(mutag):
     ds = gd.build_node_features(mutag, "node-label-onehot")
     majority = np.bincount(ds.labels).max() / len(ds)  # 125 / 188 = 66.5%
-    result = ev.run_protocol(ds, tr.Hyperparams(), mode="gin-riu", n_runs=1)
+    result = ev.run_protocol(ds, tr.Hyperparams(epochs=0), n_runs=1)
     assert result.accuracies[0] > majority
 
 
@@ -128,28 +137,28 @@ def _synthetic_subset(indices):
     return gd.Dataset("SUB", [ds.records[i] for i in indices], 2)
 
 
-@pytest.mark.parametrize("dataset, mode, error", [
-    (gd.Dataset("EMPTY", [], 0), "gin-riu", DataError),
-    (gd.Dataset("EMPTY", [], 0), "mega", DataError),
-    (_bare_dataset(), "gin-riu", ConfigError),
-    (_bare_dataset(), "ccl", ConfigError),
-    (synthetic_dataset(), "nope", ConfigError),
+@pytest.mark.parametrize("dataset, mode, epochs, error", [
+    (gd.Dataset("EMPTY", [], 0), "mega", 0, DataError),
+    (gd.Dataset("EMPTY", [], 0), "mega", 1, DataError),
+    (_bare_dataset(), "mega", 0, ConfigError),
+    (_bare_dataset(), "ccl", 1, ConfigError),
+    (synthetic_dataset(), "nope", 1, ConfigError),
     # synthetic graphs alternate ring (class 0) and star (class 1)
-    (_synthetic_subset(range(9)), "mega", DataError),
-    (_synthetic_subset([0] + list(range(1, 24, 2))), "mega", DataError),
+    (_synthetic_subset(range(9)), "mega", 1, DataError),
+    (_synthetic_subset([0] + list(range(1, 24, 2))), "mega", 1, DataError),
 ], ids=["empty-gin-riu", "empty-mega", "no-features-gin-riu",
         "no-features-ccl", "unknown-mode", "fewer-graphs-than-folds",
         "single-graph-class"])
 def test_run_protocol_rejects_bad_input_before_any_split(monkeypatch,
                                                          dataset, mode,
-                                                         error):
+                                                         epochs, error):
     def never(*args, **kwargs):
         raise AssertionError("reached before the input was checked")
 
     monkeypatch.setattr(ev, "stratified_folds", never)
     monkeypatch.setattr(tr, "train", never)
     with pytest.raises(error):
-        ev.run_protocol(dataset, tr.Hyperparams(epochs=1), mode=mode,
+        ev.run_protocol(dataset, tr.Hyperparams(epochs=epochs), mode=mode,
                         n_runs=1)
 
 
@@ -171,7 +180,7 @@ def test_run_protocol_rejects_labels_that_are_not_class_indices(
 
     monkeypatch.setattr(ev, "stratified_folds", never)
     with pytest.raises(DataError, match=message):
-        ev.run_protocol(ds, tr.Hyperparams(), mode="gin-riu", n_runs=1)
+        ev.run_protocol(ds, tr.Hyperparams(epochs=0), n_runs=1)
 
 
 def test_embed_dataset_rejects_an_empty_dataset():

@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from dataclasses import asdict
 from functools import partial
 
 import numpy as np
@@ -642,8 +643,10 @@ def test_train_rejects_bad_inputs():
     ds = synthetic_dataset(n_per_class=3)
     with pytest.raises(ConfigError):
         tr.train(ds, hp(batch_size=1))
-    with pytest.raises(ConfigError):
-        tr.train(ds, hp(), mode="gin-riu")
+    # MEGA-IL and GIN-RIU are settings, lam = 0 and epochs = 0, not modes
+    for mode in ("mega-il", "gin-riu", "nope"):
+        with pytest.raises(ConfigError, match="unknown training mode"):
+            tr.train(ds, hp(), mode=mode)
     empty = gd.Dataset("E", [], 0)
     with pytest.raises(DataError, match="no graphs"):
         tr.train(empty, hp())
@@ -692,7 +695,7 @@ def test_hyperparams_reject_rates_that_are_not_numbers(name, value):
 
 
 @pytest.mark.parametrize("name,value", [
-    ("epochs", 1.5), ("epochs", True), ("epochs", "2"),
+    ("epochs", 1.5), ("epochs", True), ("epochs", "2"), ("epochs", -1),
     ("batch_size", 8.0), ("batch_size", False), ("batch_size", 1),
     ("seed", 1.5), ("seed", True), ("seed", -1)])
 def test_hyperparams_reject_non_int_counts_and_negative_seed(name, value):
@@ -700,14 +703,46 @@ def test_hyperparams_reject_non_int_counts_and_negative_seed(name, value):
         tr.Hyperparams(**{name: value})
 
 
-def test_mega_il_forces_lambda_zero():
+def test_lam_zero_is_the_instance_term_ablation():
+    # MEGA's ablation without the feature term is mode mega at lam = 0
     ds = synthetic_dataset(n_per_class=4, seed=4)
-    _, log = tr.train(ds, hp(epochs=2, batch_size=8, lam=0.7), mode="mega-il")
+    _, log = tr.train(ds, hp(epochs=2, batch_size=8, lam=0.0), mode="mega")
     meta_records = [r for r in log.records if r["step"] == "meta"]
     assert meta_records
     for r in meta_records:
         # with lam = 0 the logged objective equals the pure instance term
         assert abs(r["l_mega"] - (r["tr_c"] - r["de_c"])) < 1e-9
+
+
+@pytest.mark.parametrize("mode", tr.TRAINING_MODES)
+def test_summary_counts_the_steps_of_each_kind(mode):
+    ds = synthetic_dataset(n_per_class=4, seed=4)
+    hparams = hp(epochs=1, batch_size=4, seed=2)
+    _, log = tr.train(ds, hparams, mode=mode)
+    kinds = Counter(r["step"] for r in log.records)
+    assert log.summary["contrast_steps"] == kinds["contrast"] > 0
+    assert log.summary["meta_steps"] == kinds["meta"]
+    assert (kinds["meta"] > 0) == (mode == "mega")
+    assert log.summary == {"mode": mode, **asdict(hparams),
+                           "iterations": len(log.records),
+                           "contrast_steps": kinds["contrast"],
+                           "meta_steps": kinds["meta"],
+                           "final_l_contrast": log.records[-1]["l_contrast"],
+                           "final_l_mega": log.records[-1]["l_mega"]}
+
+
+def test_zero_epochs_hand_back_the_initial_parameters():
+    ds = synthetic_dataset(n_per_class=4, seed=4)
+    dims = gnn.ModelDims(feature_dim=ds.feature_width)
+    state, log = tr.train(ds, hp(epochs=0, seed=3))
+    assert log.records == []
+    assert [log.summary[k] for k in ("iterations", "contrast_steps",
+                                     "meta_steps", "final_l_contrast",
+                                     "final_l_mega")] == [0, 0, 0, None, None]
+    phi, psi, sigma = gnn.init_params(dims, 3)
+    assert [t.data.tobytes() for t in state.all_tensors()] == [
+        t.data.tobytes() for t in phi.tensors() + psi.tensors()
+        + sigma.tensors()]
 
 
 def test_non_finite_loss_aborts_with_iteration_context():
