@@ -36,17 +36,39 @@ weight column is the sparse matrix's data as it stands; ``self_term`` adds
 ``x``, GIN's self term, into the product's fresh output. The weights'
 gradient is one ``edge_dots`` node, the dots ``g[dst[e]] . x[src[e]]``
 summed as ``sum_rows`` sums, whose own gradients are two more aggregations.
+
+Two forward kernels run across cores: ``dense`` and the untransposed
+``weighted_aggregate``, whose output rows are independent. A call whose
+output has two blocks or more and at least ``SPLIT_BYTES`` is split into
+runs of whole blocks, which the calling thread and a pool of one worker
+thread per further CPU in ``os.sched_getaffinity(0)`` take from one queue;
+a smaller call, and every call in a process allowed one CPU, runs inline.
+Every other product stays on the calling thread: the transposed (CSC)
+aggregation of the backward pass, ``matmul`` and ``edge_dots``. A row's
+value never depends on the runs: its block and the BLAS or sparse kernel
+call that computes it are the same whether the output is split or not, so
+results are bitwise the same on any number of CPUs. The workers write only
+into the output the caller allocated, never allocate an array and never
+touch the tape, so ``allocator.keep_freed_memory`` still governs every
+large block. A process forked after the pool has started has no workers
+and may inherit a lock a worker held: that is unsupported, and a process
+pool over this module must use the ``spawn`` start method.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
+from numpy.lib.stride_tricks import as_strided
+from scipy.sparse import _sparsetools
 
 from .errors import NumericError, ShapeError, TapeError, require_real
 
@@ -198,7 +220,9 @@ class SparsePattern:
 
     ``csr_t`` is the transpose as a CSC view over ``csr``'s three arrays,
     so it sees the weights written into ``csr.data`` and needs no build of
-    its own.
+    its own. A product over ``csr`` can run across cores, each run over its
+    own slice of ``indptr``; one over ``csr_t`` scatters into every output
+    row and stays on the calling thread.
     """
 
     __slots__ = ("src", "dst", "n_out", "n_in", "csr", "csr_t")
@@ -258,8 +282,90 @@ def _f_matmul(a, b, ta, tb):
 # short one (a 1-row block is a vector-matrix product). At 12815 x 32 by
 # 32 x 32 with relu, 64, 128 and 256 KiB blocks took 1.14, 1.07 and 1.34 ms
 # against 1.42 ms unblocked (OpenBLAS 0.3.31, one thread, on a Xeon with
-# 2 MiB of L2 per core).
+# 2 MiB of L2 per core). The blocks are also the units a split call's runs
+# are made of, in ``dense`` and in the aggregation alike, so a run boundary
+# never moves a block boundary.
 DENSE_BLOCK_BYTES = 128 << 10
+
+# The threads that run a split call: the calling thread and one worker per
+# further CPU this process may run on, none where there is no such CPU or no
+# ``os.sched_getaffinity``. The executor starts its thread on first use.
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else 1
+_POOL = ThreadPoolExecutor(_THREADS - 1, "megagcl-rows") \
+    if _THREADS > 1 else None
+
+# Runs per thread of a split call: more than one, so a thread the OS holds
+# back delays the call by one run, not by its share. The GIN forward of a
+# 12815-row batch took 10.3, 9.8 and 10.1 ms at 1, 2 and 4 runs per thread,
+# against 14.9 ms unsplit, and 15.4, 15.2 and 15.6 ms against 15.1 ms with a
+# spinning process on the second core.
+RUNS_PER_THREAD = 2
+
+# Output bytes under which a call runs inline. A split costs two thread
+# wake-ups, about 45 us each, and its output's rows come back from another
+# core's cache; below about L2's size that lost. The GIN forward and readout
+# of batches of 150-250-node graphs, with every output of two blocks or more
+# split against none split: 3.66 / 2.66 ms at 3212 rows, 5.81 / 5.39 ms at
+# 4841, 5.87 / 5.55 ms at 5577, 6.30 / 7.22 ms at 6332 and 13.19 / 19.05 ms
+# at 12815 (medians of 400 alternating calls). A 32-wide output reaches
+# 1.5 MiB at 6144 rows. (2-vCPU VM, 2 MiB of L2 per core, OpenBLAS 0.3.31 at
+# one thread.)
+SPLIT_BYTES = 3 << 19
+
+
+def _block_rows(m):
+    """Rows per block of an output ``m`` wide: a multiple of 8."""
+    return max(8, DENSE_BLOCK_BYTES // (64 * max(m, 1)) * 8)
+
+
+def _row_runs(out):
+    """The block rows of ``out`` and the bounds of the runs that split its
+    rows among the threads: runs of whole blocks, the remainder in the
+    last. One run when there is no pool, or ``out`` is under two blocks or
+    under ``SPLIT_BYTES``."""
+    n, m = out.shape
+    rows = _block_rows(m)
+    blocks = n // rows
+    if _POOL is None or blocks < 2 or out.nbytes < SPLIT_BYTES:
+        return rows, [0, n]
+    n_runs = min(blocks, RUNS_PER_THREAD * _THREADS)
+    return rows, [blocks * i // n_runs * rows for i in range(n_runs)] + [n]
+
+
+def _take(todo):
+    """Make the runs ``todo`` holds, as ``(run, i)`` pairs, until it is
+    empty."""
+    while True:
+        try:
+            run, i = todo.get_nowait()
+        except queue.Empty:
+            return
+        run(i)
+
+
+def _in_runs(run, n_runs):
+    """Call ``run(i)`` for every ``i`` below ``n_runs``: the calling thread
+    and the pool's workers take the runs from one queue. Returns once no
+    run is in progress; then re-raises the first exception a run raised,
+    the calling thread's first."""
+    if n_runs == 1:
+        run(0)
+        return
+    todo = queue.SimpleQueue()
+    for i in range(n_runs):
+        todo.put((run, i))
+    # a helper holds only the queue, empty once a call returns normally, so
+    # one cancelled before it started keeps no array of the call alive
+    helpers = [_POOL.submit(_take, todo)
+               for _ in range(min(_THREADS, n_runs) - 1)]
+    try:
+        _take(todo)
+    finally:
+        errors = [f.exception() for f in helpers if not f.cancel()]
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _f_dense(x, w, b, relu):
@@ -267,18 +373,32 @@ def _f_dense(x, w, b, relu):
     if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
         raise ShapeError("dense", [x.shape, w.shape, b.shape],
                          "expected x (n, k), w (k, m) and a (1, m) bias")
-    n, m = x.shape[0], w.shape[1]
-    rows = max(8, DENSE_BLOCK_BYTES // (64 * max(m, 1)) * 8)
-    out = np.empty((n, m))
-    # blocks start at multiples of rows and the last runs to n, so an output
-    # under 2 * rows rows is one product
-    for lo in range(0, max(n - rows, 0) + 1, rows):
-        hi = lo + rows if lo + 2 * rows <= n else n
+    (n, k), m = x.shape, w.shape[1]
+    xd, out = x.data, np.empty((n, m))
+    rows, bounds = _row_runs(out)
+    if n >= 2 * rows:  # the whole blocks, as a stack of views of x
+        s0, s1 = xd.strides
+        stack = as_strided(xd, (n // rows, rows, k), (rows * s0, s0, s1),
+                           writeable=False)
+
+    def run(i):
+        # the run's whole blocks as one stacked product, then the last
+        # block, which holds the remainder: an output under two blocks is
+        # one product
+        lo, hi = bounds[i], bounds[i + 1]
+        full = max((hi - lo) // rows - (hi == n), 0)
+        mid = lo + full * rows
+        if full:
+            np.matmul(stack[lo // rows:mid // rows], w.data,
+                      out=out[lo:mid].reshape(full, rows, m))
+        if hi > mid:
+            np.matmul(xd[mid:hi], w.data, out=out[mid:hi])
         blk = out[lo:hi]
-        np.matmul(x.data[lo:hi], w.data, out=blk)
         blk += b.data
         if relu:
             np.maximum(blk, 0.0, out=blk)
+
+    _in_runs(run, len(bounds) - 1)
     return out
 
 
@@ -400,11 +520,32 @@ def _f_weighted_aggregate(x, w, pattern, transposed, self_term):
         raise ShapeError("weighted-aggregate", [(pattern.n_out, pattern.n_in)],
                          "a self term needs a square pattern")
     # every call overwrites the buffer the matrix shares with its transposed
-    # view; the tape is single-threaded, so no call sees another's weights
-    np.copyto(pattern.csr.data, w.data[:, 0])
-    out = (pattern.csr_t if transposed else pattern.csr) @ x.data
-    if self_term:  # the product is a fresh array, so x adds into it
-        out += x.data
+    # view; the tape is single-threaded and a split call's runs only read
+    # the weights, so no call sees another's
+    csr = pattern.csr
+    np.copyto(csr.data, w.data[:, 0])
+    if transposed:
+        out = pattern.csr_t @ x.data
+        if self_term:  # the product is a fresh array, so x adds into it
+            out += x.data
+        return out
+    # the kernel csr @ x runs for two columns or more, each run writing its
+    # own rows of one zeroed output; at one column it adds the same products
+    # in the same order as the one-column kernel scipy takes there
+    width = x.shape[1]
+    xd = np.ascontiguousarray(x.data).ravel()
+    out = np.zeros((pattern.n_out, width))
+    _, bounds = _row_runs(out)
+
+    def run(i):
+        lo, hi = bounds[i], bounds[i + 1]
+        _sparsetools.csr_matvecs(hi - lo, pattern.n_in, width,
+                                 csr.indptr[lo:hi + 1], csr.indices, csr.data,
+                                 xd, out[lo:hi].ravel())
+        if self_term:
+            out[lo:hi] += x.data[lo:hi]
+
+    _in_runs(run, len(bounds) - 1)
     return out
 
 
@@ -646,7 +787,8 @@ def dense(x, w, b, relu=False):
     ``x`` is (n, k), ``w`` is (k, m) and the bias ``b`` is a (1, m) row.
     The output is computed in row blocks of about ``DENSE_BLOCK_BYTES``,
     each block's bias and relu applied right after its product; the bits
-    are those of one product over all rows.
+    are those of one product over all rows. A large output's blocks run
+    across cores, with the same bits.
     """
     return primitive_forward("dense", [x, w, b], relu=relu)
 
@@ -734,6 +876,10 @@ def weighted_aggregate(x, w, pattern, transposed=False, self_term=False):
     column aligned with them. Build the pattern once and reuse it for every
     call over the same edges: each call then costs one copy of ``w`` and
     one sparse product, not a rebuild.
+
+    The untransposed product of a large output runs across cores in runs
+    of whole ``dense`` blocks of rows, bitwise the one-thread product; the
+    transposed one stays on the calling thread.
     """
     return primitive_forward("weighted-aggregate", [x, w], pattern=pattern,
                              transposed=transposed, self_term=self_term)

@@ -5,8 +5,11 @@
 one-hot node-label features. They take ``--mode mega`` or ``ccl`` and one
 flag per ``training.Hyperparams`` field, with its type, default and check:
 ``--tau``, ``--lam``, ``--inner-lr``, ``--encoder-lr``, ``--augmenter-lr``,
-``--epochs``, ``--batch-size``, ``--seed``. ``--lam 0`` is MEGA's
-feature-term ablation, ``--epochs 0`` the untrained encoder (GIN-RIU).
+``--epochs``, ``--batch-size``, ``--seed``; ``--help`` gives each one's
+meaning and default. ``--lam 0`` is MEGA's feature-term ablation,
+``--epochs 0`` the untrained encoder (GIN-RIU). ``main`` sets numpy's
+OpenBLAS to one thread before its first product, and says so on stderr when
+it cannot (``openblas``).
 ``train`` prints the run summary as JSON. ``eval`` prints the mode, settings,
 run seeds, each seed's mean test accuracy of a linear probe under stratified
 10-fold cross-validation (``accuracies``), their mean and population std.
@@ -20,13 +23,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.stats
 
-from . import evaluation, graphdata, training
+from . import evaluation, graphdata, openblas, training
 from .errors import ConfigError, DataError
 
 _SETTINGS = [f.name for f in fields(training.Hyperparams)]
@@ -43,14 +47,17 @@ def _parser():
     for name, text in (
             ("train", "train and print the run summary"),
             ("eval", "run the linear-probe protocol and print its accuracy")):
-        cmd = commands.add_parser(name, help=text)
+        cmd = commands.add_parser(
+            name, help=text,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         cmd.add_argument("folder", help="directory holding the TU files")
         cmd.add_argument("name", help="dataset name, NAME in NAME_A.txt")
         cmd.add_argument("--mode", choices=training.TRAINING_MODES,
-                         default="mega")
+                         default="mega", help="training schedule")
         for f in fields(training.Hyperparams):
             cmd.add_argument("--" + f.name.replace("_", "-"),
-                             type=type(f.default), default=f.default)
+                             type=type(f.default), default=f.default,
+                             help=f.metadata["help"])
     cmd = commands.add_parser("compare", help="print AFTER - BEFORE")
     cmd.add_argument("outputs", nargs=2, metavar="JSON", help="eval outputs")
     return parser
@@ -72,6 +79,9 @@ def _read_eval_output(path):
 
 
 def main(argv=None):
+    if not openblas.set_threads(1):
+        print("megagcl: no OpenBLAS thread setter found; BLAS threads left "
+              "as they are", file=sys.stderr)
     args = _parser().parse_args(argv)
     if args.command == "compare":
         (before, before_seeds, ran_before), (after, after_seeds, ran_after) = (

@@ -27,16 +27,28 @@ TRAINING_MODES = ("mega", "ccl")
 
 @dataclass
 class Hyperparams:
-    """Settings checked when made; ``epochs`` >= 0 and ``batch_size`` >= 2."""
+    """Settings checked when made; ``epochs`` >= 0 and ``batch_size`` >= 2.
+    Each field's ``help`` metadata is its meaning on the command line."""
 
-    tau: float = 0.5
-    lam: float = 0.1
-    inner_lr: float = 1e-3      # virtual-step rate shared by encoder and head
-    encoder_lr: float = 1e-3
-    augmenter_lr: float = 1e-4
-    epochs: int = 50
-    batch_size: int = 32
-    seed: int = 0
+    tau: float = field(default=0.5, metadata={
+        "help": "temperature of the contrastive (NT-Xent) loss"})
+    lam: float = field(default=0.1, metadata={
+        "help": "weight of MEGA's feature-correlation term; 0 is the "
+                "ablation without it"})
+    inner_lr: float = field(default=1e-3, metadata={
+        "help": "rate of the meta step's virtual update of the encoder and "
+                "head"})
+    encoder_lr: float = field(default=1e-3, metadata={
+        "help": "Adam rate of the encoder and projection head"})
+    augmenter_lr: float = field(default=1e-4, metadata={
+        "help": "Adam rate of the augmenter"})
+    epochs: int = field(default=50, metadata={
+        "help": "training epochs; 0 is the untrained encoder (GIN-RIU)"})
+    batch_size: int = field(default=32, metadata={
+        "help": "graphs per training batch, at least 2"})
+    seed: int = field(default=0, metadata={
+        "help": "seed of the initial parameters and the batch order; eval "
+                "runs seed, seed + 1, ..."})
 
     def __post_init__(self):
         for name in ("tau", "encoder_lr", "augmenter_lr"):

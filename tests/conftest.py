@@ -1,4 +1,3 @@
-import ctypes
 import os
 import sys
 from pathlib import Path
@@ -9,30 +8,10 @@ import scipy
 
 from megagcl import autodiff as ad
 from megagcl import graphdata as gd
+from megagcl import openblas
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_ROOT = Path(os.environ.get("MEGA_DATA_ROOT", REPO_ROOT / "data"))
-
-
-def openblas_threads():
-    """The number of threads numpy's bundled OpenBLAS uses, from the first
-    of its thread-count getters that the library has, or "unknown" when no
-    such library or getter is found."""
-    package = Path(np.__file__).parent
-    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
-                        *package.glob(".dylibs/*openblas*")]):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter()
-    return "unknown"
 
 
 def pytest_report_header(config):
@@ -41,7 +20,7 @@ def pytest_report_header(config):
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
                         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     return (f"BLAS thread settings: {threads}; OpenBLAS threads: "
-            f"{openblas_threads()}; cpu_count={os.cpu_count()}; "
+            f"{openblas.threads()}; cpu_count={os.cpu_count()}; "
             f"numpy {np.__version__}, scipy {scipy.__version__}")
 
 

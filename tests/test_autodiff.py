@@ -1,5 +1,13 @@
 import gc
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +16,8 @@ import scipy.sparse
 from megagcl import autodiff as ad
 from megagcl import graphdata as gd
 from megagcl.errors import ConfigError, NumericError, ShapeError, TapeError
+
+from conftest import REPO_ROOT, count_calls
 
 
 def scalar(loss_fn, x):
@@ -334,6 +344,191 @@ def test_l2_normalize_zero_row_names_row(tape):
     with pytest.raises(NumericError) as exc:
         ad.l2_normalize_rows(x)
     assert "row 1" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# forward kernels split into row runs across threads
+# ---------------------------------------------------------------------------
+
+def split_case_outputs():
+    """Bytes of ``dense`` and ``weighted_aggregate`` outputs that span
+    several 8-row blocks when ``DENSE_BLOCK_BYTES`` is 64: dense with relu
+    on and off, 7-wide inputs and every remainder from 0 to 7 rows; the
+    aggregation with and without the self term, over a pooling pattern, at
+    width 1 and over an edgeless batch. The products are far too small for
+    OpenBLAS to thread, so its thread count cannot move their bits."""
+    rng = np.random.default_rng(31)
+    outputs = []
+    for n, k, relu in [(16, 5, True), (23, 7, False), (41, 7, True),
+                       (51, 7, False), (60, 17, False), (66, 3, True),
+                       (77, 7, False), (94, 17, True)]:
+        x, w, b = (ad.constant(rng.standard_normal(s))
+                   for s in ((n, k), (k, 9), (1, 9)))
+        outputs.append(ad.dense(x, w, b, relu).data)
+    n_nodes, n_graphs = 70, 20
+    src = rng.integers(0, n_nodes, 300)
+    dst = rng.integers(0, n_nodes, 300)
+    by_target = np.lexsort((src, dst))
+    adjacency = ad.SparsePattern(src[by_target], dst[by_target], n_nodes,
+                                 n_nodes)
+    graph_of = np.sort(rng.integers(0, n_graphs, n_nodes))
+    pooling = ad.SparsePattern(np.arange(n_nodes), graph_of, n_graphs,
+                               n_nodes)
+    edgeless = ad.SparsePattern([], [], n_nodes, n_nodes)
+    for pattern, width, self_term in [
+            (adjacency, 3, True), (adjacency, 3, False), (adjacency, 1, True),
+            (adjacency, 1, False), (pooling, 3, False), (pooling, 1, False),
+            (edgeless, 3, True), (edgeless, 1, False)]:
+        x = ad.constant(rng.standard_normal((n_nodes, width)))
+        w = ad.constant(rng.standard_normal((pattern.src.size, 1)))
+        outputs.append(ad.weighted_aggregate(x, w, pattern,
+                                             self_term=self_term).data)
+    return [out.tobytes() for out in outputs]
+
+
+# split_case_outputs in a process that may run on one CPU only, so its
+# autodiff has no pool and makes every call in one run
+_POOLLESS = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from megagcl import autodiff as ad
+assert ad._POOL is None
+ad.DENSE_BLOCK_BYTES = 64
+sys.path.insert(0, sys.argv[1])
+from test_autodiff import split_case_outputs
+print(json.dumps([out.hex() for out in split_case_outputs()]))
+"""
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """The row pool, with one worker of the test's own on a one-CPU host."""
+    if ad._POOL is not None:
+        yield ad._POOL
+        return
+    executor = ThreadPoolExecutor(1)
+    monkeypatch.setattr(ad, "_POOL", executor)
+    monkeypatch.setattr(ad, "_THREADS", 2)
+    yield executor
+    executor.shutdown()
+
+
+def test_row_runs_are_bitwise_one_run_and_a_process_without_pool(
+        monkeypatch, pool):
+    if not hasattr(os, "sched_setaffinity"):
+        pytest.skip("needs os.sched_setaffinity")
+    monkeypatch.setattr(ad, "DENSE_BLOCK_BYTES", 64)
+    runs = count_calls(monkeypatch, ad, "_in_runs")
+    monkeypatch.setattr(ad, "SPLIT_BYTES", 0)
+    split = split_case_outputs()
+    assert all(n_runs > 1 for _, n_runs in runs)
+    runs.clear()
+    monkeypatch.setattr(ad, "SPLIT_BYTES", 1 << 60)
+    assert split_case_outputs() == split
+    assert {n_runs for _, n_runs in runs} == {1}
+    done = subprocess.run(
+        [sys.executable, "-c", _POOLLESS, str(REPO_ROOT / "tests")],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert [bytes.fromhex(out) for out in json.loads(done.stdout)] == split
+
+
+def test_width_one_aggregation_is_bitwise_scipys_vector_product(
+        monkeypatch, pool):
+    # scipy's csr @ x takes its one-column kernel at width 1; every split
+    # and unsplit run here takes the many-column one
+    monkeypatch.setattr(ad, "DENSE_BLOCK_BYTES", 64)
+    x, w, src, dst, n_out = _aggregate_case(9, n_in=40, n_out=40,
+                                            n_edges=400, width=1)
+    pattern = ad.SparsePattern(src, dst, n_out, len(x))
+    for split_bytes in (0, 1 << 60):
+        monkeypatch.setattr(ad, "SPLIT_BYTES", split_bytes)
+        got = ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)
+        np.testing.assert_array_equal(got.data, pattern.csr @ x)
+
+
+def test_a_run_that_raises_surfaces_once_no_run_is_busy(monkeypatch, pool):
+    # the first kernel call raises while the other thread is mid-run
+    monkeypatch.setattr(ad, "DENSE_BLOCK_BYTES", 64)
+    monkeypatch.setattr(ad, "SPLIT_BYTES", 0)
+    lock, seen = threading.Lock(), dict(calls=0, busy=0, raised=None)
+    kernel = ad._sparsetools.csr_matvecs
+
+    def slow_kernel(*args):
+        with lock:
+            seen["calls"] += 1
+            seen["busy"] += 1
+            fail = seen["calls"] == seen.get("fail_at")
+        try:
+            time.sleep(0.01 if fail else 0.05)
+            if fail:
+                seen["raised"] = RuntimeError("kernel failed")
+                raise seen["raised"]
+            kernel(*args)
+        finally:
+            with lock:
+                seen["busy"] -= 1
+
+    monkeypatch.setattr(ad, "_sparsetools",
+                        SimpleNamespace(csr_matvecs=slow_kernel))
+    x, w, src, dst, n_out = _aggregate_case(8, n_in=40, n_out=40, n_edges=90)
+    pattern = ad.SparsePattern(src, dst, n_out, len(x))
+    got = ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)
+    assert seen["calls"] > 1 and seen["busy"] == 0
+    np.testing.assert_array_equal(got.data, pattern.csr @ x)
+    seen.update(calls=0, fail_at=1)
+    with pytest.raises(RuntimeError, match="kernel failed") as caught:
+        ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)
+    assert caught.value is seen["raised"] and seen["busy"] == 0
+
+
+def test_many_threads_switching_often_make_every_run_once(monkeypatch):
+    # four workers and the calling thread switching every microsecond: a
+    # run lost leaves its rows zero, a run made twice adds its products into
+    # them twice
+    executor = ThreadPoolExecutor(4)
+    monkeypatch.setattr(ad, "_POOL", executor)
+    monkeypatch.setattr(ad, "_THREADS", 5)
+    monkeypatch.setattr(ad, "DENSE_BLOCK_BYTES", 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        monkeypatch.setattr(ad, "SPLIT_BYTES", 1 << 60)
+        want = split_case_outputs()
+        monkeypatch.setattr(ad, "SPLIT_BYTES", 0)
+        deadline = time.monotonic() + 2.0
+        for _ in range(20):
+            assert split_case_outputs() == want
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+        executor.shutdown()
+
+
+def test_a_helper_that_never_started_keeps_no_array_alive(monkeypatch):
+    # the one worker is held, so the split call's helper waits in the pool's
+    # queue and is cancelled once the calling thread has made every run
+    executor, gate = ThreadPoolExecutor(1), threading.Event()
+    executor.submit(gate.wait, 60)
+    monkeypatch.setattr(ad, "_POOL", executor)
+    monkeypatch.setattr(ad, "_THREADS", 2)
+    monkeypatch.setattr(ad, "DENSE_BLOCK_BYTES", 64)
+    monkeypatch.setattr(ad, "SPLIT_BYTES", 0)
+    try:
+        rng = np.random.default_rng(3)
+        x, w, b = (ad.constant(rng.standard_normal(s))
+                   for s in ((40, 7), (7, 9), (1, 9)))
+        in_runs, runs = ad._in_runs, []
+        monkeypatch.setattr(ad, "_in_runs", lambda run, n_runs: (
+            runs.append(n_runs), in_runs(run, n_runs)))
+        inputs = weakref.ref(x.data)
+        ad.dense(x, w, b)
+        del x
+        assert len(runs) == 1 < runs[0] and inputs() is None
+    finally:
+        gate.set()
+        executor.shutdown()
 
 
 # ---------------------------------------------------------------------------

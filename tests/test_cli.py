@@ -1,5 +1,8 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from megagcl import cli
 from megagcl import evaluation as ev
 from megagcl import graphdata as gd
+from megagcl import openblas
 from megagcl import training as tr
 from megagcl.errors import ConfigError, DataError
 
@@ -208,3 +212,51 @@ def test_compare_rejects_a_file_that_is_not_an_eval_output(tmp_path, content):
     for pair in ((good, str(bad)), (str(bad), good)):
         with pytest.raises(DataError, match="bad.json"):
             cli.main(["compare", *pair])
+
+
+def test_help_gives_each_setting_its_meaning_and_default(capsys):
+    for command in ("train", "eval"):
+        with pytest.raises(SystemExit) as done:
+            cli.main([command, "--help"])
+        assert done.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        flags = ["--" + f.name.replace("_", "-")
+                 for f in fields(tr.Hyperparams)]
+        # each flag's entry runs from its name to the next flag's
+        entries = dict(zip(flags, (text.split(f" {flag} ")[-1].split(" --")[0]
+                                   for flag in flags)))
+        assert all("(default: " in entry for entry in entries.values())
+        assert entries["--lam"].endswith("(default: 0.1)")
+        assert "0 is the untrained encoder (GIN-RIU)" in entries["--epochs"]
+
+
+# importing the package leaves OpenBLAS's threads alone; main sets one
+_BLAS_THREADS = """
+import json, sys
+import numpy as np
+from megagcl import cli, openblas
+np.ones((300, 300)) @ np.ones((300, 300))
+imported = openblas.threads()
+cli.main(["train", sys.argv[1], "TRI", "--epochs", "0", "--batch-size", "2"])
+print(json.dumps([imported, openblas.threads()]))
+"""
+
+
+def test_main_sets_one_openblas_thread_and_importing_sets_none(tmp_path):
+    if openblas.threads() == "unknown" or os.cpu_count() < 2:
+        pytest.skip("needs an OpenBLAS thread getter and two CPUs")
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS, str(two_triangles(tmp_path))],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "2",
+             "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert json.loads(done.stdout.splitlines()[-1]) == [2, 1]
+    assert done.stderr == ""
+
+
+def test_main_says_when_it_cannot_set_blas_threads(tmp_path, monkeypatch,
+                                                   capsys):
+    _stub_runs(monkeypatch)
+    monkeypatch.setattr(openblas, "set_threads", lambda n: False)
+    assert cli.main(["train", str(two_triangles(tmp_path)), "TRI"]) == 0
+    assert "no OpenBLAS thread setter found" in capsys.readouterr().err

@@ -355,8 +355,15 @@ def test_dense_steps_are_bitwise_the_unfused_perceptron(mutag, monkeypatch):
     assert fused[-1] and fused == unfused
 
 
+def _product_blocks(products):
+    """The rows of each block in ``np.matmul`` calls: a 3-D operand is a
+    stack of blocks."""
+    return sorted(rows for x, _ in products for rows in (
+        [x.shape[0]] if x.ndim == 2 else [x.shape[1]] * x.shape[0]))
+
+
 def test_dense_blocks_only_outputs_of_two_blocks_or_more(mutag, monkeypatch):
-    # MUTAG's layers stay one product each; a large graph's 32-wide output
+    # MUTAG's layers stay one block each; a large graph's 32-wide output
     # runs in 512-row blocks, the remainder joining the last
     batch, state = _mutag_batch_and_state(mutag)
     products = count_calls(monkeypatch, np, "matmul")
@@ -364,14 +371,15 @@ def test_dense_blocks_only_outputs_of_two_blocks_or_more(mutag, monkeypatch):
     with ad.use_tape(tape):
         state.adopt_all(tape)
         tr.meta_step(state, batch, tr.Hyperparams())
-    n_dense = sum(node.kind == "dense" for node in tape.nodes)
-    assert len(products) == n_dense == 34
+    layers = [node.out.shape[0] for node in tape.nodes if node.kind == "dense"]
+    assert len(layers) == 34
+    assert _product_blocks(products) == sorted(layers)
     products.clear()
     rng = np.random.default_rng(0)
     ad.dense(ad.constant(rng.standard_normal((6400, 32))),
              ad.constant(rng.standard_normal((32, 32))),
              ad.constant(rng.standard_normal((1, 32))), relu=True)
-    assert len(products) == 12
+    assert _product_blocks(products) == [512] * 11 + [768]
 
 
 def _unfused_gin_layer_forward(batch, h, weights, layer):
