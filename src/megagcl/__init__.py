@@ -3,7 +3,9 @@
 A self-contained engine: tape autodiff with second-order support, GIN
 encoder over edge-weighted message passing, the trainable edge-weight
 augmenter, the contrastive and correlation losses, the alternating bilevel
-training loop, and the linear-probe evaluation protocol.
+training loop, and the linear-probe evaluation protocol. It computes with
+numpy, and calls two of scipy's compiled sparse kernels (``autodiff``)
+without importing ``scipy.sparse``.
 """
 
 from .allocator import keep_freed_memory

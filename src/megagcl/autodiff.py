@@ -37,13 +37,29 @@ weight column is the sparse matrix's data as it stands; ``self_term`` adds
 gradient is one ``edge_dots`` node, the dots ``g[dst[e]] . x[src[e]]``
 summed as ``sum_rows`` sums, whose own gradients are two more aggregations.
 
+The aggregation calls two of scipy's compiled sparse kernels on a
+``SparsePattern``'s own CSR arrays: ``csr_matvecs`` for A_w @ x, and
+``csc_matvecs`` for A_w^T @ x, which reads the same three arrays as the
+CSC form of the transpose. They are the kernels a ``scipy.sparse`` matrix
+product dispatches to, so the bits are the same. Their extension,
+``scipy/sparse/_sparsetools``, is loaded once, from its file in the folder
+``importlib.util.find_spec("scipy")`` names, with no ``scipy/__init__`` or
+``scipy/sparse/__init__`` run: importing the ``scipy.sparse`` package
+loads about 325 modules, and took 19-21 MB of resident memory and
+110-250 ms a process to reach those two functions. A process that imports
+that package later gets the same extension module object from
+``sys.modules``: a ``from`` import of ``_sparsetools`` returns it, but the
+package has no ``_sparsetools`` attribute. Where the file is missing,
+importing this module raises ``ImportError`` naming the folder it looked
+in.
+
 Two forward kernels run across cores: ``dense`` and the untransposed
 ``weighted_aggregate``, whose output rows are independent. A call whose
 output has two blocks or more and at least ``SPLIT_BYTES`` is split into
 runs of whole blocks, which the calling thread and a pool of one worker
 thread per further CPU in ``os.sched_getaffinity(0)`` take from one queue;
 a smaller call, and every call in a process allowed one CPU, runs inline.
-Every other product stays on the calling thread: the transposed (CSC)
+Every other product stays on the calling thread: the transposed
 aggregation of the backward pass, ``matmul`` and ``edge_dots``. A row's
 value never depends on the runs: its block and the BLAS or sparse kernel
 call that computes it are the same whether the output is split or not, so
@@ -57,22 +73,49 @@ pool over this module must use the ``spawn`` start method.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
 import queue
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 from numpy.lib.stride_tricks import as_strided
-from scipy.sparse import _sparsetools
 
 from .errors import NumericError, ShapeError, TapeError, require_real
 
 LEAF = "leaf"
+
+
+def _load_sparsetools():
+    """scipy's ``sparse/_sparsetools`` extension, from its file in the
+    ``scipy`` package's folder, registered under its own name."""
+    name = "scipy.sparse._sparsetools"
+    scipy = importlib.util.find_spec("scipy")
+    folders = list(scipy.submodule_search_locations) if scipy else []
+    for folder in folders:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_loader(name, loader,
+                                                       origin=path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                loader.exec_module(module)
+                return module
+    where = " or ".join(os.path.join(f, "sparse") for f in folders) \
+        or "an installed scipy package"
+    raise ImportError(f"scipy's compiled sparse kernels "
+                      f"(_sparsetools) not found in {where}")
+
+
+_sparsetools = _load_sparsetools()
 
 
 class Tensor:
@@ -214,18 +257,19 @@ class SparsePattern:
     (n_out, n_in) sparse matrix with one entry at (dst[e], src[e]) per edge.
 
     The edges come in CSR order, checked here: ``dst`` never decreases, and
-    ``src`` is the matrix's column indices as it stands, so entry e of
-    ``csr`` is edge e and a row adds its terms in edge order. Nothing sorts:
-    ``weighted_aggregate`` copies an aligned weight column into the data.
+    the pattern holds the matrix's CSR arrays, ``indptr`` (intp), ``src`` as
+    the column indices and ``data``, so entry e is edge e and a row adds its
+    terms in edge order. Nothing sorts: ``weighted_aggregate`` copies an
+    aligned weight column into ``data``.
 
-    ``csr_t`` is the transpose as a CSC view over ``csr``'s three arrays,
-    so it sees the weights written into ``csr.data`` and needs no build of
-    its own. A product over ``csr`` can run across cores, each run over its
-    own slice of ``indptr``; one over ``csr_t`` scatters into every output
-    row and stays on the calling thread.
+    The same three arrays are the transpose in CSC form, so one pattern
+    serves both products with no build of its own: ``csr_matvecs`` over
+    them can run across cores, each run over its own slice of ``indptr``;
+    ``csc_matvecs`` scatters into every output row and stays on the calling
+    thread.
     """
 
-    __slots__ = ("src", "dst", "n_out", "n_in", "csr", "csr_t")
+    __slots__ = ("src", "dst", "n_out", "n_in", "indptr", "data")
 
     def __init__(self, src, dst, n_out, n_in):
         src = np.asarray(src, dtype=np.intp)
@@ -244,11 +288,9 @@ class SparsePattern:
             raise ShapeError("weighted-aggregate", [src.shape, dst.shape],
                              "targets must never decrease (CSR order)")
         self.src, self.dst, self.n_out, self.n_in = src, dst, n_out, n_in
-        indptr = np.zeros(n_out + 1, dtype=np.intp)
-        np.cumsum(np.bincount(dst, minlength=n_out), out=indptr[1:])
-        self.csr = scipy.sparse.csr_matrix(
-            (np.zeros(src.size), src, indptr), shape=(n_out, n_in))
-        self.csr_t = self.csr.T
+        self.indptr = np.zeros(n_out + 1, dtype=np.intp)
+        np.cumsum(np.bincount(dst, minlength=n_out), out=self.indptr[1:])
+        self.data = np.zeros(src.size)
 
 
 def _f_add(a, b):
@@ -519,29 +561,30 @@ def _f_weighted_aggregate(x, w, pattern, transposed, self_term):
     if self_term and pattern.n_out != pattern.n_in:
         raise ShapeError("weighted-aggregate", [(pattern.n_out, pattern.n_in)],
                          "a self term needs a square pattern")
-    # every call overwrites the buffer the matrix shares with its transposed
-    # view; the tape is single-threaded and a split call's runs only read
-    # the weights, so no call sees another's
-    csr = pattern.csr
-    np.copyto(csr.data, w.data[:, 0])
+    # every call overwrites the pattern's weight buffer; the tape is
+    # single-threaded and a split call's runs only read the weights, so no
+    # call sees another's. Both kernels add into a zeroed output, and at one
+    # column they add the same products in the same order as the one-column
+    # kernels scipy takes there
+    np.copyto(pattern.data, w.data[:, 0])
+    width = x.shape[1]
+    xd = np.ascontiguousarray(x.data).ravel()
     if transposed:
-        out = pattern.csr_t @ x.data
+        out = np.zeros((pattern.n_in, width))
+        _sparsetools.csc_matvecs(pattern.n_in, pattern.n_out, width,
+                                 pattern.indptr, pattern.src, pattern.data,
+                                 xd, out.ravel())
         if self_term:  # the product is a fresh array, so x adds into it
             out += x.data
         return out
-    # the kernel csr @ x runs for two columns or more, each run writing its
-    # own rows of one zeroed output; at one column it adds the same products
-    # in the same order as the one-column kernel scipy takes there
-    width = x.shape[1]
-    xd = np.ascontiguousarray(x.data).ravel()
     out = np.zeros((pattern.n_out, width))
     _, bounds = _row_runs(out)
 
     def run(i):
         lo, hi = bounds[i], bounds[i + 1]
         _sparsetools.csr_matvecs(hi - lo, pattern.n_in, width,
-                                 csr.indptr[lo:hi + 1], csr.indices, csr.data,
-                                 xd, out[lo:hi].ravel())
+                                 pattern.indptr[lo:hi + 1], pattern.src,
+                                 pattern.data, xd, out[lo:hi].ravel())
         if self_term:
             out[lo:hi] += x.data[lo:hi]
 
@@ -877,9 +920,12 @@ def weighted_aggregate(x, w, pattern, transposed=False, self_term=False):
     call over the same edges: each call then costs one copy of ``w`` and
     one sparse product, not a rebuild.
 
-    The untransposed product of a large output runs across cores in runs
-    of whole ``dense`` blocks of rows, bitwise the one-thread product; the
-    transposed one stays on the calling thread.
+    The untransposed product is scipy's ``csr_matvecs`` kernel over the
+    pattern's arrays; a large output's rows run across cores in runs of
+    whole ``dense`` blocks, bitwise the one-thread product. The
+    transposed one is ``csc_matvecs`` over the same arrays, on the calling
+    thread. Both are the kernels a ``scipy.sparse`` product calls, with its
+    bits.
     """
     return primitive_forward("weighted-aggregate", [x, w], pattern=pattern,
                              transposed=transposed, self_term=self_term)

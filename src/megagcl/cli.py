@@ -28,7 +28,6 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
 
 from . import evaluation, graphdata, openblas, training
 from .errors import ConfigError, DataError
@@ -92,6 +91,8 @@ def main(argv=None):
         if before_seeds is None or before_seeds != after_seeds:
             raise ConfigError("compare needs two outputs over the same "
                               f"seeds, got {before_seeds} and {after_seeds}")
+        # imported here, so that train and eval start without its ~70 MB
+        import scipy.stats
         d = after - before
         mean = d.mean()
         half = scipy.stats.t.ppf(0.975, d.size - 1) * scipy.stats.sem(d)

@@ -10,7 +10,8 @@ every layer and view over one batch reuses them and only writes in its
 weights. Building them sorts nothing: the batch's edges come in CSR order,
 by target, from each graph's undirected closure, computed once in that
 order (``GraphTopology.csr_edges``), and its nodes ascend by graph. Backward
-passes run the transposed products over the same patterns, building none.
+passes run the transposed products over the same patterns' arrays, building
+nothing.
 
 Each layer's perceptron, the projection head and the augmenter's edge scorer
 are the same two-layer perceptron, ``mlp_forward``: two ``autodiff.dense``

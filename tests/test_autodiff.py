@@ -17,7 +17,7 @@ from megagcl import autodiff as ad
 from megagcl import graphdata as gd
 from megagcl.errors import ConfigError, NumericError, ShapeError, TapeError
 
-from conftest import REPO_ROOT, count_calls
+from conftest import DATA_ROOT, REPO_ROOT, count_calls
 
 
 def scalar(loss_fn, x):
@@ -250,6 +250,17 @@ def _csr_oracle(x, w, src, dst, n_out):
     return a @ x
 
 
+def _csr_entries_oracle(x, w, src, dst, n_out):
+    """scipy's product over a matrix whose entry e is edge e, edges in CSR
+    order: unlike ``_csr_oracle``'s construction, it does not sum an edge
+    listed twice into one entry first, so it adds the pattern's terms in
+    their order."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(dst,
+                                                        minlength=n_out))])
+    a = scipy.sparse.csr_matrix((w[:, 0], src, indptr), shape=(n_out, len(x)))
+    return a @ x
+
+
 def test_sparse_pattern_bitwise_equals_per_call_csr_on_mutag(tape, mutag):
     ds = gd.build_node_features(mutag, "node-label-onehot")
     batch = gd.batch_graphs(ds.records[:32])
@@ -296,13 +307,78 @@ def test_deleting_a_batch_frees_its_patterns_without_gc(mutag):
         ones = ad.constant(np.ones((batch.n_edges, 1)))
         ad.weighted_aggregate(ad.constant(np.ones((batch.n_nodes, 1))), ones,
                               adjacency, transposed=True)
-        # a pattern takes no weak reference; its matrices are freed with it
-        refs = [weakref.ref(m) for p in (adjacency, pooling)
-                for m in (p.csr, p.csr_t)]
+        # a pattern takes no weak reference; its arrays are freed with it
+        refs = [weakref.ref(a) for p in (adjacency, pooling)
+                for a in (p.indptr, p.data)]
         del batch, adjacency, pooling
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+# imports the package's modules, then scipy's sparse package, in a fresh
+# process; prints which heavy scipy packages the first imports loaded and
+# whether scipy's products equal the aggregation's, bit for bit
+_LIGHT_IMPORTS = """
+import json, sys
+import numpy as np
+import megagcl.training, megagcl.evaluation, megagcl.cli
+from megagcl import autodiff as ad, graphdata as gd
+loaded = [m for m in ("scipy.sparse", "scipy.stats") if m in sys.modules]
+import scipy.sparse
+from scipy.sparse import _sparsetools
+ds = gd.build_node_features(gd.parse_tu_dataset(sys.argv[1], "MUTAG"),
+                            "node-label-onehot")
+batch = gd.batch_graphs(ds.records[:32])
+rng = np.random.default_rng(11)
+equal = []
+for pattern in (batch.adjacency, batch.pooling):
+    w = rng.standard_normal((pattern.src.size, 1))
+    a = scipy.sparse.csr_matrix((w[:, 0], (pattern.dst, pattern.src)),
+                                shape=(pattern.n_out, pattern.n_in))
+    for width in (1, 32):
+        x = rng.standard_normal((pattern.n_in, width))
+        g = rng.standard_normal((pattern.n_out, width))
+        got = ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)
+        got_t = ad.weighted_aggregate(ad.constant(g), ad.constant(w), pattern,
+                                      transposed=True)
+        equal += [np.array_equal(got.data, a @ x),
+                  np.array_equal(got_t.data, a.T @ g)]
+print(json.dumps({"loaded": loaded, "equal": equal,
+                  "same_module": _sparsetools is ad._sparsetools}))
+"""
+
+
+def test_the_package_imports_no_scipy_sparse_or_stats_and_matches_it_later():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _LIGHT_IMPORTS, str(DATA_ROOT)],
+        capture_output=True, text=True, check=True, timeout=120, env=env)
+    seen = json.loads(done.stdout)
+    assert seen["loaded"] == []
+    assert seen["equal"] == [True] * 8
+    assert seen["same_module"]
+    # imported the other way round, the package takes scipy's module
+    done = subprocess.run(
+        [sys.executable, "-c", "import scipy.sparse; "
+         "from megagcl import autodiff as ad; "
+         "print(ad._sparsetools is scipy.sparse._sparsetools)"],
+        capture_output=True, text=True, check=True, timeout=120, env=env)
+    assert done.stdout.strip() == "True"
+
+
+def test_importing_without_scipys_kernels_names_the_folder(tmp_path):
+    # a scipy package with no sparse kernels first on the path
+    (tmp_path / "scipy" / "sparse").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    done = subprocess.run(
+        [sys.executable, "-c", "import megagcl.autodiff"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(tmp_path), str(REPO_ROOT / "src")])})
+    assert done.returncode != 0
+    assert "ImportError: scipy's compiled sparse kernels" in done.stderr
+    assert str(tmp_path / "scipy" / "sparse") in done.stderr
 
 
 def test_shape_mismatch_names_kind_and_shapes(tape):
@@ -444,7 +520,8 @@ def test_width_one_aggregation_is_bitwise_scipys_vector_product(
     for split_bytes in (0, 1 << 60):
         monkeypatch.setattr(ad, "SPLIT_BYTES", split_bytes)
         got = ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)
-        np.testing.assert_array_equal(got.data, pattern.csr @ x)
+        np.testing.assert_array_equal(
+            got.data, _csr_entries_oracle(x, w, src, dst, n_out))
 
 
 def test_a_run_that_raises_surfaces_once_no_run_is_busy(monkeypatch, pool):
@@ -475,7 +552,8 @@ def test_a_run_that_raises_surfaces_once_no_run_is_busy(monkeypatch, pool):
     pattern = ad.SparsePattern(src, dst, n_out, len(x))
     got = ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)
     assert seen["calls"] > 1 and seen["busy"] == 0
-    np.testing.assert_array_equal(got.data, pattern.csr @ x)
+    np.testing.assert_array_equal(got.data,
+                                  _csr_entries_oracle(x, w, src, dst, n_out))
     seen.update(calls=0, fail_at=1)
     with pytest.raises(RuntimeError, match="kernel failed") as caught:
         ad.weighted_aggregate(ad.constant(x), ad.constant(w), pattern)

@@ -254,6 +254,14 @@ def test_main_sets_one_openblas_thread_and_importing_sets_none(tmp_path):
     assert done.stderr == ""
 
 
+def test_the_test_session_runs_at_one_openblas_thread():
+    # conftest sets one at import, so no test's bits depend on whether an
+    # in-process main ran before it
+    if openblas.threads() == "unknown":
+        pytest.skip("needs an OpenBLAS thread getter")
+    assert openblas.threads() == 1
+
+
 def test_main_says_when_it_cannot_set_blas_threads(tmp_path, monkeypatch,
                                                    capsys):
     _stub_runs(monkeypatch)
