@@ -59,16 +59,34 @@ output has two blocks or more and at least ``SPLIT_BYTES`` is split into
 runs of whole blocks, which the calling thread and a pool of one worker
 thread per further CPU in ``os.sched_getaffinity(0)`` take from one queue;
 a smaller call, and every call in a process allowed one CPU, runs inline.
+A row's value never depends on the runs: its block and the BLAS or sparse
+kernel call that computes it are the same whether the output is split or
+not. The workers write only into the output the caller allocated, never
+allocate an array and never touch the tape, so
+``allocator.keep_freed_memory`` still governs every large block.
+
+``dense``'s parameter gradients also run on the pool, in a backward pass
+that records nothing (``create_graph=False``). Where the layer's output
+gradient ``g`` has at least ``DEFER_BYTES``, its rule hands ``x.T @ g``
+and the bias's column sums to the pool and goes on with ``g @ w.T`` and
+the rest of the pass. The bits cannot change: a worker makes the same
+``_f_matmul`` or ``_f_sum_cols`` call on the same arrays as the inline
+rule, and ``backward`` adds the gradients in the same order. A worker
+calls the forward function directly, never ``primitive_forward``, and
+allocates only its result, the size of the parameter. ``backward`` joins
+a handed-over gradient where a rule or an accumulating ``add`` would
+read it, and before it returns; when it raises, it drops the products
+not yet started and waits for those running. So no caller sees an
+unfinished gradient, and no product outlives the call. A smaller
+gradient, a recording pass and a process with no pool make the products
+inline.
+
 Every other product stays on the calling thread: the transposed
-aggregation of the backward pass, ``matmul`` and ``edge_dots``. A row's
-value never depends on the runs: its block and the BLAS or sparse kernel
-call that computes it are the same whether the output is split or not, so
-results are bitwise the same on any number of CPUs. The workers write only
-into the output the caller allocated, never allocate an array and never
-touch the tape, so ``allocator.keep_freed_memory`` still governs every
-large block. A process forked after the pool has started has no workers
-and may inherit a lock a worker held: that is unsupported, and a process
-pool over this module must use the ``spawn`` start method.
+aggregation of the backward pass, every ``matmul`` node and
+``edge_dots``. Results are bitwise the same on any number of CPUs. A
+process forked after the pool has started has no workers and may inherit
+a lock a worker held: that is unsupported, and a process pool over this
+module must use the ``spawn`` start method.
 """
 
 from __future__ import annotations
@@ -80,7 +98,7 @@ import os
 import queue
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -354,6 +372,17 @@ RUNS_PER_THREAD = 2
 # 1.5 MiB at 6144 rows. (2-vCPU VM, 2 MiB of L2 per core, OpenBLAS 0.3.31 at
 # one thread.)
 SPLIT_BYTES = 3 << 19
+
+# Bytes of a gradient of ``dense``'s output under which a backward pass that
+# records nothing makes the layer's parameter products inline. Handing them
+# to the pool costs a wake-up and a join, and pays off from about 1750 rows
+# at width 32: a ``ccl`` step on a batch of 150-250-node graphs read
+# +0.30 ms at 1334 rows, -0.13 at 1744, -0.46 at 2182, -0.67 at 2580,
+# -1.01 at 3310 and -2.56 ms at 6520 with them handed over (paired medians
+# of 60-80 alternating steps on about 5.7-17.6 ms; 2-vCPU VM, OpenBLAS
+# 0.3.31 at one thread). A 32-wide gradient reaches 512 KiB at 2048 rows;
+# no MUTAG batch comes near.
+DEFER_BYTES = 1 << 19
 
 
 def _block_rows(m):
@@ -656,12 +685,21 @@ def _v_matmul(node, g, need):
     return [ga, gb]
 
 
-def _v_dense(node, g, need):
+def _v_dense(node, g, need, later=None):
     # the nodes of the rules of relu, add and matmul, in the order in which
     # those rules built them; the output is positive where the input was
     x, w, b = node.inputs
     if node.extras["relu"]:
         g = mul(g, constant((node.out.data > 0).astype(np.float64)))
+    if (later is not None and g.shape[0] > 1
+            and g.data.nbytes >= DEFER_BYTES):
+        # x.T @ g and the bias's column sums feed only w's and b's
+        # gradients: ``later`` hands them to the pool, and this thread goes
+        # on with g @ w.T. A one-row g is its own bias gradient
+        gw = later(_f_matmul, x, g, True, False) if need[1] else None
+        gb = later(_f_sum_cols, g) if need[2] else None
+        gx = matmul(g, w, tb=True) if need[0] else None
+        return [gx, gw, gb]
     gb = _reduce_to(g, b.shape) if need[2] else None
     gx = matmul(g, w, tb=True) if need[0] else None
     gw = matmul(x, g, ta=True) if need[1] else None
@@ -831,7 +869,9 @@ def dense(x, w, b, relu=False):
     The output is computed in row blocks of about ``DENSE_BLOCK_BYTES``,
     each block's bias and relu applied right after its product; the bits
     are those of one product over all rows. A large output's blocks run
-    across cores, with the same bits.
+    across cores, with the same bits. In a backward pass that records
+    nothing, a large output gradient's ``w`` and ``b`` products run on the
+    pool while the pass goes on; ``backward`` returns them finished.
     """
     return primitive_forward("dense", [x, w, b], relu=relu)
 
@@ -983,32 +1023,57 @@ def backward(loss: Tensor, params, create_graph=False) -> dict:
                 needed.add(nid)
                 break
 
-    grads = {loss.node_id: constant(np.ones(loss.shape))}
-    with (nullcontext() if create_graph else tape.paused()):
-        for nid in sorted(needed, reverse=True):
-            node = nodes[nid]
-            if node.kind == LEAF:
-                continue
-            g = grads.pop(nid, None)
-            if g is None:
-                continue
-            need = [t.node_id in needed for t in node.inputs]
-            if not any(need):
-                continue
-            _, vjp = _PRIMITIVES[node.kind]
-            for t, ig in zip(node.inputs, vjp(node, g, need)):
-                if ig is not None:
-                    cur = grads.get(t.node_id)
-                    grads[t.node_id] = ig if cur is None else add(cur, ig)
+    # the products ``dense``'s rule hands to the pool in a pass that records
+    # nothing; each is a Future in ``grads`` until something reads it
+    pending, later = [], None
+    if not create_graph and _POOL is not None:
+        def later(forward, *inputs):
+            pending.append(_POOL.submit(forward, *inputs))
+            return pending[-1]
 
-    by_param = {}
-    for p in params:
-        gp = grads.get(p.node_id)
-        if gp is None:
-            gp = scalar_scale(p, 0.0) if create_graph \
-                else constant(np.zeros(p.shape))
-        by_param[p] = gp
+    grads = {loss.node_id: constant(np.ones(loss.shape))}
+    try:
+        with (nullcontext() if create_graph else tape.paused()):
+            for nid in sorted(needed, reverse=True):
+                node = nodes[nid]
+                if node.kind == LEAF:
+                    continue
+                g = grads.pop(nid, None)
+                if g is None:
+                    continue
+                need = [t.node_id in needed for t in node.inputs]
+                if not any(need):
+                    continue
+                _, vjp = _PRIMITIVES[node.kind]
+                g = _joined(g)
+                in_grads = (vjp(node, g, need, later) if vjp is _v_dense
+                            else vjp(node, g, need))
+                for t, ig in zip(node.inputs, in_grads):
+                    if ig is not None:
+                        cur = grads.get(t.node_id)
+                        grads[t.node_id] = ig if cur is None \
+                            else add(_joined(cur), _joined(ig))
+
+        by_param = {}
+        for p in params:
+            gp = grads.get(p.node_id)
+            if gp is None:
+                gp = scalar_scale(p, 0.0) if create_graph \
+                    else constant(np.zeros(p.shape))
+            by_param[p] = _joined(gp)
+    finally:
+        # no product outlives the call: one not yet started is dropped, and
+        # one still running is waited for
+        for f in pending:
+            f.cancel()
+        wait(pending)
     return by_param
+
+
+def _joined(g):
+    """The gradient ``g``, or once it is made, the one a pending product
+    makes; a product that raised raises here."""
+    return Tensor(g.result()) if isinstance(g, Future) else g
 
 
 # ---------------------------------------------------------------------------

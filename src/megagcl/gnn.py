@@ -21,9 +21,12 @@ one array.
 On a batch large enough (``autodiff.SPLIT_BYTES`` of output, such as a
 64-graph embedding batch of 150-250-node graphs), each layer's aggregation
 and both of its ``dense`` nodes run across the CPUs the process may use;
-the readout's few rows and every backward product stay on one thread.
-MUTAG's batches run on one thread throughout. The results are bitwise the
-same either way.
+the readout's few rows stay on one thread. In a backward pass that records
+nothing, over a batch of more than about 2000 nodes
+(``autodiff.DEFER_BYTES``), each ``dense`` node's weight and bias
+gradients are made on another CPU while the pass goes on. MUTAG's
+batches run on one thread throughout. The results are bitwise the same
+either way.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,20 @@ def tape():
     t = ad.Tape()
     with ad.use_tape(t):
         yield t
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """autodiff's pool, with one worker of the test's own on a one-CPU
+    host."""
+    if ad._POOL is not None:
+        yield ad._POOL
+        return
+    executor = ThreadPoolExecutor(1)
+    monkeypatch.setattr(ad, "_POOL", executor)
+    monkeypatch.setattr(ad, "_THREADS", 2)
+    yield executor
+    executor.shutdown()
 
 
 def count_calls(monkeypatch, owner, name):

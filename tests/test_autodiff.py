@@ -426,13 +426,26 @@ def test_l2_normalize_zero_row_names_row(tape):
 # forward kernels split into row runs across threads
 # ---------------------------------------------------------------------------
 
+def _dense_chain_loss():
+    """A two-layer ``dense`` chain's summed squares on the active tape, and
+    its inputs and parameters."""
+    rng = np.random.default_rng(5)
+    chain = [ad.variable(rng.standard_normal(s))
+             for s in ((40, 7), (7, 9), (1, 9), (9, 5), (1, 5))]
+    x, w1, b1, w2, b2 = chain
+    return ad.reduce_sum(ad.square(
+        ad.dense(ad.dense(x, w1, b1, True), w2, b2))), chain
+
+
 def split_case_outputs():
     """Bytes of ``dense`` and ``weighted_aggregate`` outputs that span
     several 8-row blocks when ``DENSE_BLOCK_BYTES`` is 64: dense with relu
     on and off, 7-wide inputs and every remainder from 0 to 7 rows; the
     aggregation with and without the self term, over a pooling pattern, at
     width 1 and over an edgeless batch. The products are far too small for
-    OpenBLAS to thread, so its thread count cannot move their bits."""
+    OpenBLAS to thread, so its thread count cannot move their bits. Then
+    the gradients of a two-layer ``dense`` chain, whose layers hand their
+    parameter products to the pool when ``DEFER_BYTES`` and a pool allow."""
     rng = np.random.default_rng(31)
     outputs = []
     for n, k, relu in [(16, 5, True), (23, 7, False), (41, 7, True),
@@ -459,11 +472,16 @@ def split_case_outputs():
         w = ad.constant(rng.standard_normal((pattern.src.size, 1)))
         outputs.append(ad.weighted_aggregate(x, w, pattern,
                                              self_term=self_term).data)
+    with ad.use_tape(ad.Tape()):
+        loss, chain = _dense_chain_loss()
+        grads = ad.backward(loss, chain)
+    outputs.extend(grads[t].data for t in chain)
     return [out.tobytes() for out in outputs]
 
 
 # split_case_outputs in a process that may run on one CPU only, so its
-# autodiff has no pool and makes every call in one run
+# autodiff has no pool, makes every call in one run and every gradient
+# product inline
 _POOLLESS = """
 import json, os, sys
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -476,32 +494,25 @@ print(json.dumps([out.hex() for out in split_case_outputs()]))
 """
 
 
-@pytest.fixture
-def pool(monkeypatch):
-    """The row pool, with one worker of the test's own on a one-CPU host."""
-    if ad._POOL is not None:
-        yield ad._POOL
-        return
-    executor = ThreadPoolExecutor(1)
-    monkeypatch.setattr(ad, "_POOL", executor)
-    monkeypatch.setattr(ad, "_THREADS", 2)
-    yield executor
-    executor.shutdown()
-
-
 def test_row_runs_are_bitwise_one_run_and_a_process_without_pool(
         monkeypatch, pool):
     if not hasattr(os, "sched_setaffinity"):
         pytest.skip("needs os.sched_setaffinity")
     monkeypatch.setattr(ad, "DENSE_BLOCK_BYTES", 64)
     runs = count_calls(monkeypatch, ad, "_in_runs")
+    handed = count_calls(monkeypatch, pool, "submit")
     monkeypatch.setattr(ad, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(ad, "DEFER_BYTES", 0)
     split = split_case_outputs()
     assert all(n_runs > 1 for _, n_runs in runs)
+    assert [fn for fn, *_ in handed if fn is not ad._take] == \
+        [ad._f_matmul, ad._f_sum_cols] * 2
     runs.clear()
+    handed.clear()
     monkeypatch.setattr(ad, "SPLIT_BYTES", 1 << 60)
+    monkeypatch.setattr(ad, "DEFER_BYTES", 1 << 60)
     assert split_case_outputs() == split
-    assert {n_runs for _, n_runs in runs} == {1}
+    assert {n_runs for _, n_runs in runs} == {1} and not handed
     done = subprocess.run(
         [sys.executable, "-c", _POOLLESS, str(REPO_ROOT / "tests")],
         capture_output=True, text=True, check=True, timeout=120,
@@ -563,7 +574,7 @@ def test_a_run_that_raises_surfaces_once_no_run_is_busy(monkeypatch, pool):
 def test_many_threads_switching_often_make_every_run_once(monkeypatch):
     # four workers and the calling thread switching every microsecond: a
     # run lost leaves its rows zero, a run made twice adds its products into
-    # them twice
+    # them twice, and a gradient read unfinished fails or changes bits
     executor = ThreadPoolExecutor(4)
     monkeypatch.setattr(ad, "_POOL", executor)
     monkeypatch.setattr(ad, "_THREADS", 5)
@@ -572,8 +583,10 @@ def test_many_threads_switching_often_make_every_run_once(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         monkeypatch.setattr(ad, "SPLIT_BYTES", 1 << 60)
+        monkeypatch.setattr(ad, "DEFER_BYTES", 1 << 60)
         want = split_case_outputs()
         monkeypatch.setattr(ad, "SPLIT_BYTES", 0)
+        monkeypatch.setattr(ad, "DEFER_BYTES", 0)
         deadline = time.monotonic() + 2.0
         for _ in range(20):
             assert split_case_outputs() == want
@@ -607,6 +620,65 @@ def test_a_helper_that_never_started_keeps_no_array_alive(monkeypatch):
     finally:
         gate.set()
         executor.shutdown()
+
+
+def test_a_handed_product_that_raises_surfaces_from_backward(
+        tape, monkeypatch, pool):
+    monkeypatch.setattr(ad, "DEFER_BYTES", 0)
+    lock, seen = threading.Lock(), dict(calls=0, busy=0, raised=None)
+    product = ad._f_matmul
+
+    def failing_product(*args):
+        with lock:
+            seen["calls"] += 1
+            seen["busy"] += 1
+            first = seen["calls"] == 1
+        try:
+            time.sleep(0.02)
+            if first:
+                seen["raised"] = RuntimeError("product failed")
+                raise seen["raised"]
+            return product(*args)
+        finally:
+            with lock:
+                seen["busy"] -= 1
+
+    monkeypatch.setattr(ad, "_f_matmul", failing_product)
+    loss, chain = _dense_chain_loss()
+    with pytest.raises(RuntimeError, match="product failed") as caught:
+        ad.backward(loss, chain)
+    assert caught.value is seen["raised"] and seen["busy"] == 0
+
+
+def test_backward_that_raises_returns_once_no_handed_product_runs(
+        tape, monkeypatch, pool):
+    # the calling thread's g @ w.T raises once the layer's x.T @ g runs on
+    # the pool, with its bias sums handed over after it
+    monkeypatch.setattr(ad, "DEFER_BYTES", 0)
+    lock, seen, started = threading.Lock(), dict(busy=0), threading.Event()
+    product = ad._f_matmul
+
+    def slow_product(*args):
+        with lock:
+            seen["busy"] += 1
+        started.set()
+        try:
+            time.sleep(0.05)
+            return product(*args)
+        finally:
+            with lock:
+                seen["busy"] -= 1
+
+    def failing_matmul(*args, **kwargs):
+        assert started.wait(10)
+        raise RuntimeError("input gradient failed")
+
+    loss, chain = _dense_chain_loss()
+    monkeypatch.setattr(ad, "_f_matmul", slow_product)
+    monkeypatch.setattr(ad, "matmul", failing_matmul)
+    with pytest.raises(RuntimeError, match="input gradient failed"):
+        ad.backward(loss, chain)
+    assert seen["busy"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 from collections import Counter
 from dataclasses import asdict
 from functools import partial
@@ -225,6 +226,9 @@ def test_meta_step_moves_instance_term_downhill():
 # (the unit view encoded once) and one meta step at batch 32, as ROADMAP's
 # Baseline records them
 STEP_CENSUS = {"contrast": (178, 58), "ccl": (118, 47), "meta": (630, 250)}
+CENSUS_STEPS = (("contrast", tr.contrast_step),
+                ("ccl", partial(tr.contrast_step, unit_weights=True)),
+                ("meta", tr.meta_step))
 
 
 def _ones_or_identity(t):
@@ -250,10 +254,7 @@ def test_mutag_step_census_and_no_ones_matrix_operands(mutag, monkeypatch):
     census = {}
     tape = ad.Tape()
     with ad.use_tape(tape):
-        for kind, step in (("contrast", tr.contrast_step),
-                           ("ccl", partial(tr.contrast_step,
-                                           unit_weights=True)),
-                           ("meta", tr.meta_step)):
+        for kind, step in CENSUS_STEPS:
             tape.reset()
             state.adopt_all(tape)
             calls.clear()
@@ -266,6 +267,47 @@ def test_mutag_step_census_and_no_ones_matrix_operands(mutag, monkeypatch):
     taking = Counter(node.kind for node in tape.nodes
                      if any(_ones_or_identity(t) for t in node.inputs))
     assert taking == {"weighted-aggregate": 12, "sub": 1}
+
+
+def test_steps_with_parameter_products_on_the_pool_keep_bits_and_tape(
+        mutag, monkeypatch, pool):
+    # DEFER_BYTES 0 hands every dense layer's x.T @ g and bias sums to the
+    # pool in the backward passes that record nothing, even on the census
+    # batch; the pool never runs a primitive, so every call stays on this
+    # thread
+    threads = set()
+    forward = ad.primitive_forward
+
+    def on_thread(kind, inputs, **extras):
+        threads.add(threading.get_ident())
+        return forward(kind, inputs, **extras)
+
+    monkeypatch.setattr(ad, "primitive_forward", on_thread)
+    handed = count_calls(monkeypatch, pool, "submit")
+    runs, n_handed = {}, {}
+    for defer_bytes in (1 << 60, 0):
+        monkeypatch.setattr(ad, "DEFER_BYTES", defer_bytes)
+        batch, state = _mutag_batch_and_state(mutag)
+        handed.clear()
+        tape = ad.Tape()
+        with ad.use_tape(tape):
+            for kind, step in CENSUS_STEPS:
+                tape.reset()
+                state.adopt_all(tape)
+                record = step(state, batch, tr.Hyperparams())
+                runs[kind, defer_bytes] = (
+                    record, len(tape.nodes),
+                    [t.data.tobytes() for t in state.all_tensors()])
+        n_handed[defer_bytes] = len(handed)
+    # two products per dense node: the contrast step's two views and the
+    # ccl step's one, of eight nodes each; the meta step's second backward
+    # reaches both views' nodes under the virtual parameters and the
+    # augmenter's two
+    assert n_handed == {1 << 60: 0, 0: 2 * (16 + 8 + 16 + 2)}
+    assert threads == {threading.get_ident()}
+    for kind, (_, nodes) in STEP_CENSUS.items():
+        assert runs[kind, 0] == runs[kind, 1 << 60]
+        assert runs[kind, 0][1] == nodes
 
 
 def test_ccl_step_equals_the_two_encoding_contrast(mutag, monkeypatch):
