@@ -28,8 +28,7 @@ optional relu, as one node and one array. It fills that array in blocks of
 rows sized by ``DENSE_BLOCK_BYTES``: each block's product is written in
 place, then the bias row is added and the relu applied while the block is
 still in cache. An output under two blocks is one product. Its values and
-gradients are bitwise those of the ``matmul``, ``add`` and ``relu`` chain;
-``relu`` stays as the unfused oracle the tests compare it against.
+gradients are bitwise those of the ``matmul``, ``add`` and ``relu`` chain.
 
 ``weighted_aggregate`` is A_w @ x over edges stored in CSR order, so their
 weight column is the sparse matrix's data as it stands; ``self_term`` adds
@@ -41,52 +40,32 @@ The aggregation calls two of scipy's compiled sparse kernels on a
 ``SparsePattern``'s own CSR arrays: ``csr_matvecs`` for A_w @ x, and
 ``csc_matvecs`` for A_w^T @ x, which reads the same three arrays as the
 CSC form of the transpose. They are the kernels a ``scipy.sparse`` matrix
-product dispatches to, so the bits are the same. Their extension,
-``scipy/sparse/_sparsetools``, is loaded once, from its file in the folder
-``importlib.util.find_spec("scipy")`` names, with no ``scipy/__init__`` or
-``scipy/sparse/__init__`` run: importing the ``scipy.sparse`` package
-loads about 325 modules, and took 19-21 MB of resident memory and
-110-250 ms a process to reach those two functions. A process that imports
-that package later gets the same extension module object from
-``sys.modules``: a ``from`` import of ``_sparsetools`` returns it, but the
-package has no ``_sparsetools`` attribute. Where the file is missing,
-importing this module raises ``ImportError`` naming the folder it looked
-in.
+product dispatches to, so the bits are the same. Their extension is taken
+from ``sys.modules`` where ``scipy.sparse`` has loaded it, else loaded
+from its file with no ``scipy/__init__`` or ``scipy/sparse/__init__`` run
+(that package loads about 325 modules, 19-21 MB and 110-250 ms a process).
+Where the file is missing, importing this module raises ``ImportError``
+naming the folder it looked in.
 
 Two forward kernels run across cores: ``dense`` and the untransposed
 ``weighted_aggregate``, whose output rows are independent. A call whose
 output has two blocks or more and at least ``SPLIT_BYTES`` is split into
-runs of whole blocks, which the calling thread and a pool of one worker
-thread per further CPU in ``os.sched_getaffinity(0)`` take from one queue;
-a smaller call, and every call in a process allowed one CPU, runs inline.
-A row's value never depends on the runs: its block and the BLAS or sparse
-kernel call that computes it are the same whether the output is split or
-not. The workers write only into the output the caller allocated, never
-allocate an array and never touch the tape, so
-``allocator.keep_freed_memory`` still governs every large block.
+runs of whole blocks, each made by the kernel call that makes it unsplit.
+In a backward pass that records nothing, ``dense``'s rule hands its
+parameter products over as the inline rule's own calls where its output
+gradient has at least ``DEFER_BYTES``, and ``backward`` adds each in the
+same order. Every other product stays on the calling thread, so results
+are bitwise the same on any number of CPUs.
 
-``dense``'s parameter gradients also run on the pool, in a backward pass
-that records nothing (``create_graph=False``). Where the layer's output
-gradient ``g`` has at least ``DEFER_BYTES``, its rule hands ``x.T @ g``
-and the bias's column sums to the pool and goes on with ``g @ w.T`` and
-the rest of the pass. The bits cannot change: a worker makes the same
-``_f_matmul`` or ``_f_sum_cols`` call on the same arrays as the inline
-rule, and ``backward`` adds the gradients in the same order. A worker
-calls the forward function directly, never ``primitive_forward``, and
-allocates only its result, the size of the parameter. ``backward`` joins
-a handed-over gradient where a rule or an accumulating ``add`` would
-read it, and before it returns; when it raises, it drops the products
-not yet started and waits for those running. So no caller sees an
-unfinished gradient, and no product outlives the call. A smaller
-gradient, a recording pass and a process with no pool make the products
-inline.
-
-Every other product stays on the calling thread: the transposed
-aggregation of the backward pass, every ``matmul`` node and
-``edge_dots``. Results are bitwise the same on any number of CPUs. A
-process forked after the pool has started has no workers and may inherit
-a lock a worker held: that is unsupported, and a process pool over this
-module must use the ``spawn`` start method.
+Split runs and handed products are one task type, ``_Task``. A join makes
+a task no worker has started and waits only for one a worker has, so a
+worker the OS holds back delays a call by one task at most; no call
+returns or raises while one of its tasks runs. Workers touch no tape and
+allocate only handed products' parameter-sized results, so
+``keep_freed_memory`` governs every large block. The pool starts at the
+first hand-off, sized by ``os.sched_getaffinity(0)`` then; with one CPU
+there is none, and joins make every task. A process forked after the pool
+has started may inherit a held lock: use ``spawn`` for process pools.
 """
 
 from __future__ import annotations
@@ -95,10 +74,9 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import queue
 import sys
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
@@ -111,20 +89,22 @@ LEAF = "leaf"
 
 
 def _load_sparsetools():
-    """scipy's ``sparse/_sparsetools`` extension, from its file in the
-    ``scipy`` package's folder, registered under its own name."""
-    name = "scipy.sparse._sparsetools"
+    """scipy's ``sparse/_sparsetools`` extension: scipy's own module where
+    it is loaded, else its file in the ``scipy`` package's folder, loaded
+    under a private name so that a later ``import scipy.sparse`` still
+    loads and sets its own."""
+    if "scipy.sparse._sparsetools" in sys.modules:
+        return sys.modules["scipy.sparse._sparsetools"]
     scipy = importlib.util.find_spec("scipy")
     folders = list(scipy.submodule_search_locations) if scipy else []
     for folder in folders:
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             path = os.path.join(folder, "sparse", "_sparsetools" + suffix)
             if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(name, path)
-                spec = importlib.util.spec_from_loader(name, loader,
-                                                       origin=path)
-                module = importlib.util.module_from_spec(spec)
-                sys.modules[name] = module
+                loader = importlib.machinery.ExtensionFileLoader(
+                    f"{__package__}._sparsetools", path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(loader.name, loader))
                 loader.exec_module(module)
                 return module
     where = " or ".join(os.path.join(f, "sparse") for f in folders) \
@@ -281,10 +261,7 @@ class SparsePattern:
     aligned weight column into ``data``.
 
     The same three arrays are the transpose in CSC form, so one pattern
-    serves both products with no build of its own: ``csr_matvecs`` over
-    them can run across cores, each run over its own slice of ``indptr``;
-    ``csc_matvecs`` scatters into every output row and stays on the calling
-    thread.
+    serves both products with no build of its own.
     """
 
     __slots__ = ("src", "dst", "n_out", "n_in", "indptr", "data")
@@ -347,13 +324,9 @@ def _f_matmul(a, b, ta, tb):
 # never moves a block boundary.
 DENSE_BLOCK_BYTES = 128 << 10
 
-# The threads that run a split call: the calling thread and one worker per
-# further CPU this process may run on, none where there is no such CPU or no
-# ``os.sched_getaffinity``. The executor starts its thread on first use.
-_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-    else 1
-_POOL = ThreadPoolExecutor(_THREADS - 1, "megagcl-rows") \
-    if _THREADS > 1 else None
+_THREADS = 1  # the threads that run a split call, set as ``_pool`` starts
+_POOL = None
+_LOCK = threading.Lock()  # guards the pool's start
 
 # Runs per thread of a split call: more than one, so a thread the OS holds
 # back delays the call by one run, not by its share. The GIN forward of a
@@ -393,50 +366,92 @@ def _block_rows(m):
 def _row_runs(out):
     """The block rows of ``out`` and the bounds of the runs that split its
     rows among the threads: runs of whole blocks, the remainder in the
-    last. One run when there is no pool, or ``out`` is under two blocks or
-    under ``SPLIT_BYTES``."""
+    last. One run with no pool, under two blocks or under ``SPLIT_BYTES``."""
     n, m = out.shape
     rows = _block_rows(m)
     blocks = n // rows
-    if _POOL is None or blocks < 2 or out.nbytes < SPLIT_BYTES:
+    if blocks < 2 or out.nbytes < SPLIT_BYTES or _pool() is None:
         return rows, [0, n]
     n_runs = min(blocks, RUNS_PER_THREAD * _THREADS)
     return rows, [blocks * i // n_runs * rows for i in range(n_runs)] + [n]
 
 
-def _take(todo):
-    """Make the runs ``todo`` holds, as ``(run, i)`` pairs, until it is
-    empty."""
-    while True:
-        try:
-            run, i = todo.get_nowait()
-        except queue.Empty:
-            return
-        run(i)
+def _pool():
+    """The row pool, started on first use with one worker per further CPU in
+    ``os.sched_getaffinity(0)``; None while this process may use one CPU."""
+    global _POOL, _THREADS
+    with _LOCK:
+        if _POOL is None and hasattr(os, "sched_getaffinity"):
+            _THREADS = len(os.sched_getaffinity(0))
+            if _THREADS > 1:
+                _POOL = ThreadPoolExecutor(_THREADS - 1, "megagcl-rows")
+    return _POOL
+
+
+class _Task:
+    """``fn(*args)``, pending until a worker or its joiner takes its lock
+    and makes it, or it is dropped. Either lets go of ``fn`` and ``args``,
+    so a task left in the pool's queue keeps none of its inputs alive."""
+
+    __slots__ = ("call", "lock", "out", "error")
+
+    def __init__(self, fn, *args):
+        self.call, self.lock = (fn, args), threading.Lock()
+        self.out = self.error = None
+
+    def _make(self):
+        call, self.call = self.call, None
+        if call is not None:
+            try:
+                self.out = call[0](*call[1])
+            except BaseException as exc:  # raised again by ``join``
+                self.error = exc
+
+    def work(self):
+        """A worker's part: make the call unless a thread has taken it."""
+        if self.lock.acquire(blocking=False):
+            self._make()
+            self.lock.release()
+
+    def join(self):
+        """The call's result, made here unless a worker has started it."""
+        with self.lock:
+            self._make()
+        if self.error is not None:
+            raise self.error
+        return self.out
+
+    def drop(self):
+        """Let go of the call, or wait for a worker that has started it."""
+        with self.lock:
+            self.call = None
+
+
+def _work_through(tasks):
+    for task in tasks:
+        task.work()
+
+
+def _hand(tasks):
+    """Have up to one pool worker per task make ``tasks`` from the front."""
+    if tasks and (pool := _pool()) is not None:
+        for _ in range(min(_THREADS - 1, len(tasks))):
+            pool.submit(_work_through, tasks)
+    return tasks
 
 
 def _in_runs(run, n_runs):
-    """Call ``run(i)`` for every ``i`` below ``n_runs``: the calling thread
-    and the pool's workers take the runs from one queue. Returns once no
-    run is in progress; then re-raises the first exception a run raised,
-    the calling thread's first."""
-    if n_runs == 1:
-        run(0)
-        return
-    todo = queue.SimpleQueue()
-    for i in range(n_runs):
-        todo.put((run, i))
-    # a helper holds only the queue, empty once a call returns normally, so
-    # one cancelled before it started keeps no array of the call alive
-    helpers = [_POOL.submit(_take, todo)
-               for _ in range(min(_THREADS, n_runs) - 1)]
+    """Call ``run(i)`` for every ``i`` below ``n_runs``: hand the runs after
+    the first to the pool, make the first, then join the rest from the last
+    back. Returns once none runs, raising the first exception it meets."""
+    tasks = _hand([_Task(run, i) for i in range(1, n_runs)])
     try:
-        _take(todo)
+        run(0)
+        for task in reversed(tasks):
+            task.join()
     finally:
-        errors = [f.exception() for f in helpers if not f.cancel()]
-    for exc in errors:
-        if exc is not None:
-            raise exc
+        for task in tasks:
+            task.drop()
 
 
 def _f_dense(x, w, b, relu):
@@ -685,19 +700,20 @@ def _v_matmul(node, g, need):
     return [ga, gb]
 
 
-def _v_dense(node, g, need, later=None):
+def _v_dense(node, g, need, handed=None):
     # the nodes of the rules of relu, add and matmul, in the order in which
     # those rules built them; the output is positive where the input was
     x, w, b = node.inputs
     if node.extras["relu"]:
         g = mul(g, constant((node.out.data > 0).astype(np.float64)))
-    if (later is not None and g.shape[0] > 1
+    if (handed is not None and g.shape[0] > 1
             and g.data.nbytes >= DEFER_BYTES):
-        # x.T @ g and the bias's column sums feed only w's and b's
-        # gradients: ``later`` hands them to the pool, and this thread goes
-        # on with g @ w.T. A one-row g is its own bias gradient
-        gw = later(_f_matmul, x, g, True, False) if need[1] else None
-        gb = later(_f_sum_cols, g) if need[2] else None
+        # x.T @ g and the bias sums feed only w's and b's gradients: hand them
+        # over, go on with g @ w.T. A one-row g is its own bias gradient
+        gw = _Task(_f_matmul, x, g, True, False) if need[1] else None
+        gb = _Task(_f_sum_cols, g) if need[2] else None
+        for task in filter(None, (gw, gb)):
+            handed.extend(_hand([task]))
         gx = matmul(g, w, tb=True) if need[0] else None
         return [gx, gw, gb]
     gb = _reduce_to(g, b.shape) if need[2] else None
@@ -866,12 +882,8 @@ def dense(x, w, b, relu=False):
     """One perceptron layer: ``x @ w + b``, through a relu when ``relu``.
 
     ``x`` is (n, k), ``w`` is (k, m) and the bias ``b`` is a (1, m) row.
-    The output is computed in row blocks of about ``DENSE_BLOCK_BYTES``,
-    each block's bias and relu applied right after its product; the bits
-    are those of one product over all rows. A large output's blocks run
-    across cores, with the same bits. In a backward pass that records
-    nothing, a large output gradient's ``w`` and ``b`` products run on the
-    pool while the pass goes on; ``backward`` returns them finished.
+    The bits are those of one product over all rows, however the output's
+    row blocks are split and its gradients handed to the pool.
     """
     return primitive_forward("dense", [x, w, b], relu=relu)
 
@@ -958,14 +970,8 @@ def weighted_aggregate(x, w, pattern, transposed=False, self_term=False):
     ``n_in`` (the row count of ``x``), edges in CSR order; ``w`` is an (E, 1)
     column aligned with them. Build the pattern once and reuse it for every
     call over the same edges: each call then costs one copy of ``w`` and
-    one sparse product, not a rebuild.
-
-    The untransposed product is scipy's ``csr_matvecs`` kernel over the
-    pattern's arrays; a large output's rows run across cores in runs of
-    whole ``dense`` blocks, bitwise the one-thread product. The
-    transposed one is ``csc_matvecs`` over the same arrays, on the calling
-    thread. Both are the kernels a ``scipy.sparse`` product calls, with its
-    bits.
+    one sparse product, not a rebuild. The bits are those of the
+    ``scipy.sparse`` product, however a large output's rows are split.
     """
     return primitive_forward("weighted-aggregate", [x, w], pattern=pattern,
                              transposed=transposed, self_term=self_term)
@@ -1024,12 +1030,9 @@ def backward(loss: Tensor, params, create_graph=False) -> dict:
                 break
 
     # the products ``dense``'s rule hands to the pool in a pass that records
-    # nothing; each is a Future in ``grads`` until something reads it
-    pending, later = [], None
-    if not create_graph and _POOL is not None:
-        def later(forward, *inputs):
-            pending.append(_POOL.submit(forward, *inputs))
-            return pending[-1]
+    # nothing; each is a task in ``grads`` until something reads it, and
+    # ``backward``'s exit drops those pending and waits for those running
+    handed = None if create_graph else []
 
     grads = {loss.node_id: constant(np.ones(loss.shape))}
     try:
@@ -1046,7 +1049,7 @@ def backward(loss: Tensor, params, create_graph=False) -> dict:
                     continue
                 _, vjp = _PRIMITIVES[node.kind]
                 g = _joined(g)
-                in_grads = (vjp(node, g, need, later) if vjp is _v_dense
+                in_grads = (vjp(node, g, need, handed) if vjp is _v_dense
                             else vjp(node, g, need))
                 for t, ig in zip(node.inputs, in_grads):
                     if ig is not None:
@@ -1062,18 +1065,14 @@ def backward(loss: Tensor, params, create_graph=False) -> dict:
                     else constant(np.zeros(p.shape))
             by_param[p] = _joined(gp)
     finally:
-        # no product outlives the call: one not yet started is dropped, and
-        # one still running is waited for
-        for f in pending:
-            f.cancel()
-        wait(pending)
+        for task in handed or ():
+            task.drop()
     return by_param
 
 
 def _joined(g):
-    """The gradient ``g``, or once it is made, the one a pending product
-    makes; a product that raised raises here."""
-    return Tensor(g.result()) if isinstance(g, Future) else g
+    """The gradient ``g``, or the one the handed product ``g`` makes."""
+    return g if isinstance(g, Tensor) else Tensor(g.join())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import faulthandler
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +19,28 @@ DATA_ROOT = Path(os.environ.get("MEGA_DATA_ROOT", REPO_ROOT / "data"))
 # low bits then do not depend on whether an in-process ``cli.main`` test,
 # which sets it, ran before it
 openblas.set_threads(1)
+
+
+# seconds a test may take before the run ends with every thread's stack
+HANG_SECONDS = 300
+_stderr = None
+
+
+def pytest_configure(config):
+    # the terminal's stderr, copied while pytest captures nothing: a run the
+    # watchdog ends never shows what a test's capture held
+    global _stderr
+    _stderr = os.dup(sys.stderr.fileno())
+
+
+@pytest.fixture(autouse=True)
+def fail_a_hung_test():
+    """End the run, with every thread's stack, once a test has taken
+    ``HANG_SECONDS``: a deadlocked pool then fails the suite instead of
+    stalling it."""
+    faulthandler.dump_traceback_later(HANG_SECONDS, exit=True, file=_stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def pytest_report_header(config):

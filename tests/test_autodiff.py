@@ -326,7 +326,6 @@ import megagcl.training, megagcl.evaluation, megagcl.cli
 from megagcl import autodiff as ad, graphdata as gd
 loaded = [m for m in ("scipy.sparse", "scipy.stats") if m in sys.modules]
 import scipy.sparse
-from scipy.sparse import _sparsetools
 ds = gd.build_node_features(gd.parse_tu_dataset(sys.argv[1], "MUTAG"),
                             "node-label-onehot")
 batch = gd.batch_graphs(ds.records[:32])
@@ -345,7 +344,7 @@ for pattern in (batch.adjacency, batch.pooling):
         equal += [np.array_equal(got.data, a @ x),
                   np.array_equal(got_t.data, a.T @ g)]
 print(json.dumps({"loaded": loaded, "equal": equal,
-                  "same_module": _sparsetools is ad._sparsetools}))
+                  "has_sparsetools": hasattr(scipy.sparse, "_sparsetools")}))
 """
 
 
@@ -357,7 +356,7 @@ def test_the_package_imports_no_scipy_sparse_or_stats_and_matches_it_later():
     seen = json.loads(done.stdout)
     assert seen["loaded"] == []
     assert seen["equal"] == [True] * 8
-    assert seen["same_module"]
+    assert seen["has_sparsetools"]
     # imported the other way round, the package takes scipy's module
     done = subprocess.run(
         [sys.executable, "-c", "import scipy.sparse; "
@@ -500,12 +499,12 @@ def test_row_runs_are_bitwise_one_run_and_a_process_without_pool(
         pytest.skip("needs os.sched_setaffinity")
     monkeypatch.setattr(ad, "DENSE_BLOCK_BYTES", 64)
     runs = count_calls(monkeypatch, ad, "_in_runs")
-    handed = count_calls(monkeypatch, pool, "submit")
+    handed = count_calls(monkeypatch, ad, "_Task")
     monkeypatch.setattr(ad, "SPLIT_BYTES", 0)
     monkeypatch.setattr(ad, "DEFER_BYTES", 0)
     split = split_case_outputs()
     assert all(n_runs > 1 for _, n_runs in runs)
-    assert [fn for fn, *_ in handed if fn is not ad._take] == \
+    assert [fn for fn, *_ in handed if fn.__name__ != "run"] == \
         [ad._f_matmul, ad._f_sum_cols] * 2
     runs.clear()
     handed.clear()
@@ -518,6 +517,40 @@ def test_row_runs_are_bitwise_one_run_and_a_process_without_pool(
         capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
     assert [bytes.fromhex(out) for out in json.loads(done.stdout)] == split
+
+
+# split_case_outputs with every call large enough to split, in a process
+# that imports autodiff on two CPUs or more and then narrows itself to one:
+# the pool reads the affinity as it starts, so it never starts
+_NARROWED = """
+import json, os, sys
+from megagcl import autodiff as ad
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+ad.DENSE_BLOCK_BYTES = 64
+ad.SPLIT_BYTES = ad.DEFER_BYTES = 0
+in_runs, runs = ad._in_runs, []
+ad._in_runs = lambda run, n_runs: (runs.append(n_runs), in_runs(run, n_runs))
+sys.path.insert(0, sys.argv[1])
+from test_autodiff import split_case_outputs
+outputs = split_case_outputs()
+print(json.dumps({"pool": ad._POOL is not None, "runs": sorted(set(runs)),
+                  "outputs": [out.hex() for out in outputs]}))
+"""
+
+
+def test_the_pool_starts_on_first_use_sized_by_the_affinity_then(
+        monkeypatch):
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        pytest.skip("needs two CPUs or more")
+    monkeypatch.setattr(ad, "DENSE_BLOCK_BYTES", 64)
+    want = split_case_outputs()
+    done = subprocess.run(
+        [sys.executable, "-c", _NARROWED, str(REPO_ROOT / "tests")],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    seen = json.loads(done.stdout)
+    assert not seen["pool"] and seen["runs"] == [1]
+    assert [bytes.fromhex(out) for out in seen["outputs"]] == want
 
 
 def test_width_one_aggregation_is_bitwise_scipys_vector_product(
@@ -617,6 +650,35 @@ def test_a_helper_that_never_started_keeps_no_array_alive(monkeypatch):
         ad.dense(x, w, b)
         del x
         assert len(runs) == 1 < runs[0] and inputs() is None
+    finally:
+        gate.set()
+        executor.shutdown()
+
+
+def test_a_join_makes_the_handed_products_no_worker_has_started(
+        tape, monkeypatch):
+    # the pool's one worker is held, so every parameter product dense's
+    # rule hands over is still pending when backward reads it
+    executor, gate = ThreadPoolExecutor(1), threading.Event()
+    held = executor.submit(gate.wait, 5)
+    monkeypatch.setattr(ad, "_POOL", executor)
+    monkeypatch.setattr(ad, "_THREADS", 2)
+    try:
+        loss, chain = _dense_chain_loss()
+        monkeypatch.setattr(ad, "DEFER_BYTES", 1 << 60)
+        inline = ad.backward(loss, chain)
+        threads = []
+        for name in ("_f_matmul", "_f_sum_cols"):
+            def on_a_thread(*args, product=getattr(ad, name)):
+                threads.append(threading.get_ident())
+                return product(*args)
+            monkeypatch.setattr(ad, name, on_a_thread)
+        monkeypatch.setattr(ad, "DEFER_BYTES", 0)
+        grads = ad.backward(loss, chain)
+        assert not held.done()
+        assert threads == [threading.get_ident()] * 4
+        assert [grads[t].data.tobytes() for t in chain] == \
+            [inline[t].data.tobytes() for t in chain]
     finally:
         gate.set()
         executor.shutdown()
