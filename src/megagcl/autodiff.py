@@ -30,22 +30,24 @@ place, then the bias row is added and the relu applied while the block is
 still in cache. An output under two blocks is one product. Its values and
 gradients are bitwise those of the ``matmul``, ``add`` and ``relu`` chain.
 
-``weighted_aggregate`` is A_w @ x over edges stored in CSR order, so their
-weight column is the sparse matrix's data as it stands; ``self_term`` adds
-``x``, GIN's self term, into the product's fresh output. The weights'
+``weighted_aggregate`` is A_w @ x over edges stored in CSR order, so each
+call's weight column is the sparse matrix's data as it stands; ``self_term``
+adds ``x``, GIN's self term, into the product's fresh output. The weights'
 gradient is one ``edge_dots`` node, the dots ``g[dst[e]] . x[src[e]]``
-summed as ``sum_rows`` sums, whose own gradients are two more aggregations.
+(operands swapped for A_w^T) summed as ``sum_rows`` sums, whose own
+gradients are two more aggregations.
 
-The aggregation calls two of scipy's compiled sparse kernels on a
-``SparsePattern``'s own CSR arrays: ``csr_matvecs`` for A_w @ x, and
-``csc_matvecs`` for A_w^T @ x, which reads the same three arrays as the
-CSC form of the transpose. They are the kernels a ``scipy.sparse`` matrix
-product dispatches to, so the bits are the same. Their extension is taken
-from ``sys.modules`` where ``scipy.sparse`` has loaded it, else loaded
-from its file with no ``scipy/__init__`` or ``scipy/sparse/__init__`` run
-(that package loads about 325 modules, 19-21 MB and 110-250 ms a process).
-Where the file is missing, importing this module raises ``ImportError``
-naming the folder it looked in.
+A ``SparsePattern`` is read-only shared data, so threads with their own
+tapes may aggregate over one pattern at once. The aggregation calls two of
+scipy's compiled sparse kernels on its CSR arrays and the call's weights:
+``csr_matvecs`` for A_w @ x, and ``csc_matvecs`` for A_w^T @ x, which reads
+the same arrays as the CSC form of the transpose. They are the kernels a
+``scipy.sparse`` matrix product dispatches to, so the bits are the same.
+Their extension is taken from ``sys.modules`` where ``scipy.sparse`` has
+loaded it, else loaded from its file with no ``scipy/__init__`` or
+``scipy/sparse/__init__`` run (that package loads about 325 modules, 19-21
+MB and 110-250 ms a process). Where the file is missing, importing this
+module raises ``ImportError`` naming the folder it looked in.
 
 Two forward kernels run across cores: ``dense`` and the untransposed
 ``weighted_aggregate``, whose output rows are independent. A call whose
@@ -77,7 +79,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,15 +164,11 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self._pause_depth = 0
 
-    @contextmanager
     def paused(self):
-        self._pause_depth += 1
-        try:
-            yield
-        finally:
-            self._pause_depth -= 1
+        """Record nothing inside: the thread runs with no active tape, so
+        ``variable`` and ``backward`` raise there."""
+        return use_tape(None)
 
     def adopt(self, t: Tensor) -> Tensor:
         """Register ``t`` as a leaf root of this tape (in place)."""
@@ -208,7 +206,8 @@ def constant(data) -> Tensor:
 
 
 def variable(data) -> Tensor:
-    """A leaf tensor registered on the active tape."""
+    """A leaf tensor registered on the active tape; with none, as inside
+    ``Tape.paused()``, it raises ``TapeError``."""
     tape = active_tape()
     if tape is None:
         raise TapeError("variable() requires an active tape")
@@ -255,16 +254,17 @@ class SparsePattern:
     (n_out, n_in) sparse matrix with one entry at (dst[e], src[e]) per edge.
 
     The edges come in CSR order, checked here: ``dst`` never decreases, and
-    the pattern holds the matrix's CSR arrays, ``indptr`` (intp), ``src`` as
-    the column indices and ``data``, so entry e is edge e and a row adds its
-    terms in edge order. Nothing sorts: ``weighted_aggregate`` copies an
-    aligned weight column into ``data``.
+    the pattern holds the matrix's index arrays, ``indptr`` (intp) and
+    ``src`` as the column indices, so entry e is edge e and a row adds its
+    terms in edge order. Nothing sorts: each ``weighted_aggregate`` call
+    hands the kernel its own aligned weight column as the matrix's data.
 
-    The same three arrays are the transpose in CSC form, so one pattern
-    serves both products with no build of its own.
+    The same arrays are the transpose in CSC form, so one pattern serves
+    both products with no build of its own. A pattern is read-only shared
+    data: nothing writes into it once it is built.
     """
 
-    __slots__ = ("src", "dst", "n_out", "n_in", "indptr", "data")
+    __slots__ = ("src", "dst", "n_out", "n_in", "indptr")
 
     def __init__(self, src, dst, n_out, n_in):
         src = np.asarray(src, dtype=np.intp)
@@ -285,7 +285,6 @@ class SparsePattern:
         self.src, self.dst, self.n_out, self.n_in = src, dst, n_out, n_in
         self.indptr = np.zeros(n_out + 1, dtype=np.intp)
         np.cumsum(np.bincount(dst, minlength=n_out), out=self.indptr[1:])
-        self.data = np.zeros(src.size)
 
 
 def _f_add(a, b):
@@ -581,16 +580,15 @@ def _f_l2_normalize_rows(x):
     return x / norms
 
 
-def _f_edge_dots(g, x, pattern, transposed):
+def _f_edge_dots(g, x, pattern):
     _require_2d("edge-dots", g, x)
-    ends = [(pattern.dst, pattern.n_out), (pattern.src, pattern.n_in)]
-    (g_rows, n_g), (x_rows, n_x) = ends[::-1] if transposed else ends
+    n_g, n_x = pattern.n_out, pattern.n_in
     if g.shape[0] != n_g or x.shape[0] != n_x or g.shape[1] != x.shape[1]:
         raise ShapeError("edge-dots", [g.shape, x.shape],
                          f"expected {n_g} and {n_x} rows of equal width")
     # the products in one gathered buffer, summed as sum-rows sums
-    out = g.data[g_rows]
-    out *= x.data[x_rows]
+    out = g.data[pattern.dst]
+    out *= x.data[pattern.src]
     return out @ np.ones((out.shape[1], 1))
 
 
@@ -605,19 +603,18 @@ def _f_weighted_aggregate(x, w, pattern, transposed, self_term):
     if self_term and pattern.n_out != pattern.n_in:
         raise ShapeError("weighted-aggregate", [(pattern.n_out, pattern.n_in)],
                          "a self term needs a square pattern")
-    # every call overwrites the pattern's weight buffer; the tape is
-    # single-threaded and a split call's runs only read the weights, so no
-    # call sees another's. Both kernels add into a zeroed output, and at one
+    # the kernels read the call's own weights, a view that copies nothing of
+    # a contiguous (E, 1) column. Both add into a zeroed output, and at one
     # column they add the same products in the same order as the one-column
     # kernels scipy takes there
-    np.copyto(pattern.data, w.data[:, 0])
+    wd = np.ascontiguousarray(w.data[:, 0])
     width = x.shape[1]
     xd = np.ascontiguousarray(x.data).ravel()
     if transposed:
         out = np.zeros((pattern.n_in, width))
         _sparsetools.csc_matvecs(pattern.n_in, pattern.n_out, width,
-                                 pattern.indptr, pattern.src, pattern.data,
-                                 xd, out.ravel())
+                                 pattern.indptr, pattern.src, wd, xd,
+                                 out.ravel())
         if self_term:  # the product is a fresh array, so x adds into it
             out += x.data
         return out
@@ -627,8 +624,8 @@ def _f_weighted_aggregate(x, w, pattern, transposed, self_term):
     def run(i):
         lo, hi = bounds[i], bounds[i + 1]
         _sparsetools.csr_matvecs(hi - lo, pattern.n_in, width,
-                                 pattern.indptr[lo:hi + 1], pattern.src,
-                                 pattern.data, xd, out[lo:hi].ravel())
+                                 pattern.indptr[lo:hi + 1], pattern.src, wd,
+                                 xd, out[lo:hi].ravel())
         if self_term:
             out[lo:hi] += x.data[lo:hi]
 
@@ -789,9 +786,9 @@ def _v_l2_normalize_rows(node, g, need):
 def _v_edge_dots(node, g, need):
     # each input's gradient aggregates the other's rows, weighted by g
     a, b = node.inputs
-    pattern, transposed = node.extras["pattern"], node.extras["transposed"]
-    ga = weighted_aggregate(b, g, pattern, transposed) if need[0] else None
-    gb = weighted_aggregate(a, g, pattern, not transposed) if need[1] else None
+    pattern = node.extras["pattern"]
+    ga = weighted_aggregate(b, g, pattern) if need[0] else None
+    gb = weighted_aggregate(a, g, pattern, True) if need[1] else None
     return [ga, gb]
 
 
@@ -801,7 +798,8 @@ def _v_weighted_aggregate(node, g, need):
     pattern, transposed = node.extras["pattern"], node.extras["transposed"]
     gx = weighted_aggregate(g, w, pattern, not transposed,
                             node.extras["self_term"]) if need[0] else None
-    gw = edge_dots(g, x, pattern, transposed) if need[1] else None
+    dots = (x, g) if transposed else (g, x)
+    gw = edge_dots(*dots, pattern) if need[1] else None
     return [gx, gw]
 
 
@@ -842,8 +840,7 @@ def primitive_forward(kind, inputs, **extras) -> Tensor:
 
     Every input must be a ``Tensor``: wrap an array with ``constant``; a
     wrong number of inputs raises ``TypeError``. Appends a tape node iff a
-    tape is active, recording is not paused, and at least one input
-    carries a node id.
+    tape is active and at least one input carries a node id.
     """
     try:
         forward, _ = _PRIMITIVES[kind]
@@ -851,7 +848,7 @@ def primitive_forward(kind, inputs, **extras) -> Tensor:
         raise TapeError(f"unknown primitive kind: {kind!r}") from None
     out = Tensor(forward(*inputs, **extras))
     tape = getattr(_tls, "tape", None)
-    if tape is not None and tape._pause_depth == 0:
+    if tape is not None:
         for t in inputs:
             if t.node_id is not None:
                 nodes = tape.nodes
@@ -969,19 +966,19 @@ def weighted_aggregate(x, w, pattern, transposed=False, self_term=False):
     ``pattern`` is the ``SparsePattern`` of ``src``, ``dst``, ``n_out`` and
     ``n_in`` (the row count of ``x``), edges in CSR order; ``w`` is an (E, 1)
     column aligned with them. Build the pattern once and reuse it for every
-    call over the same edges: each call then costs one copy of ``w`` and
-    one sparse product, not a rebuild. The bits are those of the
-    ``scipy.sparse`` product, however a large output's rows are split.
+    call over the same edges: each call then costs one sparse product, not
+    a rebuild. The bits are those of the ``scipy.sparse`` product, however
+    a large output's rows are split.
     """
     return primitive_forward("weighted-aggregate", [x, w], pattern=pattern,
                              transposed=transposed, self_term=self_term)
 
 
-def edge_dots(g, x, pattern, transposed=False):
+def edge_dots(g, x, pattern):
     """The (E, 1) column of ``g[dst[e]] . x[src[e]]`` over ``pattern``'s
-    edges, with ``src`` and ``dst`` swapped when ``transposed``."""
-    return primitive_forward("edge-dots", [g, x], pattern=pattern,
-                             transposed=transposed)
+    edges; the operands swapped give the dots with ``src`` and ``dst``
+    swapped, as the transposed aggregation's weight gradient takes them."""
+    return primitive_forward("edge-dots", [g, x], pattern=pattern)
 
 
 def scalar_scale(x, factor):
@@ -996,9 +993,11 @@ def backward(loss: Tensor, params, create_graph=False) -> dict:
     """Reverse-mode gradients of a scalar loss with respect to ``params``,
     as a dict keyed by the parameter tensors, which hash by identity.
 
-    With ``create_graph`` the backward computation itself is recorded on the
-    tape, so every returned gradient carries a node id and a later backward
-    over a function of the gradients yields second derivatives.
+    It needs the active tape that holds the loss, so inside
+    ``Tape.paused()`` it raises ``TapeError``. With ``create_graph`` the
+    backward computation itself is recorded on that tape, so every returned
+    gradient carries a node id and a later backward over a function of the
+    gradients yields second derivatives.
 
     Only gradients that can reach a requested parameter are built. Before
     the reverse pass, one ascending pass over the tape up to the loss marks
@@ -1036,7 +1035,7 @@ def backward(loss: Tensor, params, create_graph=False) -> dict:
 
     grads = {loss.node_id: constant(np.ones(loss.shape))}
     try:
-        with (nullcontext() if create_graph else tape.paused()):
+        with use_tape(tape if create_graph else None):
             for nid in sorted(needed, reverse=True):
                 node = nodes[nid]
                 if node.kind == LEAF:
@@ -1158,15 +1157,13 @@ def finite_diff_gradient(f, x: Tensor, step=1e-4) -> Tensor:
     """Central-difference estimate of d f / d x, same shape as ``x``.
 
     ``f`` takes a detached Tensor and returns a float. Evaluations run with
-    recording paused so probing never pollutes the active tape. A step that
-    is not finite and positive raises ``ConfigError``.
+    no active tape, so probing never pollutes one. A step that is not
+    finite and positive raises ``ConfigError``.
     """
     require_real("step", step, zero_ok=False)
     flat = x.data.reshape(-1)
     out = np.empty_like(flat)
-    tape = active_tape()
-    ctx = tape.paused() if tape is not None else nullcontext()
-    with ctx:
+    with use_tape(None):
         for i in range(flat.size):
             hi = flat.copy()
             lo = flat.copy()

@@ -13,6 +13,8 @@ it cannot (``openblas``).
 ``train`` prints the run summary as JSON. ``eval`` prints the mode, settings,
 run seeds, each seed's mean test accuracy of a linear probe under stratified
 10-fold cross-validation (``accuracies``), their mean and population std.
+Both add ``blas_threads``, the OpenBLAS thread count the run used, since
+same-seed bits hold only at the same count.
 ``compare BEFORE AFTER`` prints both outputs' mode and settings (``null``
 where absent) and, over the same seeds, the mean of AFTER - BEFORE, its 95%
 t-interval and the seeds up and down. Misuse raises ``ConfigError``, not an
@@ -107,11 +109,11 @@ def main(argv=None):
         "node-label-onehot")
     if args.command == "train":
         _, log = training.train(dataset, hp, mode=args.mode)
-        print(json.dumps(log.summary))
+        output = log.summary
     else:
         result = evaluation.run_protocol(dataset, hp, mode=args.mode)
-        print(json.dumps({"mode": args.mode, **asdict(hp),
-                          **asdict(result)}))
+        output = {"mode": args.mode, **asdict(hp), **asdict(result)}
+    print(json.dumps({**output, "blas_threads": openblas.threads()}))
     return 0
 
 

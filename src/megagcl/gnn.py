@@ -6,7 +6,7 @@ that adds H itself as the self term, (A_w + I) @ H. Readout is a per-graph
 sum, the same aggregation with unit weights from nodes to their graphs.
 Both aggregate over the sparse patterns ``graphdata.batch_graphs`` builds
 with the batch (``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so
-every layer and view over one batch reuses them and only writes in its
+every layer and view over one batch reuses them, read-only, with its own
 weights. Building them sorts nothing: the batch's edges come in CSR order,
 by target, from each graph's undirected closure, computed once in that
 order (``GraphTopology.csr_edges``), and its nodes ascend by graph. Backward

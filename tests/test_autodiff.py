@@ -155,6 +155,8 @@ def test_transposed_aggregate_second_order_through_create_graph(tape):
 
 @pytest.mark.parametrize("transposed", [False, True])
 def test_edge_dots_is_bitwise_the_gathered_products(mutag, transposed):
+    # the transposed product's dots g[src[e]] . x[dst[e]] are the operands
+    # swapped, with the same bits
     ds = gd.build_node_features(mutag, "node-label-onehot")
     batch = gd.batch_graphs(ds.records[:32])
     rng = np.random.default_rng(51)
@@ -162,8 +164,9 @@ def test_edge_dots_is_bitwise_the_gathered_products(mutag, transposed):
         ends = [(pattern.dst, pattern.n_out), (pattern.src, pattern.n_in)]
         (rows, n_g), (cols, n_x) = ends[::-1] if transposed else ends
         g, x = rng.standard_normal((n_g, 7)), rng.standard_normal((n_x, 7))
-        out = ad.edge_dots(ad.constant(g), ad.constant(x), pattern,
-                           transposed)
+        tg, tx = ad.constant(g), ad.constant(x)
+        out = ad.edge_dots(tx, tg, pattern) if transposed \
+            else ad.edge_dots(tg, tx, pattern)
         assert out.shape == (len(rows), 1)
         assert out.data.tobytes() == \
             ((g[rows] * x[cols]) @ np.ones((7, 1))).tobytes()
@@ -203,12 +206,10 @@ def test_edge_dots_rejects_bad_shapes(tape):
     pattern = ad.SparsePattern([0, 1, 2], [0, 1, 1], 2, 3)
     g, x = ad.constant(np.ones((2, 4))), ad.constant(np.ones((3, 4)))
     assert ad.edge_dots(g, x, pattern).shape == (3, 1)
-    assert ad.edge_dots(x, g, pattern, transposed=True).shape == (3, 1)
-    for bad_g, bad_x, transposed in ((x, x, False), (g, g, False),
-                                     (g, ad.constant(np.ones((3, 5))), False),
-                                     (g, x, True)):
+    for bad_g, bad_x in ((x, x), (g, g), (g, ad.constant(np.ones((3, 5)))),
+                         (x, g)):
         with pytest.raises(ShapeError, match="edge-dots"):
-            ad.edge_dots(bad_g, bad_x, pattern, transposed)
+            ad.edge_dots(bad_g, bad_x, pattern)
 
 
 def test_weighted_aggregate_rejects_bad_shapes_and_indices(tape):
@@ -298,6 +299,40 @@ def test_sparse_pattern_serves_many_weight_vectors(tape):
     assert not np.allclose(first.data, second.data)
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_threads_with_their_own_tapes_aggregate_their_own_weights(
+        monkeypatch, transposed):
+    # each thread's kernel call waits until the other's has begun, so both
+    # calls have taken their weights before either product is made
+    x, w1, src, dst, n_out = _aggregate_case(12)
+    w2 = np.random.default_rng(13).standard_normal(w1.shape)
+    pattern = ad.SparsePattern(src, dst, n_out, len(x))
+    h = x[:n_out] if transposed else x
+
+    def aggregate(w):
+        with ad.use_tape(ad.Tape()):
+            return ad.weighted_aggregate(ad.constant(h), ad.variable(w),
+                                         pattern, transposed).data
+
+    want = [aggregate(w) for w in (w1, w2)]
+    kernels, barrier = ad._sparsetools, threading.Barrier(2, timeout=10)
+
+    def waiting(name):
+        def kernel(*args):
+            barrier.wait()
+            getattr(kernels, name)(*args)
+        return kernel
+
+    monkeypatch.setattr(ad, "_sparsetools", SimpleNamespace(
+        csr_matvecs=waiting("csr_matvecs"),
+        csc_matvecs=waiting("csc_matvecs")))
+    with ThreadPoolExecutor(2) as threads:
+        got = [f.result() for f in [threads.submit(aggregate, w)
+                                    for w in (w1, w2)]]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert not np.array_equal(*want)
+
+
 def test_deleting_a_batch_frees_its_patterns_without_gc(mutag):
     gc.disable()
     try:
@@ -309,7 +344,7 @@ def test_deleting_a_batch_frees_its_patterns_without_gc(mutag):
                               adjacency, transposed=True)
         # a pattern takes no weak reference; its arrays are freed with it
         refs = [weakref.ref(a) for p in (adjacency, pooling)
-                for a in (p.indptr, p.data)]
+                for a in (p.indptr, p.src)]
         del batch, adjacency, pooling
         assert all(r() is None for r in refs)
     finally:

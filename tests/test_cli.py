@@ -40,7 +40,7 @@ def test_train_prints_the_run_summary(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     _, log = tr.train(_load(folder, "TRI"), tr.Hyperparams(epochs=2, seed=3),
                       mode="ccl")
-    assert printed == log.summary
+    assert printed == {**log.summary, "blas_threads": openblas.threads()}
     assert printed["iterations"] == 2 and np.isfinite(printed["final_l_mega"])
     assert printed["mode"] == "ccl" and printed["epochs"] == 2
     assert printed["lam"] == tr.Hyperparams.lam  # a default, printed
@@ -66,7 +66,8 @@ def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
     assert printed == {"mode": "mega", **asdict(hp),
                        "seeds": list(range(1, 11)),
                        "accuracies": want.accuracies,
-                       "mean": want.mean, "std": want.std}
+                       "mean": want.mean, "std": want.std,
+                       "blas_threads": openblas.threads()}
 
 
 def _stub_runs(monkeypatch):
@@ -260,6 +261,18 @@ def test_the_test_session_runs_at_one_openblas_thread():
     if openblas.threads() == "unknown":
         pytest.skip("needs an OpenBLAS thread getter")
     assert openblas.threads() == 1
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_print_the_blas_threads_they_ran_at(
+        tmp_path, monkeypatch, capsys, command):
+    _stub_runs(monkeypatch)
+    threads = {"n": 4}
+    monkeypatch.setattr(openblas, "set_threads",
+                        lambda n: threads.update(n=n) or True)
+    monkeypatch.setattr(openblas, "threads", lambda: threads["n"])
+    assert cli.main([command, str(two_triangles(tmp_path)), "TRI"]) == 0
+    assert json.loads(capsys.readouterr().out)["blas_threads"] == 1
 
 
 def test_main_says_when_it_cannot_set_blas_threads(tmp_path, monkeypatch,

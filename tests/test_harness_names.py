@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from megagcl import augmenter, gnn, training
+from megagcl import autodiff as ad
 
 MEGABENCH = Path(__file__).resolve().parent.parent / "megabench"
 
@@ -57,5 +58,8 @@ def test_the_methods_the_harness_calls_exist():
     for owner, name in [(gnn.EncoderParams, "from_tensors"),
                         (gnn.MlpParams, "from_tensors"),
                         (augmenter.AugmenterParams, "from_tensors"),
-                        (training.TrainState, "adopt_all")]:
+                        (training.TrainState, "adopt_all"),
+                        (ad.Tape, "paused"), (ad.Tape, "reset"),
+                        (ad.Tape, "adopt"), (gnn.MlpParams, "tensors"),
+                        (gnn.EncoderParams, "tensors")]:
         assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
