@@ -14,3 +14,9 @@ __version__ = "0.1.0"
 
 # large tape temporaries are reused from the heap, not mapped anew per step
 keep_freed_memory()
+
+from . import openblas  # noqa: E402  (numpy loads after the thresholds)
+
+# one OpenBLAS thread, so same-seed bits do not depend on how the process
+# was started (``openblas``)
+openblas.set_threads(1)

@@ -57,7 +57,8 @@ In a backward pass that records nothing, ``dense``'s rule hands its
 parameter products over as the inline rule's own calls where its output
 gradient has at least ``DEFER_BYTES``, and ``backward`` adds each in the
 same order. Every other product stays on the calling thread, so results
-are bitwise the same on any number of CPUs.
+are bitwise the same on any number of CPUs at the one OpenBLAS thread that
+importing the package sets.
 
 Split runs and handed products are one task type, ``_Task``. A join makes
 a task no worker has started and waits only for one a worker has, so a

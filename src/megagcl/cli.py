@@ -7,14 +7,13 @@ flag per ``training.Hyperparams`` field, with its type, default and check:
 ``--tau``, ``--lam``, ``--inner-lr``, ``--encoder-lr``, ``--augmenter-lr``,
 ``--epochs``, ``--batch-size``, ``--seed``; ``--help`` gives each one's
 meaning and default. ``--lam 0`` is MEGA's feature-term ablation,
-``--epochs 0`` the untrained encoder (GIN-RIU). ``main`` sets numpy's
-OpenBLAS to one thread before its first product, and says so on stderr when
-it cannot (``openblas``).
+``--epochs 0`` the untrained encoder (GIN-RIU).
 ``train`` prints the run summary as JSON. ``eval`` prints the mode, settings,
 run seeds, each seed's mean test accuracy of a linear probe under stratified
 10-fold cross-validation (``accuracies``), their mean and population std.
-Both add ``blas_threads``, the OpenBLAS thread count the run used, since
-same-seed bits hold only at the same count.
+Both add ``blas_threads``, the OpenBLAS thread count the run used: one, as
+importing the package sets it, unless a caller has set another with
+``openblas.set_threads``. Same-seed bits hold only at the same count.
 ``compare BEFORE AFTER`` prints both outputs' mode and settings (``null``
 where absent) and, over the same seeds, the mean of AFTER - BEFORE, its 95%
 t-interval and the seeds up and down. Misuse raises ``ConfigError``, not an
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -80,9 +78,6 @@ def _read_eval_output(path):
 
 
 def main(argv=None):
-    if not openblas.set_threads(1):
-        print("megagcl: no OpenBLAS thread setter found; BLAS threads left "
-              "as they are", file=sys.stderr)
     args = _parser().parse_args(argv)
     if args.command == "compare":
         (before, before_seeds, ran_before), (after, after_seeds, ran_after) = (

@@ -18,18 +18,8 @@ are the same two-layer perceptron, ``mlp_forward``: two ``autodiff.dense``
 nodes, the first through a relu, so each layer of it is one tape node and
 one array.
 
-On a batch large enough (``autodiff.SPLIT_BYTES`` of output, such as a
-64-graph embedding batch of 150-250-node graphs), each layer's aggregation
-and both of its ``dense`` nodes are split into runs that the calling
-thread shares with autodiff's row pool; the readout's few rows stay on
-one thread. In a backward pass that records nothing, over a batch of more
-than about 2000 nodes (``autodiff.DEFER_BYTES``), each ``dense`` node's
-weight and bias gradients are handed to the pool as the same kind of task
-while the pass goes on. The calling thread makes any run or gradient that
-no worker has started by the time it needs it. The pool starts at the
-first such call, sized by the CPUs the process may use then, so MUTAG's
-batches, which reach neither size, start no thread. The results are
-bitwise the same either way.
+Which of these nodes share their work with the row pool, and when, is
+said in ``autodiff``'s module docstring.
 """
 
 from __future__ import annotations

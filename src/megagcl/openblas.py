@@ -2,8 +2,9 @@
 
 Same-seed tensors differ in low bits between one OpenBLAS thread and two,
 and BLAS threads would compete for the cores that ``autodiff``'s row runs
-already use. ``cli.main`` therefore sets one thread before its first
-product; importing the package sets nothing.
+already use. Importing the package therefore sets one thread, for library
+calls and ``megagcl`` commands alike; a caller who wants another count
+calls ``set_threads`` after the import.
 """
 
 from __future__ import annotations

@@ -134,10 +134,9 @@ def contrast_step(state: TrainState, batch, hp: Hyperparams,
     With ``unit_weights`` (mode ``ccl``) the unit view is contrasted with
     itself: it is encoded once, and its projection is both views.
     """
-    tape = ad.active_tape()
     weights = None
     if not unit_weights:
-        with tape.paused():
+        with ad.use_tape(None):
             weights = lga.lga_edge_weights(batch, state.sigma)
     z, z_aug, sims, loss = _contrast(batch, weights, state.phi, state.psi,
                                      hp, state.iteration)
@@ -148,7 +147,7 @@ def contrast_step(state: TrainState, batch, hp: Hyperparams,
                                               state.enc_opt, hp.encoder_lr)
     state.phi, state.psi = _split_encoder_tensors(state.phi, new_tensors)
 
-    with tape.paused():
+    with ad.use_tape(None):
         terms = losses.mega_terms(sims, losses.feature_corr(z, z_aug), hp.lam)
     return _step_record("contrast", loss, terms)
 

@@ -15,11 +15,6 @@ from megagcl import openblas
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_ROOT = Path(os.environ.get("MEGA_DATA_ROOT", REPO_ROOT / "data"))
 
-# one OpenBLAS thread for the whole session, as ``cli.main`` sets: a test's
-# low bits then do not depend on whether an in-process ``cli.main`` test,
-# which sets it, ran before it
-openblas.set_threads(1)
-
 
 # seconds a test may take before the run ends with every thread's stack
 HANG_SECONDS = 300
@@ -46,7 +41,7 @@ def fail_a_hung_test():
 def pytest_report_header(config):
     """The BLAS thread settings the run started with and the thread count
     OpenBLAS uses, since same-seed bits can differ between thread counts;
-    this file sets one."""
+    importing the package sets one."""
     threads = ", ".join(f"{var}={os.environ.get(var, 'unset')}"
                         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     return (f"BLAS thread settings: {threads}; OpenBLAS threads: "

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from dataclasses import asdict
@@ -13,10 +16,12 @@ from megagcl import evaluation
 from megagcl import gnn
 from megagcl import graphdata as gd
 from megagcl import losses
+from megagcl import openblas
 from megagcl import training as tr
-from megagcl.errors import ConfigError, DataError, NumericError
+from megagcl.errors import ConfigError, DataError, NumericError, TapeError
 
-from conftest import count_calls, ring_record, synthetic_dataset
+from conftest import (DATA_ROOT, REPO_ROOT, count_calls, ring_record,
+                      synthetic_dataset)
 
 
 def tiny_fixture():
@@ -109,6 +114,16 @@ def test_meta_step_updates_sigma_only():
     assert param_bytes(state.psi) == psi_before
     assert param_bytes(state.sigma) != sigma_before
     assert np.isfinite(record["l_mega"])
+
+
+@pytest.mark.parametrize("step", [
+    tr.contrast_step, partial(tr.contrast_step, unit_weights=True),
+    tr.meta_step], ids=["contrast-mega", "contrast-ccl", "meta"])
+def test_a_step_without_an_active_tape_raises_tape_error(step):
+    _, batch = tiny_fixture()
+    assert ad.active_tape() is None
+    with pytest.raises(TapeError, match="requires an active tape"):
+        step(fresh_state(small_dims(2)), batch, hp())
 
 
 def test_meta_gradient_zero_when_inner_rate_zero():
@@ -668,6 +683,34 @@ def test_train_determinism_same_seed_identical_log():
     _, log_b = tr.train(ds, hp(epochs=2, batch_size=5, seed=3), mode="mega")
     assert log_a.records == log_b.records
     assert log_a.summary == log_b.summary
+
+
+# a 2-epoch MUTAG mega train, and the sha256 of the parameters it ends at
+_LIBRARY_TRAIN = """
+import hashlib, sys
+from megagcl import graphdata as gd, training as tr
+ds = gd.parse_tu_dataset(sys.argv[1], "MUTAG")
+state, _ = tr.train(gd.build_node_features(ds, "node-label-onehot"),
+                    tr.Hyperparams(epochs=2), mode="mega")
+params = b"".join(t.data.tobytes() for t in state.all_tensors())
+print(hashlib.sha256(params).hexdigest())
+"""
+
+
+def test_a_library_train_call_gets_the_bits_of_the_cli(monkeypatch, capsys):
+    # the test session and every megagcl command run at one OpenBLAS
+    # thread, and the package's import sets it for a library call too
+    if openblas.threads() == "unknown" or os.cpu_count() < 2:
+        pytest.skip("needs an OpenBLAS thread getter and two CPUs")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    done = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_TRAIN, str(DATA_ROOT)],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**env, "PYTHONPATH": str(REPO_ROOT / "src")})
+    monkeypatch.setattr(sys, "argv", ["-c", str(DATA_ROOT)])
+    exec(_LIBRARY_TRAIN, {})
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_training_hands_back_plain_constants():
