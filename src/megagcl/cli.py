@@ -2,8 +2,11 @@
 
 ``train FOLDER NAME`` and ``eval FOLDER NAME`` read a TU-format dataset
 (``NAME_A.txt`` and its companions, in ``FOLDER`` or ``FOLDER/NAME``) with
-one-hot node-label features. They take ``--mode mega`` or ``ccl`` and one
-flag per ``training.Hyperparams`` field, with its type, default and check:
+one-hot node features: ``--features node-label-onehot`` (the default) or
+``--features degree-onehot --cap C``, which one-hots min(degree, C);
+``--cap`` with any other scheme, or ``degree-onehot`` without it, is
+misuse. They take ``--mode mega`` or ``ccl`` and one flag per
+``training.Hyperparams`` field, with its type, default and check:
 ``--tau``, ``--lam``, ``--inner-lr``, ``--encoder-lr``, ``--augmenter-lr``,
 ``--epochs``, ``--batch-size``, ``--seed``; ``--help`` gives each one's
 meaning and default. ``--lam 0`` is MEGA's feature-term ablation,
@@ -11,13 +14,15 @@ meaning and default. ``--lam 0`` is MEGA's feature-term ablation,
 ``train`` prints the run summary as JSON. ``eval`` prints the mode, settings,
 run seeds, each seed's mean test accuracy of a linear probe under stratified
 10-fold cross-validation (``accuracies``), their mean and population std.
-Both add ``blas_threads``, the OpenBLAS thread count the run used: one, as
-importing the package sets it, unless a caller has set another with
+Both add ``features`` and ``cap`` (``null`` without one), and
+``blas_threads``, the OpenBLAS thread count the run used: one, as importing
+the package sets it, unless a caller has set another with
 ``openblas.set_threads``. Same-seed bits hold only at the same count.
-``compare BEFORE AFTER`` prints both outputs' mode and settings (``null``
-where absent) and, over the same seeds, the mean of AFTER - BEFORE, its 95%
-t-interval and the seeds up and down. Misuse raises ``ConfigError``, not an
-exit; a file that is not an ``eval`` output raises ``DataError``.
+``compare BEFORE AFTER`` prints both outputs' mode, settings, features and
+cap (``null`` where absent) and, over the same seeds, the mean of
+AFTER - BEFORE, its 95% t-interval and the seeds up and down. Misuse raises
+``ConfigError``, not an exit; a file that is not an ``eval`` output raises
+``DataError``.
 """
 
 from __future__ import annotations
@@ -53,6 +58,12 @@ def _parser():
         cmd.add_argument("name", help="dataset name, NAME in NAME_A.txt")
         cmd.add_argument("--mode", choices=training.TRAINING_MODES,
                          default="mega", help="training schedule")
+        cmd.add_argument("--features", choices=graphdata.FEATURE_SCHEMES,
+                         default=graphdata.FEATURE_SCHEMES[0],
+                         help="one-hot node features")
+        cmd.add_argument("--cap", type=int,
+                         help="degree-onehot's largest degree, required by "
+                              "it and taken by no other scheme")
         for f in fields(training.Hyperparams):
             cmd.add_argument("--" + f.name.replace("_", "-"),
                              type=type(f.default), default=f.default,
@@ -74,7 +85,8 @@ def _read_eval_output(path):
     if accuracies.ndim != 1 or not np.all(np.isfinite(accuracies)):
         raise DataError(f"{path}: accuracies must be a list of finite numbers")
     return (accuracies, output.get("seeds"),
-            {key: output.get(key) for key in ["mode", *_SETTINGS]})
+            {key: output.get(key)
+             for key in ["mode", *_SETTINGS, "features", "cap"]})
 
 
 def main(argv=None):
@@ -99,16 +111,20 @@ def main(argv=None):
                           "up": int(sum(d > 0)), "down": int(sum(d < 0))}))
         return 0
     hp = training.Hyperparams(**{k: getattr(args, k) for k in _SETTINGS})
+    if (args.features == "degree-onehot") != (args.cap is not None):
+        raise ConfigError("--cap is required by --features degree-onehot "
+                          "and taken by no other scheme")
     dataset = graphdata.build_node_features(
         graphdata.parse_tu_dataset(args.folder, args.name),
-        "node-label-onehot")
+        args.features, args.cap)
     if args.command == "train":
         _, log = training.train(dataset, hp, mode=args.mode)
         output = log.summary
     else:
         result = evaluation.run_protocol(dataset, hp, mode=args.mode)
         output = {"mode": args.mode, **asdict(hp), **asdict(result)}
-    print(json.dumps({**output, "blas_threads": openblas.threads()}))
+    print(json.dumps({**output, "features": args.features, "cap": args.cap,
+                      "blas_threads": openblas.threads()}))
     return 0
 
 

@@ -10,9 +10,13 @@ read: the parser warns that they are ignored.
 
 A graph's edges have one rule, ``undirected_closure`` (no self-loops or
 duplicates, every reverse present), and one order, CSR (by target, then
-source). A parsed graph's ``edges`` already is its closure; ``csr_edges``
-closes any topology, so a hand-built one batches like a TU file of its pairs.
-``batch_graphs`` builds a batch together with its aggregation patterns.
+source). A parsed graph's ``edges`` already is its closure, and its
+``csr_edges`` is that same array; ``csr_edges`` closes any other topology,
+so a hand-built one batches like a TU file of its pairs. The parser closes
+the whole dataset's pairs in one pass, and ``build_node_features`` one-hots
+the whole dataset in one array, of which each record's ``features`` is a
+read-only row view. ``batch_graphs`` builds a batch together with its
+aggregation patterns.
 
 Each file is read by numpy's C parser (``np.loadtxt``, comma delimited,
 int64) with its warnings as errors. A file of empty lines only has no rows;
@@ -26,17 +30,20 @@ a rescan only when an error message needs one.
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import SparsePattern
 from .errors import ConfigError, DataError, require_count
+
+FEATURE_SCHEMES = ("node-label-onehot", "degree-onehot")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +57,8 @@ class GraphTopology:
 
     ``csr_edges``, the graph the encoder aggregates over, is computed on
     first use, which is also where a pair outside 0..n_nodes-1 raises
-    ``DataError``, so parsing pays for neither.
+    ``DataError``. A parsed topology's ``edges`` already is its closure, so
+    the parser sets its ``csr_edges`` to that array, uncopied.
     """
 
     n_nodes: int
@@ -155,15 +163,26 @@ def undirected_closure(edges, n_nodes):
         k = np.flatnonzero(((e < 0) | (e >= n_nodes)).any(axis=1))[0]
         raise DataError(f"edge {k} ({e[k, 0]}, {e[k, 1]}) is outside node "
                         f"range 0..{n_nodes - 1}")
-    e = e[e[:, 0] != e[:, 1]]
-    keys = np.concatenate([e[:, 0], e[:, 1]]) * n_nodes
-    keys += np.concatenate([e[:, 1], e[:, 0]])
+    loops = e[:, 0] == e[:, 1]
+    if loops.any():  # rare, so the copy is only taken where needed
+        e = e[~loops]
+    # the key a * n_nodes + b of each pair (a, b), then of its reverse
+    m = len(e)
+    keys = np.empty(2 * m, dtype=np.intp)
+    np.multiply(e[:, 0], n_nodes, out=keys[:m])
+    np.multiply(e[:, 1], n_nodes, out=keys[m:])
+    keys[:m] += e[:, 1]
+    keys[m:] += e[:, 0]
     keys.sort()
-    first = np.ones(keys.shape, dtype=bool)
+    first = np.empty(keys.shape, dtype=bool)
+    first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    # compress outruns a boolean index where half the keys repeat
+    keys = np.compress(first, keys)
     # a symmetric set sorted by (a, b) is in CSR order read as (dst, src)
-    dst, src = np.divmod(keys[first], max(n_nodes, 1))
-    return np.stack([src, dst], axis=1)
+    out = np.empty((len(keys), 2), dtype=np.intp)
+    np.divmod(keys, max(n_nodes, 1), out=(out[:, 1], out[:, 0]))
+    return out
 
 
 def _find_dataset_dir(root_dir, name):
@@ -243,7 +262,8 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     """Load a TU-convention dataset into 0-indexed per-graph records.
 
     Graph labels are remapped to 0..n_classes-1 preserving the sorted order
-    of the raw labels; the undirected closure is enforced per graph.
+    of the raw labels. Each graph's ``edges`` is its undirected closure in
+    CSR order, a read-only view of one array, and its ``csr_edges``.
     """
     folder = _find_dataset_dir(root_dir, name)
     a_path = folder / f"{name}_A.txt"
@@ -254,13 +274,18 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
             raise DataError(f"missing mandatory file {p.name} under {folder}")
 
     indicator = _rows(ind_path, 1)[:, 0]
-    if len(indicator) == 0:
-        raise DataError(f"{ind_path.name}: the dataset holds no graphs")
     n_total = len(indicator)
-    graph_ids = np.unique(indicator)
-    if not np.array_equal(graph_ids, np.arange(1, len(graph_ids) + 1)):
+    if n_total == 0:
+        raise DataError(f"{ind_path.name}: the dataset holds no graphs")
+    # bounded by the node count first, so a huge id allocates no bincount;
+    # then the ids are 1..N when no count up to the largest id is 0
+    if indicator.min() < 1 or indicator.max() > n_total:
         raise DataError(f"{ind_path.name}: graph ids are not 1..N")
-    n_graphs = len(graph_ids)
+    graph_of = indicator.astype(np.intp) - 1
+    counts = np.bincount(graph_of)
+    if not counts.all():
+        raise DataError(f"{ind_path.name}: graph ids are not 1..N")
+    n_graphs = len(counts)
 
     raw_labels = _rows(lab_path, 1)[:, 0]
     if len(raw_labels) != n_graphs:
@@ -282,8 +307,6 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
 
     # graph-major node ids: a node's new id is its graph's start plus its
     # rank among that graph's nodes, which keeps the order of their old ids
-    graph_of = indicator.astype(np.intp) - 1
-    counts = np.bincount(graph_of, minlength=n_graphs)
     starts = np.cumsum(counts) - counts
     by_graph = np.argsort(graph_of, kind="stable")
     new_id = np.empty(n_total, dtype=np.intp)
@@ -292,28 +315,47 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
         node_labels = node_labels[by_graph].tolist()
 
     pairs = _edges(a_path, n_total)
-    graph_uv = graph_of[pairs - 1]
+    pairs -= 1  # 0-indexed from here on
+    graph_uv = graph_of[pairs]
     crossing = np.flatnonzero(graph_uv[:, 0] != graph_uv[:, 1])
     if crossing.size:
         k = crossing[0]
-        (u, v), (gu, gv) = pairs[k], graph_uv[k]
+        (u, v), (gu, gv) = pairs[k] + 1, graph_uv[k] + 1
         raise DataError(
             f"{a_path.name}:{_nth_line(a_path, k)[0]}: edge ({u}, {v}) "
-            f"crosses graphs {gu + 1} and {gv + 1}")
+            f"crosses graphs {gu} and {gv}")
 
     # over graph-major ids the closure's CSR order, by target, also groups
     # the edges by graph, each group its graph's own closure in CSR order
-    edges = undirected_closure(new_id[pairs - 1], n_total)
+    edges = undirected_closure(new_id[pairs], n_total)
     bounds = np.searchsorted(edges[:, 1], starts)
-    edges -= np.repeat(starts, np.diff(bounds, append=len(edges)))[:, None]
+    ends = np.append(bounds[1:], len(edges))
+    edges -= np.repeat(starts, ends - bounds)[:, None]
     edges.flags.writeable = False  # so each graph's view is taken uncopied
     records = [GraphRecord(
-        GraphTopology(n, e), int(label),
+        _closed_topology(n, e), label,
         None if node_labels is None else node_labels[start:start + n])
-        for n, start, e, label in zip(counts, starts,
-                                      np.split(edges, bounds[1:]), labels)]
+        for n, start, e, label in zip(counts.tolist(), starts.tolist(),
+                                      _blocks(edges, ends.tolist()),
+                                      labels.tolist())]
 
     return Dataset(name=name, records=records, n_classes=len(classes))
+
+
+def _blocks(array, ends):
+    """Views of ``array``'s consecutive row blocks, the k-th ending at row
+    ``ends[k]``: ``np.split`` without its cost per block."""
+    return [array[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+def _closed_topology(n_nodes, edges):
+    """A topology over ``edges`` that already are their own closure in CSR
+    order, as each parsed graph's are."""
+    topology = GraphTopology(n_nodes, edges)
+    # cached_property looks in the instance __dict__ before it computes,
+    # so csr_edges is the edges themselves: no closure and no second copy
+    vars(topology)["csr_edges"] = topology.edges
+    return topology
 
 
 def degree_sequence(topology: GraphTopology):
@@ -321,36 +363,61 @@ def degree_sequence(topology: GraphTopology):
     return np.bincount(topology.csr_edges[:, 0], minlength=topology.n_nodes)
 
 
+def _node_label_array(dataset):
+    """Every record's node labels, in order, as one int64 array. A label
+    that is not an integer within int64 raises ``DataError`` naming its
+    record."""
+    def read(records):
+        labels = chain.from_iterable(r.node_labels for r in records)
+        return np.fromiter(map(operator.index, labels), np.int64,
+                           count=sum(len(r.node_labels) for r in records))
+
+    try:
+        return read(dataset.records)
+    except (TypeError, OverflowError):
+        for i, rec in enumerate(dataset.records):  # name the record
+            try:
+                read([rec])
+            except (TypeError, OverflowError) as exc:
+                raise DataError(f"{dataset.name}: record {i}: node labels "
+                                f"must be integers within int64 ({exc})") \
+                    from None
+        raise
+
+
 def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
-    """Attach one-hot node features.
+    """Attach one-hot node features, built for the whole dataset at once:
+    each record's ``features`` is a read-only view of its rows of one
+    float64 array.
 
     ``node-label-onehot``: width = number of distinct node labels in the
-    dataset. ``degree-onehot``: width = cap + 1, degree d mapped to
-    min(d, cap).
+    dataset, a label's column its rank among them; a label that is not an
+    integer within int64 raises ``DataError`` naming its record.
+    ``degree-onehot``: width = cap + 1, degree d mapped to min(d, cap).
     """
     if scheme == "node-label-onehot":
         if any(r.node_labels is None for r in dataset.records):
             raise DataError(
                 f"{dataset.name}: node-label-onehot requires node labels")
-        vocab = np.array(sorted(set().union(*(r.node_labels
-                                              for r in dataset.records))))
+        sizes = [len(r.node_labels) for r in dataset.records]
+        vocab, column = np.unique(_node_label_array(dataset),
+                                  return_inverse=True)
         width = len(vocab)
-
-        def column(rec):
-            return np.searchsorted(vocab, rec.node_labels)
-
     elif scheme == "degree-onehot":
         require_count("cap", cap, 1)
         width = cap + 1
-
-        def column(rec):
-            return np.minimum(degree_sequence(rec.topology), cap)
-
+        degrees = [degree_sequence(r.topology) for r in dataset.records]
+        sizes = [len(d) for d in degrees]
+        # the empty head serves a dataset of no records
+        column = np.minimum(np.concatenate([np.empty(0, np.intp), *degrees]),
+                            cap)
     else:
         raise ConfigError(f"unknown feature scheme: {scheme!r}")
 
-    onehot = np.eye(width)
-    records = [replace(r, features=onehot[column(r)]) for r in dataset.records]
+    features = np.eye(width)[column]
+    features.flags.writeable = False
+    rows = _blocks(features, np.cumsum(sizes).tolist())
+    records = [replace(r, features=f) for r, f in zip(dataset.records, rows)]
     return replace(dataset, records=records)
 
 

@@ -41,7 +41,8 @@ def test_train_prints_the_run_summary(tmp_path, capsys):
     printed = json.loads(capsys.readouterr().out)
     _, log = tr.train(_load(folder, "TRI"), tr.Hyperparams(epochs=2, seed=3),
                       mode="ccl")
-    assert printed == {**log.summary, "blas_threads": openblas.threads()}
+    assert printed == {**log.summary, "features": "node-label-onehot",
+                       "cap": None, "blas_threads": openblas.threads()}
     assert printed["iterations"] == 2 and np.isfinite(printed["final_l_mega"])
     assert printed["mode"] == "ccl" and printed["epochs"] == 2
     assert printed["lam"] == tr.Hyperparams.lam  # a default, printed
@@ -68,6 +69,7 @@ def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
                        "seeds": list(range(1, 11)),
                        "accuracies": want.accuracies,
                        "mean": want.mean, "std": want.std,
+                       "features": "node-label-onehot", "cap": None,
                        "blas_threads": openblas.threads()}
 
 
@@ -140,6 +142,55 @@ def test_misuse_raises_config_error(tmp_path):
         cli.main(["eval", empty, "E", "--epochs", "0"])
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("flags, scheme, cap", [
+    ([], "node-label-onehot", None),
+    (["--features", "node-label-onehot"], "node-label-onehot", None),
+    (["--features", "degree-onehot", "--cap", "1"], "degree-onehot", 1)],
+    ids=["default", "node-labels", "degrees"])
+def test_features_and_cap_choose_the_scheme_and_are_printed(
+        tmp_path, monkeypatch, capsys, command, flags, scheme, cap):
+    folder = two_triangles(tmp_path)
+    given = []
+
+    def train(dataset, hp, mode):
+        given.append(dataset)
+        return None, tr.MetricsLog()
+
+    def run_protocol(dataset, hp, mode):
+        given.append(dataset)
+        return ev.ProbeResult.from_runs([0], [1.0])
+
+    monkeypatch.setattr(tr, "train", train)
+    monkeypatch.setattr(ev, "run_protocol", run_protocol)
+    assert cli.main([command, str(folder), "TRI", *flags]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert (printed["features"], printed["cap"]) == (scheme, cap)
+    want = gd.build_node_features(gd.parse_tu_dataset(folder, "TRI"),
+                                  scheme, cap)
+    [got] = given
+    for a, b in zip(got.records, want.records):
+        assert (a.features.shape, a.features.tobytes()) == \
+            (b.features.shape, b.features.tobytes())
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--features", "degree-onehot"], "--cap is required"),
+    (["--cap", "3"], "--cap is required"),
+    (["--features", "node-label-onehot", "--cap", "3"], "--cap is required"),
+    (["--features", "degree-onehot", "--cap", "0"], "cap must be an int"),
+    (["--features", "laplacian"], "invalid choice"),
+    (["--features", "degree-onehot", "--cap", "x"], "invalid int value")],
+    ids=["degrees-without-cap", "cap-alone", "cap-with-node-labels",
+         "cap-0", "unknown-scheme", "cap-not-an-int"])
+def test_cap_goes_with_degree_onehot_and_nothing_else(tmp_path, flags,
+                                                      message):
+    folder = str(two_triangles(tmp_path))
+    for command in ("train", "eval"):
+        with pytest.raises(ConfigError, match=message):
+            cli.main([command, folder, "TRI", *flags])
+
+
 def _eval_output(path, accuracies, first_seed=0, **settings):
     seeds = list(range(first_seed, first_seed + len(accuracies)))
     path.write_text(json.dumps({"mode": "mega", **settings, "seeds": seeds,
@@ -162,21 +213,24 @@ def test_compare_prints_the_paired_difference(tmp_path, capsys):
     np.testing.assert_allclose(printed["ci95"], [0.5 - half, 0.5 + half],
                                rtol=0, atol=1e-6)
     # outputs that hold no settings still compare, their settings null
-    unknown = {"mode": "mega", **dict.fromkeys(asdict(tr.Hyperparams()))}
+    unknown = {"mode": "mega", **dict.fromkeys(asdict(tr.Hyperparams())),
+               "features": None, "cap": None}
     assert printed["before"] == printed["after"] == unknown
 
 
 def test_compare_prints_the_settings_of_both_outputs(tmp_path, capsys):
     hp = tr.Hyperparams(epochs=20)
     ablation = tr.Hyperparams(epochs=20, lam=0.0)
+    labels = dict(features="node-label-onehot", cap=None)
+    degrees = dict(features="degree-onehot", cap=4)
     before = _eval_output(tmp_path / "before.json", [80.0, 82.0],
-                          **asdict(hp))
+                          **asdict(hp), **labels)
     after = _eval_output(tmp_path / "after.json", [81.0, 82.0],
-                         **asdict(ablation))
+                         **asdict(ablation), **degrees)
     assert cli.main(["compare", before, after]) == 0
     printed = json.loads(capsys.readouterr().out)
-    assert printed["before"] == {"mode": "mega", **asdict(hp)}
-    assert printed["after"] == {"mode": "mega", **asdict(ablation)}
+    assert printed["before"] == {"mode": "mega", **asdict(hp), **labels}
+    assert printed["after"] == {"mode": "mega", **asdict(ablation), **degrees}
     assert printed["n"] == 2 and printed["mean"] == 0.5
 
 

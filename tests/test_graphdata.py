@@ -1,3 +1,4 @@
+import hashlib
 import re
 import warnings
 from operator import attrgetter
@@ -8,7 +9,7 @@ import pytest
 from megagcl import graphdata as gd
 from megagcl.errors import ConfigError, DataError
 
-from conftest import (count_calls, star_record, synthetic_dataset,
+from conftest import (DATA_ROOT, count_calls, star_record, synthetic_dataset,
                       two_triangles, write_tu_fixture)
 
 
@@ -22,6 +23,31 @@ def test_mutag_counts(mutag):
     assert sum(r.n_nodes for r in mutag.records) == 3371
     distinct_node_labels = {l for r in mutag.records for l in r.node_labels}
     assert len(distinct_node_labels) == 7
+
+
+def _sha256(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def test_mutag_parse_and_features_keep_their_digests(mutag):
+    # pinned, so that no change to the data layer moves them silently
+    records = mutag.records
+    features = gd.build_node_features(mutag, "node-label-onehot").records
+    assert _sha256(a for r in records for a in (
+        np.array([r.n_nodes, len(r.topology.edges)], "<i8"),
+        r.topology.edges.astype("<i8"))) == \
+        "b7839af64f1732a7a1cb67defe6d77f0d8edb95d84668c591268613453e25374"
+    assert _sha256([mutag.labels.astype("<i8")]) == \
+        "07456527bba8037f89b061189f9bbefa3a86723de1b9c627df4d59a19ce47012"
+    assert _sha256(np.array(r.node_labels, "<i8") for r in records) == \
+        "7b020e4dec75b79b73432d36eb18e20f881d3411c5d63fd0268a0502c180f53a"
+    assert {r.features.dtype for r in features} == {np.dtype(np.float64)}
+    assert {r.features.shape[1] for r in features} == {7}
+    assert _sha256(r.features.astype("<f8") for r in features) == \
+        "d992a2249735fc9d31add3201a860df6d141f43a22671f14d80b627e7aebc79c"
 
 
 def test_two_triangle_fixture(tmp_path):
@@ -357,6 +383,16 @@ _CRAFTED = {
                     "T_graph_labels.txt: 1 labels for 2 graphs"),
     "indicator-gap": ({"graph_indicator": "1\n" * 10 + "3\n3\n"},
                       "T_graph_indicator.txt: graph ids are not 1..N"),
+    "indicator-zero": ({"graph_indicator": "0\n" + "1\n" * 9 + "2\n2\n"},
+                       "T_graph_indicator.txt: graph ids are not 1..N"),
+    "indicator-negative": ({"graph_indicator": "1\n" * 11 + "-2\n"},
+                           "T_graph_indicator.txt: graph ids are not 1..N"),
+    # ids above the node count are refused before any count is taken
+    "indicator-above-node-count": (
+        {"graph_indicator": "1\n" * 10 + "13\n13\n"},
+        "T_graph_indicator.txt: graph ids are not 1..N"),
+    "indicator-huge": ({"graph_indicator": "1\n" * 11 + f"{2**62}\n"},
+                       "T_graph_indicator.txt: graph ids are not 1..N"),
     "empty-indicator": ({"graph_indicator": ""},
                         "T_graph_indicator.txt: the dataset holds no graphs"),
     "node-label-pair": ({"node_labels": "0, 1\n" * 12},
@@ -471,6 +507,73 @@ def test_degree_onehot_rejects_a_cap_that_is_not_an_int_of_at_least_1(cap):
     ds = gd.Dataset("S", [star_record(4, 0)], 1)
     with pytest.raises(ConfigError, match="cap"):
         gd.build_node_features(ds, "degree-onehot", cap=cap)
+
+
+def _onehot_reference(records):
+    """Each record's features as built one record at a time: the one-hot
+    of its labels' places in the dataset's sorted label set."""
+    vocab = np.array(sorted({x for r in records for x in r.node_labels}),
+                     dtype=np.int64)
+    return [np.eye(len(vocab))[np.searchsorted(vocab, r.node_labels)]
+            for r in records]
+
+
+def _hand_built_labelled():
+    # a 0-node graph, negative labels, and label 9 held by one graph only
+    return gd.Dataset("HAND", [
+        gd.GraphRecord(gd.GraphTopology(3, ((0, 1),)), 0, [-2, 0, -2]),
+        gd.GraphRecord(gd.GraphTopology(0, ()), 1, []),
+        gd.GraphRecord(gd.GraphTopology(2, ()), 1, [9, -5]),
+        gd.GraphRecord(gd.GraphTopology(1, ()), 0, [0])], 2)
+
+
+@pytest.mark.parametrize("source", ["mutag", "synth", "hand"])
+def test_node_label_onehot_equals_the_per_record_reference(
+        source, mutag, synth_folder):
+    ds = {"mutag": lambda: mutag,
+          "synth": lambda: gd.parse_tu_dataset(synth_folder, "SYN"),
+          "hand": _hand_built_labelled}[source]()
+    got = gd.build_node_features(ds, "node-label-onehot").records
+    for rec, want in zip(got, _onehot_reference(ds.records), strict=True):
+        f = rec.features
+        assert (f.dtype, f.shape, f.tobytes()) == \
+            (want.dtype, want.shape, want.tobytes())
+        assert not f.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f[:1] = 0
+
+
+@pytest.mark.parametrize("scheme, cap", [("node-label-onehot", None),
+                                         ("degree-onehot", 3)])
+def test_features_are_read_only_row_views_of_one_array(mutag, scheme, cap):
+    records = gd.build_node_features(mutag, scheme, cap).records
+    whole = records[0].features.base
+    assert whole.shape == (sum(r.n_nodes for r in records),
+                           7 if cap is None else cap + 1)
+    assert not whole.flags.writeable
+    for rec in records:
+        assert rec.features.base is whole and rec.features.flags.c_contiguous
+
+
+@pytest.mark.parametrize("bad", [2**63, -2**63 - 1, 1.5, 2.0, "3", None,
+                                 np.float64(1.0)])
+def test_a_node_label_that_is_not_an_int64_integer_names_its_record(bad):
+    ds = _hand_built_labelled()
+    ds.records[2].node_labels = [9, bad]
+    with pytest.raises(DataError, match=r"^HAND: record 2: node labels must "
+                                        r"be integers within int64 \("):
+        gd.build_node_features(ds, "node-label-onehot")
+
+
+def test_int64_extremes_numpy_integers_and_bools_are_node_labels():
+    ds = _hand_built_labelled()
+    ds.records[2].node_labels = [np.int16(9), 2**63 - 1]
+    ds.records[3].node_labels = [-2**63]
+    ds.records[0].node_labels = [True, np.uint64(0), -2]
+    got = gd.build_node_features(ds, "node-label-onehot").records
+    for rec, want in zip(got, _onehot_reference(ds.records)):
+        assert rec.features.tobytes() == want.tobytes()
+    assert got[0].features.shape == (3, 6)
 
 
 def test_feature_scheme_mismatch():
@@ -656,6 +759,17 @@ def test_assembled_orders_equal_lexsort(mutag, synth_records, size):
             middle = len(pick) // 2
             _check_batch_orders(pick[:middle] + [empty, edgeless]
                                 + pick[middle:])
+
+
+def test_parsed_topologies_carry_their_closure(monkeypatch):
+    ds = gd.build_node_features(gd.parse_tu_dataset(DATA_ROOT, "MUTAG"),
+                                "node-label-onehot")
+    closures = count_calls(monkeypatch, gd, "undirected_closure")
+    for start in range(0, len(ds), 32):
+        gd.batch_graphs(ds.records[start:start + 32])
+    assert closures == []
+    for rec in ds.records:
+        assert rec.topology.csr_edges is rec.topology.edges
 
 
 def test_topology_order_is_computed_once_and_shared(mutag, monkeypatch):
