@@ -125,7 +125,9 @@ class Tensor:
     A Tensor without a node id is a constant: it never receives a gradient,
     and operations on constants alone are not recorded. The constructor
     stores ``data`` as given, so it must already be a float64 array of at
-    least one dimension; ``constant`` coerces anything else.
+    least one dimension; ``constant`` coerces anything else. A constant
+    mask may hold bools instead: a float64 times a bool is exactly the
+    float64 times 0.0 or 1.0.
     """
 
     __slots__ = ("data", "node_id")
@@ -703,7 +705,7 @@ def _v_dense(node, g, need, handed=None):
     # those rules built them; the output is positive where the input was
     x, w, b = node.inputs
     if node.extras["relu"]:
-        g = mul(g, constant((node.out.data > 0).astype(np.float64)))
+        g = mul(g, Tensor(node.out.data > 0))
     if (handed is not None and g.shape[0] > 1
             and g.data.nbytes >= DEFER_BYTES):
         # x.T @ g and the bias sums feed only w's and b's gradients: hand them
@@ -732,12 +734,12 @@ def _v_mean(node, g, need):
 
 def _v_relu(node, g, need):
     (x,) = node.inputs
-    return [mul(g, constant((x.data > 0).astype(np.float64)))]
+    return [mul(g, Tensor(x.data > 0))]
 
 
 def _v_sigmoid(node, g, need):
     s = node.out
-    return [mul(g, mul(s, sub(constant(np.ones(s.shape)), s)))]
+    return [mul(g, mul(s, sub(constant(1.0), s)))]
 
 
 def _v_exp(node, g, need):

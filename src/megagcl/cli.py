@@ -18,6 +18,9 @@ Both add ``features`` and ``cap`` (``null`` without one), and
 ``blas_threads``, the OpenBLAS thread count the run used: one, as importing
 the package sets it, unless a caller has set another with
 ``openblas.set_threads``. Same-seed bits hold only at the same count.
+They also print ``versions`` (``python``, ``numpy`` and ``scipy``) and
+``commit``, the commit checked out where the package's sources lie, read
+from its ``.git`` folder without running git (``null`` without one).
 ``compare BEFORE AFTER`` prints both outputs' mode, settings, features and
 cap (``null`` where absent) and, over the same seeds, the mean of
 AFTER - BEFORE, its 95% t-interval and the seeds up and down. Misuse raises
@@ -29,7 +32,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 from dataclasses import asdict, fields
+from importlib.metadata import version
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +43,9 @@ from . import evaluation, graphdata, openblas, training
 from .errors import ConfigError, DataError
 
 _SETTINGS = [f.name for f in fields(training.Hyperparams)]
+
+# the checkout that holds src/megagcl
+_CHECKOUT = Path(__file__).resolve().parents[2]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,6 +97,34 @@ def _read_eval_output(path):
              for key in ["mode", *_SETTINGS, "features", "cap"]})
 
 
+def _versions():
+    """The versions a run's bits depend on, read from the packages'
+    metadata, so that scipy is not imported for it."""
+    return {"python": platform.python_version(),
+            **{name: version(name) for name in ("numpy", "scipy")}}
+
+
+def _commit(checkout):
+    """The commit ``checkout/.git`` has checked out, read without git: a
+    detached HEAD's, or its branch's from a loose or a packed ref. None
+    where it cannot be read, as without a ``.git`` folder."""
+    git = Path(checkout) / ".git"
+    try:
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head.removeprefix("ref: ")
+        if (git / ref).is_file():
+            return (git / ref).read_text().strip()
+        for line in (git / "packed-refs").read_text().splitlines():
+            commit, _, name = line.partition(" ")
+            if name == ref:
+                return commit
+    except OSError:
+        pass
+    return None
+
+
 def main(argv=None):
     args = _parser().parse_args(argv)
     if args.command == "compare":
@@ -124,7 +160,9 @@ def main(argv=None):
         result = evaluation.run_protocol(dataset, hp, mode=args.mode)
         output = {"mode": args.mode, **asdict(hp), **asdict(result)}
     print(json.dumps({**output, "features": args.features, "cap": args.cap,
-                      "blas_threads": openblas.threads()}))
+                      "blas_threads": openblas.threads(),
+                      "versions": _versions(),
+                      "commit": _commit(_CHECKOUT)}))
     return 0
 
 

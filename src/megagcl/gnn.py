@@ -8,8 +8,8 @@ Both aggregate over the sparse patterns ``graphdata.batch_graphs`` builds
 with the batch (``GraphBatch.adjacency`` and ``GraphBatch.pooling``), so
 every layer and view over one batch reuses them, read-only, with its own
 weights. Building them sorts nothing: the batch's edges come in CSR order,
-by target, from each graph's undirected closure, computed once in that
-order (``GraphTopology.csr_edges``), and its nodes ascend by graph. Backward
+by target, from each graph's ``edges``, the closure, computed in that order
+where its ``GraphTopology`` is made, and its nodes ascend by graph. Backward
 passes run the transposed products over the same patterns' arrays, building
 nothing.
 

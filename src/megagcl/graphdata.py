@@ -10,9 +10,9 @@ read: the parser warns that they are ignored.
 
 A graph's edges have one rule, ``undirected_closure`` (no self-loops or
 duplicates, every reverse present), and one order, CSR (by target, then
-source). A parsed graph's ``edges`` already is its closure, and its
-``csr_edges`` is that same array; ``csr_edges`` closes any other topology,
-so a hand-built one batches like a TU file of its pairs. The parser closes
+source). A topology's ``edges``, the closure, is made and range-checked
+where the topology is made, so a hand-built one batches like a TU file of
+its pairs, and a pair outside its nodes raises there. The parser closes
 the whole dataset's pairs in one pass, and ``build_node_features`` one-hots
 the whole dataset in one array, of which each record's ``features`` is a
 read-only row view. ``batch_graphs`` builds a batch together with its
@@ -34,7 +34,6 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import chain, islice
 from pathlib import Path
 
@@ -48,17 +47,13 @@ FEATURE_SCHEMES = ("node-label-onehot", "degree-onehot")
 
 @dataclass(frozen=True, eq=False)
 class GraphTopology:
-    """A graph of ``n_nodes`` nodes, an int of at least 0, and its directed
-    (u, v) pairs, ``edges``: a read-only (E, 2) ``intp`` array made from an
-    empty sequence or an (E, 2) integer array, copied unless it is read-only
-    down to the memory it views. Anything else raises ``DataError``. Arrays
-    do not compare with ``==``, so neither do topologies; compare ``edges``
-    with ``np.array_equal``.
-
-    ``csr_edges``, the graph the encoder aggregates over, is computed on
-    first use, which is also where a pair outside 0..n_nodes-1 raises
-    ``DataError``. A parsed topology's ``edges`` already is its closure, so
-    the parser sets its ``csr_edges`` to that array, uncopied.
+    """A graph of ``n_nodes`` nodes, an int of at least 0, and ``edges``,
+    the closure: ``undirected_closure`` of the pairs it is made from, an
+    empty sequence or an (E, 2) integer array, as a read-only (E, 2)
+    ``intp`` array of its own. Pairs of any other form, or a pair outside
+    0..n_nodes-1, raise ``DataError`` at construction. Arrays do not
+    compare with ``==``, so neither do topologies; compare ``edges`` with
+    ``np.array_equal``.
     """
 
     n_nodes: int
@@ -68,22 +63,10 @@ class GraphTopology:
         n = self.n_nodes
         if type(n) is bool or not isinstance(n, (int, np.integer)) or n < 0:
             raise DataError(f"n_nodes must be an int of at least 0, got {n!r}")
-        edges = held = _edge_array(self.edges)
-        while isinstance(held, np.ndarray) and not held.flags.writeable:
-            held = held.base
-        if held is not None:  # no read-only array owns the data
-            edges = edges.copy()
-            edges.flags.writeable = False
+        edges = undirected_closure(self.edges, int(n))
+        edges.flags.writeable = False
         object.__setattr__(self, "n_nodes", int(n))
         object.__setattr__(self, "edges", edges)
-
-    @cached_property
-    def csr_edges(self):
-        """The edges' undirected closure in CSR order, computed once and
-        kept, read-only."""
-        edges = undirected_closure(self.edges, self.n_nodes)
-        edges.flags.writeable = False
-        return edges
 
 
 @dataclass
@@ -262,8 +245,8 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     """Load a TU-convention dataset into 0-indexed per-graph records.
 
     Graph labels are remapped to 0..n_classes-1 preserving the sorted order
-    of the raw labels. Each graph's ``edges`` is its undirected closure in
-    CSR order, a read-only view of one array, and its ``csr_edges``.
+    of the raw labels. Each graph's ``edges``, the closure, is a read-only
+    view of one array: the whole dataset is closed in one pass.
     """
     folder = _find_dataset_dir(root_dir, name)
     a_path = folder / f"{name}_A.txt"
@@ -331,7 +314,7 @@ def parse_tu_dataset(root_dir, name) -> Dataset:
     bounds = np.searchsorted(edges[:, 1], starts)
     ends = np.append(bounds[1:], len(edges))
     edges -= np.repeat(starts, ends - bounds)[:, None]
-    edges.flags.writeable = False  # so each graph's view is taken uncopied
+    edges.flags.writeable = False  # so is every graph's view of it
     records = [GraphRecord(
         _closed_topology(n, e), label,
         None if node_labels is None else node_labels[start:start + n])
@@ -350,17 +333,17 @@ def _blocks(array, ends):
 
 def _closed_topology(n_nodes, edges):
     """A topology over ``edges`` that already are their own closure in CSR
-    order, as each parsed graph's are."""
-    topology = GraphTopology(n_nodes, edges)
-    # cached_property looks in the instance __dict__ before it computes,
-    # so csr_edges is the edges themselves: no closure and no second copy
-    vars(topology)["csr_edges"] = topology.edges
+    order, read-only, as each parsed graph's are. ``__post_init__`` is
+    skipped, so no graph is closed twice."""
+    topology = object.__new__(GraphTopology)
+    object.__setattr__(topology, "n_nodes", n_nodes)
+    object.__setattr__(topology, "edges", edges)
     return topology
 
 
 def degree_sequence(topology: GraphTopology):
-    """Neighbour count per node over the closure, ``csr_edges``."""
-    return np.bincount(topology.csr_edges[:, 0], minlength=topology.n_nodes)
+    """Neighbour count per node over ``edges``, the closure."""
+    return np.bincount(topology.edges[:, 0], minlength=topology.n_nodes)
 
 
 def _node_label_array(dataset):
@@ -424,9 +407,9 @@ def build_node_features(dataset: Dataset, scheme, cap=None) -> Dataset:
 def batch_graphs(records) -> GraphBatch:
     """Concatenate graphs block-diagonally and build both patterns.
 
-    The adjacency's edges are every graph's ``csr_edges``, its undirected
-    closure in CSR order, shifted by its node offset. The offsets ascend,
-    so the edges are in CSR order as they stand, and so are pooling's.
+    The adjacency's edges are every graph's ``edges``, the closure, in CSR
+    order, shifted by its node offset. The offsets ascend, so the edges are
+    in CSR order as they stand, and so are pooling's.
     """
     if not records:
         raise DataError("cannot batch an empty record list")
@@ -441,7 +424,7 @@ def batch_graphs(records) -> GraphBatch:
                 f"{r.features.shape[0]} feature rows")
 
     sizes = np.array([r.n_nodes for r in records], dtype=np.intp)
-    per_graph = [r.topology.csr_edges for r in records]
+    per_graph = [r.topology.edges for r in records]
     edges = np.concatenate(per_graph)
     shift = np.repeat(np.cumsum(sizes) - sizes, [len(e) for e in per_graph])
     n_graphs, n_nodes = len(records), int(sizes.sum())

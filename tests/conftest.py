@@ -145,14 +145,14 @@ def ring_record(n, label, phase=0):
     edges = []
     for i in range(n):
         edges.append((i, (i + 1) % n))
-    topo = gd.GraphTopology(n, gd.undirected_closure(edges, n))
+    topo = gd.GraphTopology(n, edges)
     node_labels = [(i + phase) % 2 for i in range(n)]
     return gd.GraphRecord(topo, label, node_labels)
 
 
 def star_record(n, label):
     edges = [(0, i) for i in range(1, n)]
-    topo = gd.GraphTopology(n, gd.undirected_closure(edges, n))
+    topo = gd.GraphTopology(n, edges)
     return gd.GraphRecord(topo, label, [i % 2 for i in range(n)])
 
 

@@ -1042,6 +1042,48 @@ def test_dense_is_bitwise_the_unfused_chain(monkeypatch, n, transposed,
         weights)
 
 
+def _mask_dtypes_and_gradients(op, arrays, c):
+    """The dtypes of the constants the recorded first-order pass of
+    sum(op(...)^2) multiplied by, and the bytes of its gradients and of the
+    second-order gradients of <c, d/dx sum(op(...)^2)> for every input but
+    x, the first."""
+    with ad.use_tape(ad.Tape()) as tape:
+        xs = [ad.variable(a.copy()) for a in arrays]
+        first = ad.backward(ad.reduce_sum(ad.square(op(*xs))), xs,
+                            create_graph=True)
+        masks = {n.inputs[1].data.dtype for n in tape.nodes
+                 if n.kind == "mul" and n.inputs[1].node_id is None}
+        second = ad.backward(ad.reduce_sum(ad.mul(first[xs[0]],
+                                                  ad.constant(c))), xs[1:])
+    return masks, ([first[x].data.tobytes() for x in xs]
+                   + [second[x].data.tobytes() for x in xs[1:]])
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, w, b: ad.dense(ad.dense(x, w, b, relu=True), w, b),
+    lambda x, w, b: ad.relu(ad.add(ad.matmul(ad.relu(x), w), b))],
+    ids=["dense", "relu"])
+def test_relu_masks_are_bools_bitwise_the_float_masks(monkeypatch, op):
+    # a float64 times a bool is the float64 times 0.0 or 1.0, so the
+    # gradients equal those with the mask cast to float64, the oracle
+    rng = np.random.default_rng(31)
+    arrays = [rng.standard_normal(s) for s in ((6, 4), (4, 4), (1, 4))]
+    c = rng.standard_normal((6, 4))
+    masks, got = _mask_dtypes_and_gradients(op, arrays, c)
+    assert masks == {np.dtype(bool)}
+    real_mul = ad.mul
+
+    def float_masks(a, b):
+        if b.data.dtype == bool:
+            b = ad.constant(b.data.astype(np.float64))
+        return real_mul(a, b)
+
+    monkeypatch.setattr(ad, "mul", float_masks)
+    masks, want = _mask_dtypes_and_gradients(op, arrays, c)
+    assert masks == {np.dtype(np.float64)}
+    assert got == want
+
+
 def _forward_and_gradients(op, arrays, weights):
     """Bytes of ``op``'s value and of the first-order and ``create_graph``
     gradients of sum(op(...)^2 * weights) with respect to every input."""

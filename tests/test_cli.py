@@ -2,12 +2,15 @@ import importlib
 import json
 import multiprocessing
 import os
+import platform
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+import scipy
 
 from megagcl import cli
 from megagcl import evaluation as ev
@@ -29,6 +32,13 @@ def test_every_console_script_imports_and_is_callable():
         assert callable(getattr(importlib.import_module(module), attr))
 
 
+# what train and eval print to say how to reproduce them
+_PROVENANCE = {"versions": {"python": platform.python_version(),
+                            "numpy": np.__version__,
+                            "scipy": scipy.__version__},
+               "commit": cli._commit(REPO_ROOT)}
+
+
 def _load(folder, name):
     return gd.build_node_features(gd.parse_tu_dataset(folder, name),
                                   "node-label-onehot")
@@ -42,7 +52,8 @@ def test_train_prints_the_run_summary(tmp_path, capsys):
     _, log = tr.train(_load(folder, "TRI"), tr.Hyperparams(epochs=2, seed=3),
                       mode="ccl")
     assert printed == {**log.summary, "features": "node-label-onehot",
-                       "cap": None, "blas_threads": openblas.threads()}
+                       "cap": None, "blas_threads": openblas.threads(),
+                       **_PROVENANCE}
     assert printed["iterations"] == 2 and np.isfinite(printed["final_l_mega"])
     assert printed["mode"] == "ccl" and printed["epochs"] == 2
     assert printed["lam"] == tr.Hyperparams.lam  # a default, printed
@@ -70,7 +81,7 @@ def test_eval_prints_protocol_mean_and_std(tmp_path, capsys):
                        "accuracies": want.accuracies,
                        "mean": want.mean, "std": want.std,
                        "features": "node-label-onehot", "cap": None,
-                       "blas_threads": openblas.threads()}
+                       "blas_threads": openblas.threads(), **_PROVENANCE}
 
 
 def _stub_runs(monkeypatch):
@@ -335,3 +346,51 @@ def test_train_and_eval_print_the_blas_threads_they_ran_at(
     monkeypatch.setattr(openblas, "threads", lambda: 4)
     assert cli.main([command, str(two_triangles(tmp_path)), "TRI"]) == 0
     assert json.loads(capsys.readouterr().out)["blas_threads"] == 4
+
+
+def test_the_printed_commit_is_the_one_checked_out():
+    if not (REPO_ROOT / ".git").is_dir() or shutil.which("git") is None:
+        pytest.skip("needs a git checkout and git")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO_ROOT,
+                          capture_output=True, text=True, check=True)
+    assert cli._CHECKOUT == REPO_ROOT
+    assert cli._commit(REPO_ROOT) == head.stdout.strip()
+
+
+_SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+@pytest.mark.parametrize("files", [
+    {"HEAD": _SHA + "\n"},  # detached
+    {"HEAD": "ref: refs/heads/main\n", "refs/heads/main": _SHA + "\n"},
+    {"HEAD": "ref: refs/heads/dev/x\n",
+     "packed-refs": "# pack-refs with: peeled fully-peeled sorted\n"
+                    f"{'f' * 40} refs/heads/main\n"
+                    f"{_SHA} refs/heads/dev/x\n^{'e' * 40}\n"},
+], ids=["detached", "loose-ref", "packed-ref"])
+def test_the_commit_is_read_from_git_files(tmp_path, files):
+    for name, text in files.items():
+        path = tmp_path / ".git" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    assert cli._commit(tmp_path) == _SHA
+
+
+def test_no_git_folder_prints_a_null_commit(tmp_path, monkeypatch, capsys):
+    _stub_runs(monkeypatch)
+    monkeypatch.setattr(cli, "_CHECKOUT", tmp_path / "no-checkout")
+    assert cli.main(["train", str(two_triangles(tmp_path)), "TRI"]) == 0
+    assert json.loads(capsys.readouterr().out)["commit"] is None
+
+
+def test_reading_the_versions_imports_no_scipy(tmp_path):
+    script = ("import sys; from megagcl import cli; "
+              "cli.main(['train', sys.argv[1], 'TRI', '--epochs', '0']); "
+              "print('scipy' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(two_triangles(tmp_path))],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    printed, imported = done.stdout.splitlines()
+    assert json.loads(printed)["versions"] == _PROVENANCE["versions"]
+    assert imported == "False"

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import re
 import warnings
 from operator import attrgetter
@@ -261,28 +262,23 @@ def test_edges_that_are_not_an_e_by_2_integer_array_are_refused(
                                    np.array([[0, 1]], dtype=np.uint8)])
 def test_empty_sequences_and_integer_arrays_are_edges(pairs):
     edges = gd.GraphTopology(2, pairs).edges
-    assert edges.dtype == np.intp and edges.shape == (len(pairs), 2)
-    np.testing.assert_array_equal(edges, np.reshape(pairs, (-1, 2)))
+    assert edges.dtype == np.intp
+    # the closure of no pair, or of (0, 1)
+    np.testing.assert_array_equal(
+        edges, np.reshape([[1, 0], [0, 1]] * len(pairs), (-1, 2)))
     assert gd.undirected_closure(pairs, 2).dtype == np.intp
 
 
 def test_a_topology_keeps_its_own_read_only_edges(mutag):
     e = np.array([[0, 1]])
     t = gd.GraphTopology(3, e)
-    t.csr_edges
-    e[0] = [1, 2]  # the caller's array no longer reaches the graph
-    np.testing.assert_array_equal(t.edges, [[0, 1]])
-    np.testing.assert_array_equal(t.csr_edges, [[1, 0], [0, 1]])
+    e[0] = [1, 2]  # the caller's array never reaches the graph
+    np.testing.assert_array_equal(t.edges, [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="read-only"):
         t.edges[0] = [1, 2]
-    frozen = np.array([[0, 1]])
-    frozen.flags.writeable = False
-    assert gd.GraphTopology(3, frozen).edges is frozen
-    view = e.view()  # read-only, but its array is not
-    view.flags.writeable = False
-    t = gd.GraphTopology(3, view)
-    e[0] = [0, 2]
-    np.testing.assert_array_equal(t.edges, [[1, 2]])
+    closed = gd.undirected_closure(e, 3)  # a closure is closed anew
+    closed.flags.writeable = False
+    assert not np.shares_memory(gd.GraphTopology(3, closed).edges, closed)
     # parsed graphs take uncopied read-only views of one closure array
     assert len({id(r.topology.edges.base) for r in mutag.records}) == 1
     assert not any(r.topology.edges.flags.writeable for r in mutag.records)
@@ -488,8 +484,8 @@ def test_degree_onehot_isolated_node():
 
 
 def test_degree_onehot_caps_large_degrees():
-    rec = gd.GraphRecord(gd.GraphTopology(
-        5, gd.undirected_closure([(0, i) for i in range(1, 5)], 5)), 0)
+    rec = gd.GraphRecord(gd.GraphTopology(5, [(0, i) for i in range(1, 5)]),
+                         0)
     ds = gd.build_node_features(gd.Dataset("S", [rec], 1), "degree-onehot", cap=2)
     assert ds.records[0].features[0, 2] == 1.0  # center degree 4 -> cap 2
 
@@ -608,9 +604,8 @@ def test_single_graph_batch(tmp_path):
 
 def test_offsets_shift_second_graph(tmp_path):
     ds = _featured_triangles(tmp_path)
-    rec2 = gd.GraphRecord(gd.GraphTopology(
-        2, gd.undirected_closure([(0, 1)], 2)), 0,
-        features=np.ones((2, 5)))
+    rec2 = gd.GraphRecord(gd.GraphTopology(2, [(0, 1)]), 0,
+                          features=np.ones((2, 5)))
     batch = gd.batch_graphs([ds.records[0], rec2])
     # second graph's nodes 0 and 1 appear as global nodes 3 and 4
     np.testing.assert_array_equal(batch.adjacency.src[6:], [4, 3])
@@ -646,8 +641,8 @@ def test_batch_feature_width_mismatch():
 
 def test_batch_rejects_feature_rows_unequal_to_node_count():
     good = gd.GraphRecord(gd.GraphTopology(1, ()), 0, features=np.ones((1, 2)))
-    extra = gd.GraphRecord(gd.GraphTopology(3, gd.undirected_closure(
-        [(0, 1), (1, 2)], 3)), 0, features=np.ones((4, 2)))
+    extra = gd.GraphRecord(gd.GraphTopology(3, [(0, 1), (1, 2)]), 0,
+                           features=np.ones((4, 2)))
     short = gd.GraphRecord(gd.GraphTopology(2, ((0, 1), (1, 0))), 0,
                            features=np.ones((1, 2)))
     with pytest.raises(DataError, match="record 1 .* 3 nodes but 4 feature"):
@@ -662,31 +657,32 @@ def test_batch_rejects_feature_rows_unequal_to_node_count():
 ])
 def test_topology_rejects_bad_edges_where_its_order_is_first_computed(
         edges, message):
-    topo = gd.GraphTopology(2, edges)  # construction does not check
-    rec = gd.GraphRecord(topo, 0, features=np.ones((2, 1)))
-    after = gd.GraphRecord(gd.GraphTopology(2, ((0, 1), (1, 0))), 0,
-                           features=np.ones((2, 1)))
+    # at construction, where the closure is made
     with pytest.raises(DataError, match=message):
-        gd.batch_graphs([rec, after])
-    with pytest.raises(DataError, match=message):
-        topo.csr_edges
+        gd.GraphTopology(2, edges)
 
 
-def test_csr_edges_are_the_edges_in_lexsort_order_and_read_only(mutag):
+def test_edges_are_the_closure_in_lexsort_order_and_read_only(mutag):
     shuffled = np.random.default_rng(4).permutation(
         mutag.records[0].topology.edges)
-    for topo in [r.topology for r in mutag.records[:20]] + [
-            gd.GraphTopology(5, shuffled[:0]), gd.GraphTopology(0, ()),
-            gd.GraphTopology(mutag.records[0].n_nodes, shuffled),
-            gd.GraphTopology(3, ((2, 0), (1, 0), (2, 0), (0, 1), (1, 1)))]:
-        # the closure, lexsorted by (target, source)
-        want = np.array(_closure_reference(topo.edges.tolist()),
+    hand_built = [(5, shuffled[:0]), (0, ()),
+                  (mutag.records[0].n_nodes, shuffled),
+                  (3, ((2, 0), (1, 0), (2, 0), (0, 1), (1, 1)))]
+    for topo, pairs in [(r.topology, r.topology.edges)
+                        for r in mutag.records[:20]] + [
+            (gd.GraphTopology(n, pairs), pairs) for n, pairs in hand_built]:
+        # the closure, lexsorted by (target, source), byte for byte
+        want = np.array(_closure_reference(np.reshape(pairs, (-1, 2))
+                                           .tolist()),
                         dtype=np.intp).reshape(-1, 2)
-        assert topo.csr_edges.dtype == np.intp
-        np.testing.assert_array_equal(topo.csr_edges, want)
-        assert not topo.csr_edges.flags.writeable
+        closure = gd.undirected_closure(pairs, topo.n_nodes)
+        assert topo.edges.dtype == np.intp
+        np.testing.assert_array_equal(topo.edges, want)
+        assert topo.edges.shape == closure.shape
+        assert topo.edges.tobytes() == closure.tobytes()
+        assert not topo.edges.flags.writeable
         with pytest.raises(ValueError):
-            topo.csr_edges[:1] = 0
+            topo.edges[:1] = 0
 
 
 def test_hand_built_topologies_batch_like_their_tu_files(tmp_path):
@@ -718,7 +714,7 @@ def test_hand_built_topologies_batch_like_their_tu_files(tmp_path):
             assert (a.dtype, a.shape, a.tobytes()) == \
                 (b.dtype, b.shape, b.tobytes()), name
     for h, p in zip(hand.records, parsed.records):
-        assert h.topology.csr_edges.tobytes() == p.topology.csr_edges.tobytes()
+        assert h.topology.edges.tobytes() == p.topology.edges.tobytes()
         np.testing.assert_array_equal(gd.degree_sequence(h.topology),
                                       gd.degree_sequence(p.topology))
 
@@ -762,20 +758,30 @@ def test_assembled_orders_equal_lexsort(mutag, synth_records, size):
 
 
 def test_parsed_topologies_carry_their_closure(monkeypatch):
+    closures = count_calls(monkeypatch, gd, "undirected_closure")
     ds = gd.build_node_features(gd.parse_tu_dataset(DATA_ROOT, "MUTAG"),
                                 "node-label-onehot")
-    closures = count_calls(monkeypatch, gd, "undirected_closure")
+    assert len(closures) == 1  # the whole dataset's, in one pass
     for start in range(0, len(ds), 32):
         gd.batch_graphs(ds.records[start:start + 32])
-    assert closures == []
-    for rec in ds.records:
-        assert rec.topology.csr_edges is rec.topology.edges
+    assert len(closures) == 1
+
+
+def test_a_parsed_topology_round_trips_through_pickle(mutag):
+    # as a spawned worker receives it
+    for rec in mutag.records[:20]:
+        again = pickle.loads(pickle.dumps(rec.topology))
+        assert type(again) is gd.GraphTopology
+        assert type(again.n_nodes) is int and again.n_nodes == rec.n_nodes
+        a, b = again.edges, rec.topology.edges
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes())
 
 
 def test_topology_order_is_computed_once_and_shared(mutag, monkeypatch):
     ds = gd.build_node_features(mutag, "node-label-onehot")
     first = gd.batch_graphs(ds.records[:8])
-    orders = [r.topology.csr_edges for r in ds.records[:8]]
+    orders = [r.topology.edges for r in ds.records[:8]]
     sorts = [count_calls(monkeypatch, np, name)
              for name in ("sort", "argsort", "lexsort")]
     closures = count_calls(monkeypatch, gd, "undirected_closure")
@@ -783,8 +789,8 @@ def test_topology_order_is_computed_once_and_shared(mutag, monkeypatch):
     assert closures == []  # the closure sorts with the ndarray method
     again = gd.build_node_features(ds, "degree-onehot", cap=4)
     for rec, rec_again, order in zip(ds.records, again.records, orders):
-        assert rec.topology.csr_edges is order
-        assert rec_again.topology.csr_edges is order
+        assert rec.topology.edges is order
+        assert rec_again.topology.edges is order
         assert not order.flags.writeable
     assert sorts == [[], [], []]
     np.testing.assert_array_equal(first.adjacency.src, second.adjacency.src)

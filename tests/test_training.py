@@ -495,10 +495,9 @@ def test_step_records_equal_the_term_by_term_evaluation(mutag, monkeypatch):
 
 
 def test_steps_and_embedding_sort_nothing(mutag, monkeypatch):
-    # after a first touch has cached every graph's csr_edges; no primitive
-    # sorts, and the edge-weight gradient gathers over the forward's pattern.
-    # The closure sorts with the ndarray method, which the np counters do
-    # not see, so its own calls are counted
+    # no primitive sorts, and the edge-weight gradient gathers over the
+    # forward's pattern. The closure sorts with the ndarray method, which
+    # the np counters do not see, so its own calls are counted
     ds = gd.build_node_features(mutag, "node-label-onehot")
     order = np.random.default_rng(0).permutation(len(ds.records))[:32]
     records = [ds.records[i] for i in order]
@@ -516,8 +515,6 @@ def test_steps_and_embedding_sort_nothing(mutag, monkeypatch):
         steps[kind](state, gd.batch_graphs(records), tr.Hyperparams())
 
     with ad.use_tape(tape):
-        for kind in ("contrast", "embed"):  # first touch of every topology
-            run(kind)
         sorts = {}
         for kind in ("contrast", "ccl", "embed", "meta"):
             with monkeypatch.context() as mp:
